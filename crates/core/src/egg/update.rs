@@ -24,9 +24,9 @@ use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
 use crate::algorithms::gpu_sync::{BLOCK, MAX_DIM};
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
-use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid};
+use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo};
 use crate::instrument::UpdateCounters;
-use crate::kernels::{avx2_available, pair_term_cell, F64x4, LANES};
+use crate::kernels::{pair_term_cell, F64x4, LANES};
 
 use super::super::grid::device::{seg_start, LaneTables};
 
@@ -668,11 +668,14 @@ pub struct ShardPass<'a> {
 /// [`CellGrid::point_order`] (the host edition of `i_points`, §4.2.6), so
 /// consecutive points share cells and their reach walks hit warm cache
 /// lines; results are scattered back to each point's original row.
-/// `options.use_pregrid` remains structurally unnecessary here: the
-/// preGrid's only job is to skip empty outer cells, and
-/// [`CellGrid::for_each_cell_in_reach`] already does that by binary
-/// searching the sorted index of *non-empty* outer ranges — there is no
-/// per-iteration list to precompute or walk.
+/// `options.use_pregrid` is not consulted here. The preGrid's job is to
+/// skip empty outer cells, and the host walk does that by binary
+/// searching the sorted index of *non-empty* outer ranges
+/// ([`CellGrid::for_each_cell_in_reach`]). The list the paper precomputes
+/// per outer cell is instead resolved lazily: a `ReachMemo` on each
+/// chunk's stack walks the reach once per run of consecutive points that
+/// share an outer cell and replays it, in the same cell order, for every
+/// point of the run.
 ///
 /// `chunk_stats` is reusable per-chunk scratch (`(first-term, counters)`
 /// slots): it is resized to the chunk count and keeps its capacity, so a
@@ -785,9 +788,7 @@ pub fn egg_update_host(
         None => None,
     };
     let inc = &inc;
-    // lane-kernel dispatch, resolved once per pass (not per block)
     let use_lane = options.use_simd && options.use_trig_tables;
-    let use_avx2 = use_lane && avx2_available();
     let (lane_sin, lane_cos, lane_coords) = (grid.lane_sin(), grid.lane_cos(), grid.lane_coords());
     // slot s lives at lane index lane_phase + s; a sharded grid sets the
     // phase so lane-block boundaries match the single grid's (see
@@ -799,6 +800,9 @@ pub fn egg_update_host(
     exec.map_ranges_into(slots.len(), POINT_CHUNK, chunk_stats, |range| {
         let mut all_local = true;
         let mut counters = UpdateCounters::default();
+        // grid-sorted points come in runs sharing an outer cell: resolve
+        // the run's reach once, replay it for each of its points
+        let mut reach = ReachMemo::new(grid);
         for off in range {
             // chunking is over the processed window, so the chunk layout
             // (hence the reduction order) matches an unsharded pass over
@@ -840,7 +844,7 @@ pub fn egg_update_host(
             // reduced into `sums` once after the whole reach walk
             let mut lane_acc = [F64x4::ZERO; MAX_DIM];
             let mut neighbors = 0u64;
-            grid.for_each_cell_in_reach(geo.outer_id_of_point(p), |c| {
+            reach.for_each_cell(geo.outer_id_of_point(p), |c| {
                 // classify against the point MBR (tight, still exact) or
                 // the grid box, per `options.use_cell_bounds`
                 let fully_within = if options.use_cell_bounds {
@@ -893,7 +897,8 @@ pub fn egg_update_host(
                         cos_p,
                         eps_sq,
                         &mut lane_acc[..dim],
-                        use_avx2,
+                        // the AVX2 body wherever the CPU has it
+                        true,
                     );
                     neighbors += u64::from(hits);
                     counters.sin_calls_avoided += dim as u64 * u64::from(hits);

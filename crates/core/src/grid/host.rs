@@ -20,7 +20,7 @@ use crate::algorithms::gpu_sync::MAX_DIM;
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
 use crate::kernels::{accumulate_row, lane_pad, LANES};
 
-use super::geometry::GridGeometry;
+use super::geometry::{GridGeometry, MAX_SURROUND_ENUM};
 
 /// Host-side grid: full-dimensional cell coordinates → indices of the
 /// points inside.
@@ -1096,8 +1096,21 @@ impl CellGrid {
     /// outer cells surrounding (and including) outer cell `oid` — the
     /// host analogue of the preGrid walk (§4.2.5): empty outer buckets
     /// are skipped by a binary search over the sorted non-empty outer
-    /// ranges instead of a precomputed list.
+    /// ranges instead of a precomputed list. The host update, which visits
+    /// the reach of many points in grid-sorted order, resolves it once per
+    /// outer cell with a `ReachMemo` instead.
     pub fn for_each_cell_in_reach(&self, oid: usize, mut f: impl FnMut(usize)) {
+        self.for_each_range_in_reach(oid, |lo, hi| {
+            for c in lo..hi {
+                f(c as usize);
+            }
+        });
+    }
+
+    /// The walk behind [`CellGrid::for_each_cell_in_reach`] and
+    /// [`ReachMemo`]: invoke `f` with the compacted cell range `lo..hi` of
+    /// every non-empty outer cell in the reach of `oid`, in visit order.
+    fn for_each_range_in_reach(&self, oid: usize, mut f: impl FnMut(u32, u32)) {
         let geo = &self.geometry;
         let d = geo.outer_dims;
         let v = geo.surround_per_dim();
@@ -1135,9 +1148,7 @@ impl CellGrid {
             in_reach[..len].sort_unstable();
             for &(_, e) in &in_reach[..len] {
                 let (_, lo, hi) = self.outer_index[e as usize];
-                for c in lo..hi {
-                    f(c as usize);
-                }
+                f(lo, hi);
             }
             return;
         }
@@ -1145,9 +1156,7 @@ impl CellGrid {
             let o = o as u64;
             if let Ok(e) = self.outer_index.binary_search_by_key(&o, |&(id, _, _)| id) {
                 let (_, lo, hi) = self.outer_index[e];
-                for c in lo..hi {
-                    f(c as usize);
-                }
+                f(lo, hi);
             }
         });
     }
@@ -1179,6 +1188,76 @@ impl CellGrid {
             + self.point_slot_scratch.len() * 4
             + self.trig_scratch.len() * 8
             + self.sums_scratch.len() * 8
+    }
+}
+
+/// The reach of one outer cell, resolved once and replayed for every point
+/// of a run — the host edition of the per-cell preGrid list the paper's
+/// update threads share (§4.2.5). Points processed in grid-sorted order
+/// ([`CellGrid::point_order`]) come in runs that share an outer cell, and
+/// every point of a run walks the same reach. The memo keeps that reach as
+/// a list of compacted cell ranges on the stack, so the steady-state loop
+/// allocates nothing, and replays it: each point sees exactly the cells
+/// [`CellGrid::for_each_cell_in_reach`] would give it, in the same order.
+///
+/// The list holds [`MAX_SURROUND_ENUM`] ranges, one per non-empty outer
+/// cell of the reach. [`GridVariant::Auto`] never exceeds it; under an
+/// explicit `Mixed` or `RandomAccess` variant a reach that does is walked
+/// per point instead.
+///
+/// [`GridVariant::Auto`]: super::GridVariant::Auto
+pub(crate) struct ReachMemo<'g> {
+    grid: &'g CellGrid,
+    /// Outer cell whose reach `ranges[..len]` holds, once resolved.
+    oid: Option<usize>,
+    /// The reach of `oid` did not fit the list.
+    overflow: bool,
+    len: usize,
+    ranges: [(u32, u32); MAX_SURROUND_ENUM],
+}
+
+impl<'g> ReachMemo<'g> {
+    /// An empty memo over `grid`; the first call resolves a reach.
+    pub fn new(grid: &'g CellGrid) -> Self {
+        Self {
+            grid,
+            oid: None,
+            overflow: false,
+            len: 0,
+            ranges: [(0, 0); MAX_SURROUND_ENUM],
+        }
+    }
+
+    /// Invoke `f` with the compacted index of every cell in the reach of
+    /// outer cell `oid`, in [`CellGrid::for_each_cell_in_reach`]'s order.
+    /// The reach is resolved only when `oid` differs from the previous
+    /// call's.
+    pub fn for_each_cell(&mut self, oid: usize, mut f: impl FnMut(usize)) {
+        if self.oid != Some(oid) {
+            self.resolve(oid);
+        }
+        if self.overflow {
+            self.grid.for_each_cell_in_reach(oid, f);
+            return;
+        }
+        for &(lo, hi) in &self.ranges[..self.len] {
+            for c in lo..hi {
+                f(c as usize);
+            }
+        }
+    }
+
+    fn resolve(&mut self, oid: usize) {
+        let (ranges, mut len, mut overflow) = (&mut self.ranges, 0, false);
+        self.grid
+            .for_each_range_in_reach(oid, |lo, hi| match ranges.get_mut(len) {
+                Some(slot) => {
+                    *slot = (lo, hi);
+                    len += 1;
+                }
+                None => overflow = true,
+            });
+        (self.oid, self.len, self.overflow) = (Some(oid), len, overflow);
     }
 }
 
@@ -1485,6 +1564,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Drive one [`ReachMemo`] over every `stride`-th point of `grid` — in
+    /// grid-sorted order (runs, as the update visits them), then in index
+    /// order (the outer cell changes at almost every step) — and check
+    /// each point replays [`CellGrid::for_each_cell_in_reach`]'s exact
+    /// visit sequence. Returns `(points checked, points whose reach
+    /// overflowed the memo)`.
+    fn assert_memo_replays_walk(grid: &CellGrid, coords: &[f64], stride: usize) -> (usize, usize) {
+        let geo = *grid.geometry();
+        let n = coords.len() / geo.dim;
+        let mut memo = ReachMemo::new(grid);
+        let (mut walked, mut replayed) = (Vec::new(), Vec::new());
+        let (mut checked, mut overflowed) = (0, 0);
+        let sorted = grid.point_order().iter().map(|&p| p as usize);
+        for p_idx in sorted.step_by(stride).chain((0..n).step_by(stride)) {
+            let oid = geo.outer_id_of_point(row(coords, geo.dim, p_idx));
+            walked.clear();
+            replayed.clear();
+            grid.for_each_cell_in_reach(oid, |c| walked.push(c));
+            memo.for_each_cell(oid, |c| replayed.push(c));
+            assert_eq!(walked, replayed, "point {p_idx} (outer cell {oid})");
+            checked += 1;
+            overflowed += usize::from(memo.overflow);
+        }
+        (checked, overflowed)
+    }
+
+    #[test]
+    fn reach_memo_replays_the_walk_for_every_point() {
+        let exec = Executor::sequential();
+        // (dim, eps, variant, points): Auto picks d' = 2 here; Sequential
+        // walks one bucket; the rest enumerate offsets over many occupied
+        // outer cells
+        for (dim, eps, variant, n) in [
+            (2, 0.05, GridVariant::Auto, 3000),
+            (2, 0.05, GridVariant::Sequential, 600),
+            (2, 0.05, GridVariant::RandomAccess, 3000),
+            (3, 0.03, GridVariant::Mixed(1), 1500),
+        ] {
+            let coords = pseudo_cloud(n, dim);
+            let grid = CellGrid::build(&exec, GridGeometry::new(dim, eps, n, variant), &coords);
+            let occupied = grid.outer_index.len();
+            assert!(
+                occupied > 64 || grid.geometry().outer_dims == 0,
+                "{variant:?}"
+            );
+            assert_eq!(
+                assert_memo_replays_walk(&grid, &coords, 1),
+                (2 * n, 0),
+                "{variant:?}"
+            );
+        }
+
+        // few occupied outer cells: the sorted-occupancy replay path
+        let coords = pseudo_cloud(40, 2);
+        let g = GridGeometry::new(2, 0.05, 40, GridVariant::RandomAccess);
+        let grid = CellGrid::build(&exec, g, &coords);
+        let v = g.surround_per_dim();
+        assert!(grid.outer_index.len() <= 64 && grid.outer_index.len() < v * v);
+        assert_eq!(assert_memo_replays_walk(&grid, &coords, 1), (80, 0));
+
+        // a reach with more non-empty outer cells than the memo holds: a
+        // 4-d lattice, one point per cell, every cell within the reach
+        // (±5 cells at d = 4) of the lattice's center cell but not of its
+        // corners. Each walk enumerates 11⁴ offsets, so only a spread of
+        // points is checked, mixing overflowing and fitting reaches.
+        let g = GridGeometry::new(4, 0.2, 4374, GridVariant::RandomAccess);
+        assert_eq!(g.reach, 5);
+        let side = [9usize, 9, 9, 6];
+        let mut coords = Vec::new();
+        for a in 0..side[0] {
+            for b in 0..side[1] {
+                for c in 0..side[2] {
+                    for d in 0..side[3] {
+                        for k in [a, b, c, d] {
+                            coords.push((k + 5) as f64 * g.cell_width + g.cell_width / 2.0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(coords.len() / 4 > MAX_SURROUND_ENUM);
+        let grid = CellGrid::build(&exec, g, &coords);
+        let (checked, overflowed) = assert_memo_replays_walk(&grid, &coords, 97);
+        assert!(
+            0 < overflowed && overflowed < checked,
+            "{overflowed} of {checked} overflowed"
+        );
     }
 
     #[test]

@@ -239,9 +239,13 @@ pub fn distance_sq_lanes(block: &[f64], p: &[f64]) -> F64x4 {
 /// distances this equals the scalar path's neighbor count for the block.
 ///
 /// `coords`, `sins`, `coss` are the block's rows of the lane-blocked
-/// tables (`dim * LANES` elements each); `use_avx2` selects the bitwise
-/// identical [`std::arch`] mirror (fetch [`avx2_available`] once per pass,
-/// not per block).
+/// tables (`dim * LANES` elements each, `dim = p.len()`); `use_avx2`
+/// requests the bitwise identical [`std::arch`] mirror, taken only when
+/// [`avx2_available`] confirms the CPU supports it.
+///
+/// # Panics
+/// If a table row holds fewer than `dim * LANES` elements, or `sin_p`,
+/// `cos_p` or `acc` fewer than `dim`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub fn pair_term_block(
@@ -256,9 +260,17 @@ pub fn pair_term_block(
     acc: &mut [F64x4],
     use_avx2: bool,
 ) -> u32 {
+    let dim = p.len();
+    assert!(
+        coords.len() >= dim * LANES && sins.len() >= dim * LANES && coss.len() >= dim * LANES,
+        "lane block rows shorter than dim × LANES"
+    );
+    assert!(sin_p.len() >= dim && cos_p.len() >= dim && acc.len() >= dim);
     #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // Safety: callers gate `use_avx2` on `avx2_available()`.
+    if use_avx2 && avx2_available() {
+        // SAFETY: AVX2 was detected at runtime, and the asserts above
+        // cover every element the body reads through raw pointers
+        // (`dim * LANES` of each table row).
         return unsafe {
             pair_term_block_avx2(coords, sins, coss, p, sin_p, cos_p, eps_sq, lane_mask, acc)
         };
@@ -304,7 +316,8 @@ fn pair_term_block_portable(
 /// never changes the output, only the throughput.
 ///
 /// # Safety
-/// Requires AVX2 (callers gate on [`avx2_available`]).
+/// Requires AVX2, and `coords`, `sins`, `coss` of at least
+/// `p.len() * LANES` elements (read through raw pointers).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -324,6 +337,7 @@ unsafe fn pair_term_block_avx2(
     let dim = p.len();
     let mut d2 = _mm256_setzero_pd();
     for (i, &pi) in p.iter().enumerate() {
+        // SAFETY: `i * LANES + LANES <= coords.len()` by the caller's contract
         let q = _mm256_loadu_pd(coords.as_ptr().add(i * LANES));
         let d = _mm256_sub_pd(q, _mm256_set1_pd(pi));
         d2 = _mm256_add_pd(d2, _mm256_mul_pd(d, d));
@@ -343,6 +357,7 @@ unsafe fn pair_term_block_avx2(
         return 0;
     }
     for i in 0..dim {
+        // SAFETY: as above for `sins` and `coss`; `acc[i]` is bounds-checked
         let term = _mm256_sub_pd(
             _mm256_mul_pd(
                 _mm256_loadu_pd(sins.as_ptr().add(i * LANES)),
@@ -364,7 +379,7 @@ unsafe fn pair_term_block_avx2(
 }
 
 /// The partial-cell pair term for a whole cell: every lane block covering
-/// grid-sorted slots `lo..hi` of the lane-blocked tables, accumulated into
+/// lane indices `lo..hi` of the lane-blocked tables, accumulated into
 /// `acc` exactly as per-block [`pair_term_block`] calls would. Returns the
 /// cell's accepted-lane (= exact neighbor) count.
 ///
@@ -372,9 +387,18 @@ unsafe fn pair_term_block_avx2(
 /// happens **once per cell**, not once per 4-row block. A
 /// `#[target_feature]` function cannot inline into a caller compiled
 /// without the feature, so per-block dispatch pays a real function call
-/// every 4 rows — enough to cancel the 256-bit win at small `dim`. The
-/// cell-granular mirror hoists the call boundary so the block kernel
-/// inlines into the feature-enabled loop.
+/// every 4 rows — enough to cancel the 256-bit win at small `dim`. For
+/// `dim` 1–8 the AVX2 body is specialized on the dimension, which keeps
+/// the lane accumulators and broadcasts in registers for the whole cell
+/// (`pair_term_cell_avx2_dim`); it adds `+0.0` where the per-block
+/// path skips a block without hits, so `acc` must hold no `−0.0` lane for
+/// the two to agree bit for bit. A fresh accumulator starts at `+0.0` and
+/// never becomes `−0.0`: under round-to-nearest a sum is `−0.0` only when
+/// both addends are.
+///
+/// # Panics
+/// If `lo >= hi`, `p`, `sin_p`, `cos_p` or `acc` hold fewer than `dim`
+/// elements, or a table is too short for block `(hi − 1) / LANES`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub fn pair_term_cell(
@@ -391,25 +415,35 @@ pub fn pair_term_cell(
     acc: &mut [F64x4],
     use_avx2: bool,
 ) -> u32 {
-    debug_assert!(lo < hi);
+    assert!(lo < hi, "empty lane range {lo}..{hi}");
+    let p = &p[..dim];
+    let (sin_p, cos_p, acc) = (&sin_p[..dim], &cos_p[..dim], &mut acc[..dim]);
+    let end = ((hi - 1) / LANES + 1).checked_mul(dim * LANES);
+    assert!(
+        end.is_some_and(|end| {
+            lane_coords.len() >= end && lane_sins.len() >= end && lane_coss.len() >= end
+        }),
+        "lane tables end before lane {hi}"
+    );
     #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // Safety: callers gate `use_avx2` on `avx2_available()`.
-        return unsafe {
-            pair_term_cell_avx2(
-                lane_coords,
-                lane_sins,
-                lane_coss,
-                dim,
-                lo,
-                hi,
-                p,
-                sin_p,
-                cos_p,
-                eps_sq,
-                acc,
-            )
-        };
+    if use_avx2 && avx2_available() {
+        macro_rules! by_dim {
+            ($($d:literal)*) => {
+                match dim {
+                    $($d => pair_term_cell_avx2_dim::<$d>(
+                        lane_coords, lane_sins, lane_coss, lo, hi, p, sin_p, cos_p, eps_sq, acc,
+                    ),)*
+                    _ => pair_term_cell_avx2(
+                        lane_coords, lane_sins, lane_coss, dim, lo, hi, p, sin_p, cos_p, eps_sq,
+                        acc,
+                    ),
+                }
+            };
+        }
+        // SAFETY: AVX2 was detected at runtime; `p`, `sin_p`, `cos_p` and
+        // `acc` were cut to exactly `dim` elements, and the tables hold
+        // every block up to `(hi − 1) / LANES` (asserted above).
+        return unsafe { by_dim!(1 2 3 4 5 6 7 8) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_avx2;
@@ -431,13 +465,15 @@ pub fn pair_term_cell(
     hits
 }
 
-/// AVX2 body of [`pair_term_cell`]: the identical block loop inside one
-/// feature-enabled frame, so [`pair_term_block_avx2`] inlines and the
-/// whole cell runs without a call per block. Bitwise identical to the
-/// portable loop, like every AVX2 mirror in this module.
+/// Generic AVX2 body of [`pair_term_cell`], for dimensions above 8: the
+/// per-block loop inside one feature-enabled frame, so
+/// [`pair_term_block_avx2`] inlines and the whole cell runs without a call
+/// per block. Bitwise identical to the portable loop, like every AVX2
+/// mirror in this module.
 ///
 /// # Safety
-/// Requires AVX2 (callers gate on [`avx2_available`]).
+/// Requires AVX2, `p.len() == dim`, and `sin_p`, `cos_p`, `acc` of at
+/// least `dim` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -457,6 +493,8 @@ unsafe fn pair_term_cell_avx2(
     let mut hits = 0;
     for b in lo / LANES..=(hi - 1) / LANES {
         let at = b * dim * LANES;
+        // SAFETY: each row slice is bounds-checked to `dim * LANES`
+        // elements, all that the block reads for `p.len() == dim`
         hits += pair_term_block_avx2(
             &lane_coords[at..at + dim * LANES],
             &lane_sins[at..at + dim * LANES],
@@ -470,6 +508,107 @@ unsafe fn pair_term_cell_avx2(
         );
     }
     hits
+}
+
+/// AVX2 body of [`pair_term_cell`] specialized on the dimension `D`. The
+/// `D` lane accumulators and the broadcast `p`, `sin p`, `cos p` are loaded
+/// once and stay in registers for the whole cell (at `D = 8` some
+/// broadcasts spill to the stack), and the block loop is branch-free:
+///
+/// * only the first and last block can straddle `lo..hi`, so only they
+///   get a slot-range mask, built by integer compare of the lane indices;
+/// * every block adds `term & mask`, where the per-block path skips blocks
+///   without hits. A masked lane adds `+0.0`, which leaves every
+///   accumulator that is not `−0.0` unchanged — bitwise neutral under
+///   [`pair_term_cell`]'s contract;
+/// * hits are counted by subtracting the all-ones mask lanes from an
+///   integer vector, summed once at the end.
+///
+/// The distance chain starts from the first dimension's square instead of
+/// `0.0 + d·d`: a square is never `−0.0`, so the two are the same value.
+///
+/// # Safety
+/// Requires AVX2, `p`, `sin_p`, `cos_p`, `acc` of at least `D` elements,
+/// and tables of at least `((hi − 1) / LANES + 1) · D · LANES` elements
+/// (read through raw pointers).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn pair_term_cell_avx2_dim<const D: usize>(
+    lane_coords: &[f64],
+    lane_sins: &[f64],
+    lane_coss: &[f64],
+    lo: usize,
+    hi: usize,
+    p: &[f64],
+    sin_p: &[f64],
+    cos_p: &[f64],
+    eps_sq: f64,
+    acc: &mut [F64x4],
+) -> u32 {
+    use std::arch::x86_64::*;
+    let (mut pv, mut sv, mut cv) = (
+        [_mm256_setzero_pd(); D],
+        [_mm256_setzero_pd(); D],
+        [_mm256_setzero_pd(); D],
+    );
+    let mut accv = [_mm256_setzero_pd(); D];
+    for i in 0..D {
+        pv[i] = _mm256_set1_pd(p[i]);
+        sv[i] = _mm256_set1_pd(sin_p[i]);
+        cv[i] = _mm256_set1_pd(cos_p[i]);
+        accv[i] = _mm256_loadu_pd(acc[i].0.as_ptr());
+    }
+    let eps = _mm256_set1_pd(eps_sq);
+    // lane index j of block b is b·LANES + j; in range iff lo−1 < j < hi
+    let lane_offsets = _mm256_set_epi64x(3, 2, 1, 0);
+    let (after_lo, before_hi) = (
+        _mm256_set1_epi64x(lo as i64 - 1),
+        _mm256_set1_epi64x(hi as i64),
+    );
+    let mut hits = _mm256_setzero_si256();
+    let (first, last) = (lo / LANES, (hi - 1) / LANES);
+    for b in first..=last {
+        // SAFETY: block `b ≤ last` ends at `(b + 1) · D · LANES`, within
+        // every table by the caller's contract
+        let at = b * D * LANES;
+        let (q, s, c) = (
+            lane_coords.as_ptr().add(at),
+            lane_sins.as_ptr().add(at),
+            lane_coss.as_ptr().add(at),
+        );
+        let d = _mm256_sub_pd(_mm256_loadu_pd(q), pv[0]);
+        let mut d2 = _mm256_mul_pd(d, d);
+        for i in 1..D {
+            let d = _mm256_sub_pd(_mm256_loadu_pd(q.add(i * LANES)), pv[i]);
+            d2 = _mm256_add_pd(d2, _mm256_mul_pd(d, d));
+        }
+        let mut mask = _mm256_cmp_pd::<_CMP_LE_OQ>(d2, eps);
+        if b == first || b == last {
+            let lane = _mm256_add_epi64(_mm256_set1_epi64x((b * LANES) as i64), lane_offsets);
+            let in_range = _mm256_and_si256(
+                _mm256_cmpgt_epi64(lane, after_lo),
+                _mm256_cmpgt_epi64(before_hi, lane),
+            );
+            mask = _mm256_and_pd(mask, _mm256_castsi256_pd(in_range));
+        }
+        // an accepted lane is all ones, i.e. −1 as an integer
+        hits = _mm256_sub_epi64(hits, _mm256_castpd_si256(mask));
+        for i in 0..D {
+            // sin(q−p) = sin q · cos p − cos q · sin p, four neighbors at once
+            let term = _mm256_sub_pd(
+                _mm256_mul_pd(_mm256_loadu_pd(s.add(i * LANES)), cv[i]),
+                _mm256_mul_pd(_mm256_loadu_pd(c.add(i * LANES)), sv[i]),
+            );
+            accv[i] = _mm256_add_pd(accv[i], _mm256_and_pd(term, mask));
+        }
+    }
+    for i in 0..D {
+        _mm256_storeu_pd(acc[i].0.as_mut_ptr(), accv[i]);
+    }
+    let mut per_lane = [0u64; LANES];
+    _mm256_storeu_si256(per_lane.as_mut_ptr().cast(), hits);
+    per_lane.iter().sum::<u64>() as u32
 }
 
 /// Element-wise `sums[i] += row[i]` over lane-padded rows, four lanes per
@@ -666,58 +805,114 @@ mod tests {
 
     #[test]
     fn pair_term_cell_is_bitwise_identical_to_per_block_calls() {
-        // 3 blocks of d=3 rows; cell slot range straddles block boundaries
-        const DIM: usize = 3;
-        let val = |k: usize| (k as u64).wrapping_mul(2654435761) as f64 / u32::MAX as f64;
-        let coords: Vec<f64> = (0..3 * DIM * LANES).map(val).collect();
-        let sins: Vec<f64> = coords.iter().map(|x| x.sin()).collect();
-        let coss: Vec<f64> = coords.iter().map(|x| x.cos()).collect();
-        let p = [0.4f64, 0.5, 0.6];
-        let (sin_p, cos_p) = (p.map(f64::sin), p.map(f64::cos));
-        let eps_sq = 0.3f64;
-        for (lo, hi) in [(0, 12), (1, 11), (5, 7), (2, 3)] {
-            for use_avx2 in [false, avx2_available()] {
-                let mut by_block = [F64x4::splat(0.25); DIM];
-                let mut by_cell = by_block;
-                let mut hits_block = 0;
-                for b in lo / LANES..=(hi - 1) / LANES {
-                    let at = b * DIM * LANES;
-                    hits_block += pair_term_block(
-                        &coords[at..at + DIM * LANES],
-                        &sins[at..at + DIM * LANES],
-                        &coss[at..at + DIM * LANES],
-                        &p,
-                        &sin_p,
-                        &cos_p,
-                        eps_sq,
-                        Mask4::slot_range(b * LANES, lo, hi),
-                        &mut by_block,
-                        use_avx2,
-                    );
-                }
-                let hits_cell = pair_term_cell(
-                    &coords,
-                    &sins,
-                    &coss,
-                    DIM,
-                    lo,
-                    hi,
-                    &p,
-                    &sin_p,
-                    &cos_p,
-                    eps_sq,
-                    &mut by_cell,
-                    use_avx2,
-                );
-                assert_eq!(hits_block, hits_cell, "slots {lo}..{hi} avx2={use_avx2}");
-                for i in 0..DIM {
-                    let (a, b) = (by_block[i].to_array(), by_cell[i].to_array());
-                    for j in 0..LANES {
-                        assert_eq!(a[j].to_bits(), b[j].to_bits(), "dim {i} lane {j}");
+        // dims 1–8 take the dimension-specialized AVX2 body, 9 the generic
+        // one; 4 blocks of rows, so lane ranges can sit inside one block,
+        // straddle several or cover all of them at every lane phase
+        const BLOCKS: usize = 4;
+        // golden-ratio sequence: spread over [0, 1), so every eps² below
+        // accepts a different share of the lanes, trailing ones included
+        let val = |k: usize| (k as f64 * 0.618_033_988_749_895).fract();
+        for dim in 1..=9 {
+            let coords: Vec<f64> = (0..BLOCKS * dim * LANES).map(val).collect();
+            let sins: Vec<f64> = coords.iter().map(|x| x.sin()).collect();
+            let coss: Vec<f64> = coords.iter().map(|x| x.cos()).collect();
+            let p: Vec<f64> = (0..dim).map(|i| 0.4 + 0.05 * i as f64).collect();
+            let sin_p: Vec<f64> = p.iter().map(|x| x.sin()).collect();
+            let cos_p: Vec<f64> = p.iter().map(|x| x.cos()).collect();
+            for phase in 0..LANES {
+                // slot ranges: one slot, inside one block, a whole block,
+                // straddling two and three blocks, everything
+                let ranges = [(0, 1), (1, 3), (4, 8), (2, 7), (3, 13), (0, BLOCKS * LANES)];
+                for (s_lo, s_hi) in ranges {
+                    let (lo, hi) = (phase + s_lo, (phase + s_hi).min(BLOCKS * LANES));
+                    // eps² 0.002 leaves most blocks without a hit, 3.0
+                    // accepts nearly every lane
+                    for eps_sq in [0.002f64, 0.05, 0.3, 3.0] {
+                        // a fresh accumulator and pre-seeded ones (no −0.0)
+                        for seed in [0.0f64, 0.25, -1.5] {
+                            let acc0: Vec<F64x4> = (0..dim)
+                                .map(|i| F64x4::splat(seed * (i + 1) as f64))
+                                .collect();
+                            let mut by_block = acc0.clone();
+                            let mut hits_block = 0;
+                            for b in lo / LANES..=(hi - 1) / LANES {
+                                let at = b * dim * LANES;
+                                hits_block += pair_term_block(
+                                    &coords[at..at + dim * LANES],
+                                    &sins[at..at + dim * LANES],
+                                    &coss[at..at + dim * LANES],
+                                    &p,
+                                    &sin_p,
+                                    &cos_p,
+                                    eps_sq,
+                                    Mask4::slot_range(b * LANES, lo, hi),
+                                    &mut by_block,
+                                    false,
+                                );
+                            }
+                            for use_avx2 in [false, true] {
+                                let mut by_cell = acc0.clone();
+                                let hits_cell = pair_term_cell(
+                                    &coords,
+                                    &sins,
+                                    &coss,
+                                    dim,
+                                    lo,
+                                    hi,
+                                    &p,
+                                    &sin_p,
+                                    &cos_p,
+                                    eps_sq,
+                                    &mut by_cell,
+                                    use_avx2,
+                                );
+                                let case = format!(
+                                    "dim {dim} lanes {lo}..{hi} eps² {eps_sq} seed {seed} \
+                                     avx2={use_avx2}"
+                                );
+                                assert_eq!(hits_block, hits_cell, "{case}");
+                                for i in 0..dim {
+                                    let (a, b) = (by_block[i].to_array(), by_cell[i].to_array());
+                                    for j in 0..LANES {
+                                        assert_eq!(
+                                            a[j].to_bits(),
+                                            b[j].to_bits(),
+                                            "{case}: dim {i} lane {j}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane block rows shorter than dim × LANES")]
+    fn pair_term_block_rejects_short_rows() {
+        // rows for one dimension, called with a 2-d point: the AVX2 body
+        // would read past them
+        let row = [0.5; LANES];
+        let mut acc = [F64x4::ZERO; 2];
+        let (p, sin_p, cos_p) = ([0.5; 2], [0.0; 2], [1.0; 2]);
+        let mask = Mask4([true; LANES]);
+        pair_term_block(
+            &row, &row, &row, &p, &sin_p, &cos_p, 1.0, mask, &mut acc, true,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lane tables end before lane 5")]
+    fn pair_term_cell_rejects_short_tables() {
+        // one block of 2-d rows, asked for a lane of the second block
+        let table = [0.5; 2 * LANES];
+        let mut acc = [F64x4::ZERO; 2];
+        let (p, sin_p, cos_p) = ([0.5; 2], [0.0; 2], [1.0; 2]);
+        pair_term_cell(
+            &table, &table, &table, 2, 0, 5, &p, &sin_p, &cos_p, 1.0, &mut acc, true,
+        );
     }
 
     #[test]

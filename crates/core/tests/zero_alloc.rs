@@ -9,9 +9,16 @@
 //! with `std::thread::scope`, which allocates in the standard library, so
 //! the allocation-free guarantee applies to the algorithm's own buffers —
 //! exactly what `Executor::sequential()` isolates.
+//!
+//! The counter is process-wide and libtest runs tests in parallel, so every
+//! test holds [`SERIAL`] for its whole body: one test's warm-up (or
+//! teardown) must never land in another test's measured window. The
+//! counter stays global rather than thread-local because the pooled test
+//! must also see its worker threads' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use egg_sync_core::egg::termination::second_term_holds_host;
 use egg_sync_core::egg::update::{egg_update_host, IncrementalState, UpdateOptions};
@@ -47,6 +54,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Serializes the tests of this file around the shared [`ALLOCATIONS`]
+/// counter.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold [`SERIAL`] for the rest of the calling test. A test that panicked
+/// while holding it poisons it; that must not fail the tests after it.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn cloud(n: usize, dim: usize) -> Vec<f64> {
     (0..n * dim)
         .map(|i| ((i as u64).wrapping_mul(2654435761) % 1000) as f64 / 1000.0)
@@ -55,6 +74,7 @@ fn cloud(n: usize, dim: usize) -> Vec<f64> {
 
 #[test]
 fn steady_state_iterations_do_not_allocate() {
+    let _serial = serial();
     let (n, dim, eps) = (3000, 2, 0.05);
     let exec = Executor::sequential();
     let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
@@ -106,6 +126,7 @@ fn steady_state_iterations_do_not_allocate() {
 
 #[test]
 fn incremental_steady_state_does_not_allocate() {
+    let _serial = serial();
     // same contract for the incremental pipeline: grid refresh driven by
     // the mover flags, skip-aware update, confinement-narrowed second term
     let (n, dim, eps) = (3000, 2, 0.05);
@@ -159,6 +180,7 @@ fn incremental_steady_state_does_not_allocate() {
 
 #[test]
 fn device_steady_state_does_not_allocate() {
+    let _serial = serial();
     // same contract for the simulated-GPU backend, in both pipeline
     // shapes: the fused per-cell kernels must reuse the workspace's lane
     // and summary buffers rather than staging through fresh allocations,
@@ -224,6 +246,7 @@ fn device_steady_state_does_not_allocate() {
 
 #[test]
 fn pooled_dispatch_steady_state_does_not_allocate() {
+    let _serial = serial();
     // the worker-pool contract: after construction spawns the long-lived
     // workers, a parallel dispatch is pure synchronization — publishing
     // the shared closure pointer and blocking on a condvar — so repeated
@@ -297,6 +320,7 @@ fn pooled_dispatch_steady_state_does_not_allocate() {
 
 #[test]
 fn sharded_steady_state_does_not_allocate() {
+    let _serial = serial();
     // the sharding contract's steady-state clause: once converged, member
     // lists are stable, the exchange buffer stays empty, and a full
     // synchronized iteration across all shards is allocation-free
