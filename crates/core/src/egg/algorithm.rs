@@ -547,6 +547,26 @@ mod tests {
             device.num_clusters,
             host.num_clusters
         );
+        // The simulator counts every kernel's memory traffic exactly at any
+        // worker count. Compared on one iteration of the random-access
+        // grid, whose work depends on the input alone: with several
+        // workers, atomic slot claims order the points within a cell, which
+        // steers the mixed grid's slot searches and, from the second
+        // iteration on, the last bits of the coordinates.
+        let kernels = |threads| {
+            let run = EggSync {
+                threads: Some(threads),
+                max_iterations: 1,
+                ..EggSync::with_variant(0.05, GridVariant::RandomAccess)
+            }
+            .cluster(&data);
+            let k = run
+                .trace
+                .kernel_summary
+                .expect("device run records kernels");
+            (k.launches, k.mem_words, k.coalesced_words, k.atomics)
+        };
+        assert_eq!(kernels(4), kernels(1));
     }
 
     #[test]

@@ -9,11 +9,19 @@
 //! family is implemented with compare-exchange loops so that it works
 //! uniformly for integer and floating-point words — matching CUDA's
 //! `atomicAdd(float*)` semantics.
+//!
+//! Counting is exact but costs no atomic read-modify-write inside a launch:
+//! an access by a kernel of the buffer's own device adds to the executing
+//! host thread's batch, which the launch flushes into the device counters
+//! before it reads them (see `counters::GlobalCounters`). Any other access,
+//! from host code or from a kernel of another device, is a relaxed atomic
+//! add on the buffer's own device counters, and a host↔device copy adds its
+//! length to the transfer counters once per call.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::counters::GlobalCounters;
+use crate::counters::{Channel, GlobalCounters};
 use crate::word::DeviceWord;
 
 pub(crate) struct BufferInner {
@@ -76,14 +84,14 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     /// memory fault, made loud instead of corrupting.
     #[inline]
     pub fn load(&self, i: usize) -> T {
-        self.inner.counters.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Reads);
         T::from_bits(self.inner.words[i].load(Ordering::Relaxed))
     }
 
     /// Store `value` at `i` (a global-memory write, counted).
     #[inline]
     pub fn store(&self, i: usize, value: T) {
-        self.inner.counters.writes.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Writes);
         self.inner.words[i].store(value.to_bits(), Ordering::Relaxed);
     }
 
@@ -97,11 +105,8 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     /// rate. Counted both as a regular read and as a coalesced read.
     #[inline]
     pub fn load_coalesced(&self, i: usize) -> T {
-        self.inner.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .coalesced_reads
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Reads);
+        self.inner.counters.count(Channel::CoalescedReads);
         T::from_bits(self.inner.words[i].load(Ordering::Relaxed))
     }
 
@@ -109,11 +114,8 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     /// [`DeviceBuffer::load_coalesced`] for the accounting contract.
     #[inline]
     pub fn store_coalesced(&self, i: usize, value: T) {
-        self.inner.counters.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .coalesced_writes
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Writes);
+        self.inner.counters.count(Channel::CoalescedWrites);
         self.inner.words[i].store(value.to_bits(), Ordering::Relaxed);
     }
 
@@ -127,7 +129,7 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     where
         T: WordArith,
     {
-        self.inner.counters.atomics.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Atomics);
         let cell = &self.inner.words[i];
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
@@ -174,7 +176,7 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     /// the returned value bit-equals `expected`.
     #[inline]
     pub fn atomic_cas(&self, i: usize, expected: T, new: T) -> T {
-        self.inner.counters.atomics.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Atomics);
         let cell = &self.inner.words[i];
         match cell.compare_exchange(
             expected.to_bits(),
@@ -190,7 +192,7 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     /// value (CUDA `atomicExch`).
     #[inline]
     pub fn atomic_exchange(&self, i: usize, value: T) -> T {
-        self.inner.counters.atomics.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Atomics);
         T::from_bits(self.inner.words[i].swap(value.to_bits(), Ordering::Relaxed))
     }
 
@@ -199,7 +201,7 @@ impl<T: DeviceWord> DeviceBuffer<T> {
     /// Returns the value observed when the operation settled.
     #[inline]
     pub fn atomic_update(&self, i: usize, f: impl Fn(T) -> Option<T>) -> T {
-        self.inner.counters.atomics.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.count(Channel::Atomics);
         let cell = &self.inner.words[i];
         let mut cur = cell.load(Ordering::Relaxed);
         loop {

@@ -5,14 +5,23 @@
 //! memory transactions, atomic read-modify-writes and launched threads — and
 //! lets [`crate::CostModel`] convert them into simulated time.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
 /// Device-global operation counters, shared by every buffer of a device.
 ///
-/// All increments are relaxed: the counters are statistics, not
-/// synchronisation.
+/// Kernel-side accesses (the [`Channel`]s) are counted in batches: while a
+/// launch runs, every host thread executing its blocks holds a
+/// [`BatchGuard`] and adds each word access to a plain thread-local count,
+/// which the guard flushes here when the thread finishes its share of the
+/// launch — also when a kernel panics. The device reads its counters only
+/// after every guard of a launch has dropped, so per-kernel deltas are
+/// exact. An access with no open batch for its device (host code, or a
+/// kernel touching another device's buffer) and the host↔device transfer
+/// counts go straight to these atomics. All increments are relaxed: the
+/// counters are statistics, not synchronisation.
 #[derive(Debug, Default)]
 pub(crate) struct GlobalCounters {
     pub(crate) reads: AtomicU64,
@@ -22,6 +31,74 @@ pub(crate) struct GlobalCounters {
     pub(crate) atomics: AtomicU64,
     pub(crate) h2d_words: AtomicU64,
     pub(crate) d2h_words: AtomicU64,
+}
+
+/// A kernel-side counter of [`GlobalCounters`]: the counts a launch
+/// attributes to its kernel, batched per host thread.
+#[derive(Clone, Copy)]
+pub(crate) enum Channel {
+    Reads,
+    Writes,
+    CoalescedReads,
+    CoalescedWrites,
+    Atomics,
+}
+
+const CHANNELS: [Channel; 5] = [
+    Channel::Reads,
+    Channel::Writes,
+    Channel::CoalescedReads,
+    Channel::CoalescedWrites,
+    Channel::Atomics,
+];
+
+/// A thread's batch: the device whose launch is open on the thread (null
+/// when none) and its not-yet-flushed counts, indexed by [`Channel`].
+type BatchState = (*const GlobalCounters, [u64; CHANNELS.len()]);
+
+struct Batch {
+    owner: Cell<*const GlobalCounters>,
+    counts: [Cell<u64>; CHANNELS.len()],
+}
+
+impl Batch {
+    /// Install `state`, returning the one it replaces.
+    fn replace(&self, (owner, counts): BatchState) -> BatchState {
+        (
+            self.owner.replace(owner),
+            std::array::from_fn(|c| self.counts[c].replace(counts[c])),
+        )
+    }
+}
+
+thread_local! {
+    static BATCH: Batch = const {
+        Batch {
+            owner: Cell::new(std::ptr::null()),
+            counts: [const { Cell::new(0) }; CHANNELS.len()],
+        }
+    };
+}
+
+/// Open batch of one host thread for one device; dropping it flushes the
+/// batch into the device's [`GlobalCounters`] and reinstates whatever batch
+/// it displaced (a launch started from inside a kernel).
+pub(crate) struct BatchGuard<'a> {
+    counters: &'a GlobalCounters,
+    displaced: BatchState,
+}
+
+impl Drop for BatchGuard<'_> {
+    fn drop(&mut self) {
+        let (_, counts) = BATCH.with(|batch| batch.replace(self.displaced));
+        for (channel, n) in CHANNELS.into_iter().zip(counts) {
+            if n > 0 {
+                self.counters
+                    .shared(channel)
+                    .fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// A relaxed snapshot of [`GlobalCounters`].
@@ -37,6 +114,39 @@ pub(crate) struct CounterSnapshot {
 }
 
 impl GlobalCounters {
+    fn shared(&self, channel: Channel) -> &AtomicU64 {
+        match channel {
+            Channel::Reads => &self.reads,
+            Channel::Writes => &self.writes,
+            Channel::CoalescedReads => &self.coalesced_reads,
+            Channel::CoalescedWrites => &self.coalesced_writes,
+            Channel::Atomics => &self.atomics,
+        }
+    }
+
+    /// Count one operation on `channel`: a plain add to this thread's batch
+    /// while it is open for this device, a relaxed atomic add otherwise.
+    #[inline]
+    pub(crate) fn count(&self, channel: Channel) {
+        BATCH.with(|batch| {
+            if std::ptr::eq(batch.owner.get(), self) {
+                let n = &batch.counts[channel as usize];
+                n.set(n.get() + 1);
+            } else {
+                self.shared(channel).fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Open this thread's batch for these counters until the guard drops.
+    pub(crate) fn open_batch(&self) -> BatchGuard<'_> {
+        let displaced = BATCH.with(|batch| batch.replace((self, [0; CHANNELS.len()])));
+        BatchGuard {
+            counters: self,
+            displaced,
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             reads: self.reads.load(Ordering::Relaxed),
@@ -159,6 +269,40 @@ mod tests {
         assert_eq!(s.atomics, 2);
         assert_eq!(s.coalesced_reads, 1);
         assert_eq!(s.coalesced_writes, 0);
+    }
+
+    #[test]
+    fn batch_defers_counts_until_its_guard_drops() {
+        let (outer, inner) = (GlobalCounters::default(), GlobalCounters::default());
+        outer.count(Channel::Reads); // no batch open: straight to the atomics
+        assert_eq!(outer.snapshot().reads, 1);
+        let outer_batch = outer.open_batch();
+        outer.count(Channel::Reads);
+        outer.count(Channel::CoalescedReads);
+        inner.count(Channel::Atomics); // not the open batch's counters
+        assert_eq!(inner.snapshot().atomics, 1);
+        {
+            // a batch opened inside another displaces it until it drops
+            let _inner_batch = inner.open_batch();
+            inner.count(Channel::Writes);
+            outer.count(Channel::Writes);
+            assert_eq!(inner.snapshot().writes, 0);
+        }
+        assert_eq!(inner.snapshot().writes, 1);
+        outer.count(Channel::Reads);
+        let direct = CounterSnapshot {
+            reads: 1,
+            writes: 1,
+            ..CounterSnapshot::default()
+        };
+        assert_eq!(outer.snapshot(), direct);
+        drop(outer_batch);
+        let flushed = CounterSnapshot {
+            reads: 3,
+            coalesced_reads: 1,
+            ..direct
+        };
+        assert_eq!(outer.snapshot(), flushed);
     }
 
     #[test]

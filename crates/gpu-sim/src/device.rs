@@ -148,15 +148,17 @@ impl Device {
         self.try_alloc(len).expect("device allocation failed")
     }
 
-    /// Allocate a zero-initialised buffer of `len` elements.
+    /// Allocate a zero-initialised buffer of `len` elements. A request
+    /// whose byte count does not fit in a `u64` is out of memory too.
     pub fn try_alloc<T: DeviceWord>(&self, len: usize) -> Result<DeviceBuffer<T>, DeviceError> {
-        let bytes = (len * 8) as u64;
-        let used = self.inner.mem_used.fetch_add(bytes, Ordering::Relaxed);
-        if used + bytes > self.inner.config.memory_bytes {
-            self.inner.mem_used.fetch_sub(bytes, Ordering::Relaxed);
+        let capacity = self.inner.config.memory_bytes;
+        let bytes = (len as u64).checked_mul(8);
+        let reserve = |used: u64| bytes?.checked_add(used).filter(|&total| total <= capacity);
+        let mem_used = &self.inner.mem_used;
+        if let Err(used) = mem_used.fetch_update(Ordering::Relaxed, Ordering::Relaxed, reserve) {
             return Err(DeviceError::OutOfMemory {
-                requested: bytes,
-                available: self.inner.config.memory_bytes.saturating_sub(used),
+                requested: bytes.unwrap_or(u64::MAX),
+                available: capacity.saturating_sub(used),
             });
         }
         let words: Box<[AtomicU64]> = (0..len).map(|_| AtomicU64::new(0)).collect();
@@ -239,13 +241,17 @@ impl Device {
     }
 
     /// Execute `per_block` for every block index, fanned out over host
-    /// worker threads when more than one is available.
+    /// worker threads when more than one is available. Each executing
+    /// thread counts its memory traffic in its own batch, flushed into the
+    /// device counters before this returns (or unwinds).
     fn run_blocks<G>(&self, grid_dim: usize, per_block: G)
     where
         G: Fn(usize) + Sync,
     {
+        let counters = &*self.inner.counters;
         let workers = self.inner.workers.min(grid_dim.max(1));
         if workers <= 1 {
+            let _batch = counters.open_batch();
             for b in 0..grid_dim {
                 per_block(b);
             }
@@ -254,12 +260,15 @@ impl Device {
         let next = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    if b >= grid_dim {
-                        break;
+                scope.spawn(|| {
+                    let _batch = counters.open_batch();
+                    loop {
+                        let b = next.fetch_add(1, Ordering::Relaxed) as usize;
+                        if b >= grid_dim {
+                            break;
+                        }
+                        per_block(b);
                     }
-                    per_block(b);
                 });
             }
         });
@@ -414,26 +423,160 @@ mod tests {
         assert!(k.sim_nanos > 0);
     }
 
+    fn with_threads(host_threads: usize) -> Device {
+        Device::new(DeviceConfig {
+            host_threads: Some(host_threads),
+            ..DeviceConfig::default()
+        })
+    }
+
+    /// `(name, threads, reads, writes, coalesced_reads, coalesced_writes,
+    /// atomics)` of every kernel in the log.
+    fn kernel_counts(d: &Device) -> Vec<(&'static str, u64, u64, u64, u64, u64, u64)> {
+        d.report()
+            .kernels
+            .iter()
+            .map(|k| {
+                (
+                    k.name,
+                    k.threads,
+                    k.reads,
+                    k.writes,
+                    k.coalesced_reads,
+                    k.coalesced_writes,
+                    k.atomics,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn coalesced_accesses_feed_both_channels() {
-        let d = dev();
-        let buf = d.alloc::<f64>(256);
-        d.reset();
-        d.launch("coalesced-touch", 2, 128, |t| {
-            let i = t.global_id();
-            buf.store_coalesced(i, 1.0);
-            let _ = buf.load_coalesced(i);
-            let _ = buf.load(i);
-        });
-        let r = d.report();
-        let k = &r.kernels[0];
-        assert_eq!(k.writes, 256);
-        assert_eq!(k.coalesced_writes, 256);
-        assert_eq!(k.reads, 512);
-        assert_eq!(k.coalesced_reads, 256);
-        assert_eq!(r.total_coalesced_reads, 256);
-        assert_eq!(r.total_coalesced_writes, 256);
-        assert!((r.coalesced_fraction() - 512.0 / 768.0).abs() < 1e-12);
+        let mut reference_sim_nanos = None;
+        for host_threads in [1, 2, 3, 8] {
+            let d = with_threads(host_threads);
+            let buf = d.alloc::<f64>(256);
+            let acc = d.alloc::<u64>(5);
+            acc.store(2, u64::MAX);
+            d.reset();
+            d.launch("coalesced-touch", 2, 128, |t| {
+                let i = t.global_id();
+                buf.store_coalesced(i, 1.0);
+                let _ = buf.load_coalesced(i);
+                let _ = buf.load(i);
+            });
+            d.launch("atomics", 16, 16, |t| {
+                let i = t.global_id() as u64;
+                acc.atomic_add(0, 1);
+                acc.atomic_max(1, i);
+                acc.atomic_min(2, i);
+                acc.atomic_cas(3, i, i + 1);
+                acc.atomic_exchange(4, i);
+            });
+            d.launch_blocks("two-phase", 4, 64, |b| {
+                b.for_each_thread(|t| buf.store(t.global_id(), t.thread_idx as f64));
+                b.for_each_thread(|t| {
+                    if t.thread_idx == 0 {
+                        let sum: f64 = (0..64).map(|j| buf.load_coalesced(t.global_id() + j)).sum();
+                        buf.store_coalesced(t.global_id(), sum);
+                    }
+                });
+            });
+            assert_eq!(
+                kernel_counts(&d),
+                vec![
+                    ("coalesced-touch", 256, 512, 256, 256, 256, 0),
+                    ("atomics", 256, 0, 0, 0, 0, 5 * 256),
+                    ("two-phase", 256, 256, 260, 256, 4, 0),
+                ],
+                "host_threads {host_threads}"
+            );
+            let r = d.report();
+            assert_eq!(r.total_reads, 768);
+            assert_eq!(r.total_writes, 516);
+            assert_eq!(r.total_coalesced_reads, 512);
+            assert_eq!(r.total_coalesced_writes, 260);
+            assert_eq!(r.total_atomics, 1280);
+            assert!((r.coalesced_fraction() - 772.0 / 1284.0).abs() < 1e-12);
+            // the cost model sees the same counts at every worker count
+            let sim_nanos: Vec<u64> = r.kernels.iter().map(|k| k.sim_nanos).collect();
+            assert_eq!(
+                &sim_nanos,
+                reference_sim_nanos.get_or_insert_with(|| sim_nanos.clone()),
+                "host_threads {host_threads}"
+            );
+            assert_eq!(acc.to_vec()[..3], [256, 255, 0]);
+            assert_eq!(buf.load(64), (0..64).sum::<usize>() as f64);
+        }
+    }
+
+    #[test]
+    fn kernel_counts_only_its_own_device() {
+        for host_threads in [1, 2] {
+            let a = with_threads(host_threads);
+            let b = with_threads(host_threads);
+            let on_a = a.alloc::<u64>(256);
+            let on_b = b.alloc::<u64>(256);
+            let b_before = b.inner.counters.snapshot();
+            a.launch("cross-device", 4, 64, |t| {
+                let i = t.global_id();
+                on_b.store(i, on_b.load(i) + 1);
+                on_b.atomic_inc(0);
+                on_a.store_coalesced(i, 1);
+            });
+            assert_eq!(
+                kernel_counts(&a),
+                vec![("cross-device", 256, 0, 256, 0, 256, 0)],
+                "host_threads {host_threads}"
+            );
+            // device B's traffic went straight to B's own counters
+            let b_after = b.inner.counters.snapshot();
+            assert_eq!(b_after.reads - b_before.reads, 256);
+            assert_eq!(b_after.writes - b_before.writes, 256);
+            assert_eq!(b_after.atomics - b_before.atomics, 256);
+            assert_eq!(b_after.coalesced_writes, b_before.coalesced_writes);
+            assert_eq!(b.report().launches(), 0);
+        }
+    }
+
+    #[test]
+    fn panicking_kernel_leaves_later_counts_exact() {
+        for host_threads in [1, 2] {
+            let a = with_threads(host_threads);
+            let b = with_threads(host_threads);
+            let on_a = a.alloc::<u64>(256);
+            let on_b = b.alloc::<u64>(256);
+            let faulted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                a.launch("faults", 4, 64, |t| {
+                    on_a.store(t.global_id(), 1);
+                    assert!(t.global_id() != 100, "simulated kernel fault");
+                });
+            }));
+            assert!(faulted.is_err());
+            // the faulting launch flushed what it counted and closed its
+            // batch: host code on this thread is counted on A's atomics
+            let flushed = a.inner.counters.snapshot();
+            assert!(flushed.writes > 0);
+            let _ = on_a.load(0);
+            assert_eq!(a.inner.counters.snapshot().reads, flushed.reads + 1);
+            let touch = |t: &ThreadCtx, buf: &DeviceBuffer<u64>| {
+                let i = t.global_id();
+                buf.store(i, buf.load(i) + 1);
+                buf.atomic_inc(0);
+            };
+            a.launch("after-a", 4, 64, |t| touch(t, &on_a));
+            b.launch("after-b", 4, 64, |t| touch(t, &on_b));
+            assert_eq!(
+                kernel_counts(&a),
+                vec![("after-a", 256, 256, 256, 0, 0, 256)],
+                "host_threads {host_threads}"
+            );
+            assert_eq!(
+                kernel_counts(&b),
+                vec![("after-b", 256, 256, 256, 0, 0, 256)],
+                "host_threads {host_threads}"
+            );
+        }
     }
 
     #[test]
@@ -499,6 +642,17 @@ mod tests {
             DeviceError::OutOfMemory { requested, .. } => assert_eq!(requested, 800),
             other => panic!("expected OOM, got {other:?}"),
         }
+        assert_eq!(d.memory_used(), 800);
+        drop(ok);
+        // byte counts that overflow u64, alone or added to the 128 bytes in use
+        let _held = d.alloc::<u64>(16);
+        for len in [(1usize << 61) + 1, (1 << 61) - 1] {
+            match d.try_alloc::<u64>(len) {
+                Err(DeviceError::OutOfMemory { available, .. }) => assert_eq!(available, 896),
+                other => panic!("expected OOM for {len} words, got {other:?}"),
+            }
+            assert_eq!(d.memory_used(), 128, "{len} words");
+        }
     }
 
     #[test]
@@ -534,15 +688,7 @@ mod tests {
 
     #[test]
     fn multiworker_execution_matches_sequential() {
-        let seq = Device::new(DeviceConfig {
-            host_threads: Some(1),
-            ..DeviceConfig::default()
-        });
-        let par = Device::new(DeviceConfig {
-            host_threads: Some(4),
-            ..DeviceConfig::default()
-        });
-        for d in [seq, par] {
+        for d in [with_threads(1), with_threads(4)] {
             let acc = d.alloc::<u64>(1);
             d.launch("sum-ids", 8, 32, |t| {
                 acc.atomic_add(0, t.global_id() as u64);
