@@ -24,7 +24,7 @@ use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
 use crate::algorithms::gpu_sync::{BLOCK, MAX_DIM};
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
-use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo};
+use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo, RunVerdict, RUN_LIST};
 use crate::instrument::UpdateCounters;
 use crate::kernels::{pair_term_cell, F64x4, LANES};
 
@@ -663,19 +663,28 @@ pub struct ShardPass<'a> {
 /// Definition 4.2 held (every neighborhood confined to its own cell),
 /// together with the work counters of the pass.
 ///
-/// Cell classification and the summary consumption are identical to the
-/// device kernel. Points are processed in the grid-sorted order of
-/// [`CellGrid::point_order`] (the host edition of `i_points`, §4.2.6), so
-/// consecutive points share cells and their reach walks hit warm cache
-/// lines; results are scattered back to each point's original row.
-/// `options.use_pregrid` is not consulted here. The preGrid's job is to
-/// skip empty outer cells, and the host walk does that by binary
-/// searching the sorted index of *non-empty* outer ranges
-/// ([`CellGrid::for_each_cell_in_reach`]). The list the paper precomputes
-/// per outer cell is instead resolved lazily: a `ReachMemo` on each
-/// chunk's stack walks the reach once per run of consecutive points that
-/// share an outer cell and replays it, in the same cell order, for every
-/// point of the run.
+/// Every point consumes the same cells on the same paths as in the device
+/// kernel, with the same counters. Points are processed in the grid-sorted
+/// order of [`CellGrid::point_order`] (the host edition of `i_points`,
+/// §4.2.6), so consecutive points share cells; results are scattered back
+/// to each point's original row. `options.use_pregrid` is not consulted
+/// here. The preGrid's job is to skip empty outer cells, and the host walk
+/// does that by binary searching the sorted index of *non-empty* outer
+/// ranges ([`CellGrid::for_each_cell_in_reach`]).
+///
+/// The classification against the ε-ball is shared per grid cell. For each
+/// run of consecutive points in one inner cell, a `ReachMemo` on the
+/// chunk's stack walks the reach once and tests every reach cell's box
+/// (its point MBR, or its grid box with `use_cell_bounds` off) against the
+/// run cell's point MBR. A cell no point of the run can reach leaves the
+/// run's candidate list. A cell inside every run point's ε-ball is flagged,
+/// and each point consumes its summary with no test of its own. Only the
+/// straddling cells are still classified per point. The box-vs-box
+/// distances bound every run point's computed distances bit for bit
+/// ([`GridGeometry`]'s `*_between_bounds`), so each cell takes the path
+/// the per-point test would give it, in the same order, and output bits and
+/// counters are those of a per-point walk. A run with more candidates than
+/// the list holds takes that per-point walk.
 ///
 /// `chunk_stats` is reusable per-chunk scratch (`(first-term, counters)`
 /// slots): it is resized to the chunk count and keeps its capacity, so a
@@ -703,6 +712,33 @@ pub struct ShardPass<'a> {
 /// of `next` match the single-grid oracle bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn egg_update_host(
+    exec: &Executor,
+    grid: &CellGrid,
+    coords: &[f64],
+    next: &mut [f64],
+    epsilon: f64,
+    options: UpdateOptions,
+    chunk_stats: &mut Vec<(bool, UpdateCounters)>,
+    state: Option<&mut IncrementalState>,
+    shard: Option<&ShardPass>,
+) -> (bool, UpdateCounters) {
+    update_host::<RUN_LIST>(
+        exec,
+        grid,
+        coords,
+        next,
+        epsilon,
+        options,
+        chunk_stats,
+        state,
+        shard,
+    )
+}
+
+/// [`egg_update_host`] with a per-run candidate list of `LIST` cells; tests
+/// shorten the list to force its overflow fallback.
+#[allow(clippy::too_many_arguments)]
+fn update_host<const LIST: usize>(
     exec: &Executor,
     grid: &CellGrid,
     coords: &[f64],
@@ -800,9 +836,37 @@ pub fn egg_update_host(
     exec.map_ranges_into(slots.len(), POINT_CHUNK, chunk_stats, |range| {
         let mut all_local = true;
         let mut counters = UpdateCounters::default();
-        // grid-sorted points come in runs sharing an outer cell: resolve
-        // the run's reach once, replay it for each of its points
-        let mut reach = ReachMemo::new(grid);
+        // grid-sorted points come in runs sharing a cell: classify the
+        // run's reach once, replay the verdicts for each of its points
+        let mut reach = ReachMemo::<LIST>::new(grid);
+        // per-point scratch, sized once per chunk: a point uses `[..dim]`
+        let (mut sin_buf, mut cos_buf) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
+        let mut sums = [0.0f64; MAX_DIM];
+        // per-dimension lane accumulators of the SIMD pair-term path,
+        // reduced into `sums` once after the whole reach walk
+        let mut lane_acc = [F64x4::ZERO; MAX_DIM];
+        // the verdict on reach cell `c` for every point of inner cell `run`:
+        // the run's box is its point MBR, the cell's box is the one the
+        // per-point test below uses
+        let (mut box_lo, mut box_hi) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
+        let mut run_verdict = |run: usize, c: usize| {
+            let (a_lo, a_hi) = grid.cell_bounds(run);
+            let (b_lo, b_hi) = if options.use_cell_bounds {
+                grid.cell_bounds(c)
+            } else {
+                geo.cell_box(grid.cell_key(c), &mut box_lo[..dim], &mut box_hi[..dim]);
+                (&box_lo[..dim], &box_hi[..dim])
+            };
+            if GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) > eps_sq {
+                RunVerdict::Unreachable
+            } else if options.use_summaries
+                && GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) <= eps_sq
+            {
+                RunVerdict::Covered
+            } else {
+                RunVerdict::Straddles
+            }
+        };
         for off in range {
             // chunking is over the processed window, so the chunk layout
             // (hence the reduction order) matches an unsharded pass over
@@ -828,7 +892,6 @@ pub fn egg_update_host(
                     continue;
                 }
             }
-            let (mut sin_buf, mut cos_buf) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
             let (sin_p, cos_p): (&[f64], &[f64]) = if options.use_trig_tables {
                 // `entry` is p's grid-sorted slot, the trig table's index
                 (grid.slot_sin(entry), grid.slot_cos(entry))
@@ -839,101 +902,115 @@ pub fn egg_update_host(
                 }
                 (&sin_buf[..dim], &cos_buf[..dim])
             };
-            let mut sums = [0.0f64; MAX_DIM];
-            // per-dimension lane accumulators of the SIMD pair-term path,
-            // reduced into `sums` once after the whole reach walk
-            let mut lane_acc = [F64x4::ZERO; MAX_DIM];
+            let sums = &mut sums[..dim];
+            sums.fill(0.0);
+            let lane_acc = &mut lane_acc[..dim];
+            lane_acc.fill(F64x4::ZERO);
             let mut neighbors = 0u64;
-            reach.for_each_cell(geo.outer_id_of_point(p), |c| {
-                // classify against the point MBR (tight, still exact) or
-                // the grid box, per `options.use_cell_bounds`
-                let fully_within = if options.use_cell_bounds {
-                    let (lo, hi) = grid.cell_bounds(c);
-                    if GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > eps_sq {
-                        return;
-                    }
-                    options.use_summaries
-                        && GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= eps_sq
-                } else {
-                    let key = grid.cell_key(c);
-                    if geo.min_sq_dist_to_cell(p, key) > eps_sq {
-                        return;
-                    }
-                    options.use_summaries && geo.max_sq_dist_to_cell(p, key) <= eps_sq
-                };
-                if fully_within {
-                    let (sin_sums, cos_sums) = (grid.sin_sums(c), grid.cos_sums(c));
-                    for i in 0..dim {
-                        sums[i] += cos_p[i] * sin_sums[i] - sin_p[i] * cos_sums[i];
-                    }
-                    let len = grid.cell_len(c) as u64;
-                    neighbors += len;
-                    counters.summary_cells += 1;
-                    counters.sin_calls_avoided += dim as u64 * len;
-                } else if use_lane {
-                    let slots = grid.cell_range(c);
-                    counters.point_pairs += slots.len() as u64;
-                    // stripe the cell's slot range in whole lane blocks of
-                    // the lane-blocked tables; the first/last block mask
-                    // off slots outside the range. Lane distances are
-                    // exact, so the neighbor count matches the scalar path
-                    // bit for bit — only the pair-term sum reassociates.
-                    // (Lane counters use the minimal covering block count,
-                    // a pure function of the cell size shared with the
-                    // device kernel; a straddling range may touch one
-                    // extra block.)
-                    let lanes = (slots.len().div_ceil(LANES) * LANES) as u64;
-                    counters.simd_lanes += lanes;
-                    counters.simd_remainder_lanes += lanes - slots.len() as u64;
-                    let hits = pair_term_cell(
-                        lane_coords,
-                        lane_sin,
-                        lane_cos,
-                        dim,
-                        lane_phase + slots.start,
-                        lane_phase + slots.end,
-                        p,
-                        sin_p,
-                        cos_p,
-                        eps_sq,
-                        &mut lane_acc[..dim],
-                        // the AVX2 body wherever the CPU has it
-                        true,
-                    );
-                    neighbors += u64::from(hits);
-                    counters.sin_calls_avoided += dim as u64 * u64::from(hits);
-                } else {
-                    let slots = grid.cell_range(c);
-                    counters.point_pairs += slots.len() as u64;
-                    // walk the cell by slot: q's coordinates are looked up
-                    // through the order permutation, but the trig rows are
-                    // the contiguous block `slots` of the table
-                    for slot in slots {
-                        let q_idx = order[slot] as usize;
-                        let q = &coords[q_idx * dim..(q_idx + 1) * dim];
-                        let mut dist_sq = 0.0;
-                        for i in 0..dim {
-                            let d = q[i] - p[i];
-                            dist_sq += d * d;
-                        }
-                        if dist_sq <= eps_sq {
-                            neighbors += 1;
-                            if options.use_trig_tables {
-                                let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
-                                // sin(q−p) = sin q · cos p − cos q · sin p
+            reach.for_each_candidate(
+                c_cell,
+                |c| run_verdict(c_cell, c),
+                |candidates| {
+                    for &(c, covered) in candidates {
+                        let c = c as usize;
+                        // a straddling cell is classified against p itself
+                        let fully_within = if covered {
+                            true
+                        } else if options.use_cell_bounds {
+                            let (lo, hi) = grid.cell_bounds(c);
+                            if GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > eps_sq {
+                                continue;
+                            }
+                            options.use_summaries
+                                && GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= eps_sq
+                        } else {
+                            let key = grid.cell_key(c);
+                            if geo.min_sq_dist_to_cell(p, key) > eps_sq {
+                                continue;
+                            }
+                            options.use_summaries && geo.max_sq_dist_to_cell(p, key) <= eps_sq
+                        };
+                        if fully_within {
+                            // zipped, not indexed: no bounds checks, and the
+                            // per-dimension updates vectorize unchanged
+                            let trig_p = cos_p.iter().zip(sin_p);
+                            let trig_c = grid.sin_sums(c).iter().zip(grid.cos_sums(c));
+                            for (s, ((&cp, &sp), (&sc, &cc))) in
+                                sums.iter_mut().zip(trig_p.zip(trig_c))
+                            {
+                                *s += cp * sc - sp * cc;
+                            }
+                            let len = grid.cell_len(c) as u64;
+                            neighbors += len;
+                            counters.summary_cells += 1;
+                            counters.sin_calls_avoided += dim as u64 * len;
+                        } else if use_lane {
+                            let slots = grid.cell_range(c);
+                            counters.point_pairs += slots.len() as u64;
+                            // stripe the cell's slot range in whole lane blocks
+                            // of the lane-blocked tables; the first/last block
+                            // mask off slots outside the range. Lane distances
+                            // are exact, so the neighbor count matches the
+                            // scalar path bit for bit — only the pair-term sum
+                            // reassociates. (Lane counters use the minimal
+                            // covering block count, a pure function of the cell
+                            // size shared with the device kernel; a straddling
+                            // range may touch one extra block.)
+                            let lanes = (slots.len().div_ceil(LANES) * LANES) as u64;
+                            counters.simd_lanes += lanes;
+                            counters.simd_remainder_lanes += lanes - slots.len() as u64;
+                            let hits = pair_term_cell(
+                                lane_coords,
+                                lane_sin,
+                                lane_cos,
+                                dim,
+                                lane_phase + slots.start,
+                                lane_phase + slots.end,
+                                p,
+                                sin_p,
+                                cos_p,
+                                eps_sq,
+                                lane_acc,
+                                // the AVX2 body wherever the CPU has it
+                                true,
+                            );
+                            neighbors += u64::from(hits);
+                            counters.sin_calls_avoided += dim as u64 * u64::from(hits);
+                        } else {
+                            let slots = grid.cell_range(c);
+                            counters.point_pairs += slots.len() as u64;
+                            // walk the cell by slot: q's coordinates are looked
+                            // up through the order permutation, but the trig
+                            // rows are the contiguous block `slots` of the table
+                            for slot in slots {
+                                let q_idx = order[slot] as usize;
+                                let q = &coords[q_idx * dim..(q_idx + 1) * dim];
+                                let mut dist_sq = 0.0;
                                 for i in 0..dim {
-                                    sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
+                                    let d = q[i] - p[i];
+                                    dist_sq += d * d;
                                 }
-                                counters.sin_calls_avoided += dim as u64;
-                            } else {
-                                for i in 0..dim {
-                                    sums[i] += (q[i] - p[i]).sin();
+                                if dist_sq <= eps_sq {
+                                    neighbors += 1;
+                                    if options.use_trig_tables {
+                                        let (sin_q, cos_q) =
+                                            (grid.slot_sin(slot), grid.slot_cos(slot));
+                                        // sin(q−p) = sin q · cos p − cos q · sin p
+                                        for i in 0..dim {
+                                            sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
+                                        }
+                                        counters.sin_calls_avoided += dim as u64;
+                                    } else {
+                                        for i in 0..dim {
+                                            sums[i] += (q[i] - p[i]).sin();
+                                        }
+                                    }
                                 }
                             }
                         }
                     }
-                }
-            });
+                },
+            );
             if use_lane {
                 // one ordered cross-lane fold per dimension — the sole
                 // reassociation relative to the scalar oracle
@@ -1472,6 +1549,115 @@ mod tests {
             }
             let device_total = counters_from_device(&counters);
             assert_eq!(host_total, device_total, "fused = {fused}");
+        }
+    }
+
+    /// Points around three centers per dimension, spread `spread` wide:
+    /// runs whose reach holds covered, straddling and unreachable cells.
+    fn blobs(n: usize, dim: usize, spread: f64) -> Vec<f64> {
+        let centers = [0.3, 0.7, 0.5];
+        cloud(n, dim)
+            .iter()
+            .enumerate()
+            .map(|(i, u)| centers[(i / dim % 3 + i % dim) % 3] + (u - 0.5) * spread)
+            .collect()
+    }
+
+    /// One incremental host pipeline (refresh → update → finish_pass).
+    struct Pipeline {
+        grid: CellGrid,
+        state: IncrementalState,
+        cur: Vec<f64>,
+        next: Vec<f64>,
+        stats: Vec<(bool, UpdateCounters)>,
+    }
+
+    impl Pipeline {
+        fn new(geo: GridGeometry, coords: &[f64]) -> Self {
+            Self {
+                grid: CellGrid::new(geo),
+                state: IncrementalState::new(),
+                cur: coords.to_vec(),
+                next: vec![0.0; coords.len()],
+                stats: Vec::new(),
+            }
+        }
+
+        /// One pass with a `LIST`-cell candidate list: the new position
+        /// bits, the first-term verdict and the pass's counters.
+        fn step<const LIST: usize>(
+            &mut self,
+            exec: &Executor,
+            eps: f64,
+            options: UpdateOptions,
+        ) -> (Vec<u64>, bool, UpdateCounters) {
+            let refreshed = self.grid.refresh(exec, &self.cur, self.state.moved_flags());
+            let (first_term, mut counters) = update_host::<LIST>(
+                exec,
+                &self.grid,
+                &self.cur,
+                &mut self.next,
+                eps,
+                options,
+                &mut self.stats,
+                Some(&mut self.state),
+                None,
+            );
+            counters.dirty_cells += refreshed.dirty_cells;
+            self.state
+                .finish_pass(self.grid.geometry(), &self.cur, &self.next);
+            std::mem::swap(&mut self.cur, &mut self.next);
+            let bits = self.cur.iter().map(|x| x.to_bits()).collect();
+            (bits, first_term, counters)
+        }
+    }
+
+    /// The per-run candidate list must reproduce the per-point walk bit
+    /// for bit. A list of 0 cells overflows on every run, which is that
+    /// walk; a list of 8 cells fits some runs and overflows on the rest.
+    /// Both must match the production list in next positions, first-term
+    /// verdict and every counter, under each classification ablation and
+    /// across incremental passes.
+    #[test]
+    fn run_list_overflow_matches_the_full_list_bitwise() {
+        let ablations = [
+            UpdateOptions::default(),
+            UpdateOptions {
+                use_cell_bounds: false,
+                ..UpdateOptions::default()
+            },
+            UpdateOptions {
+                use_summaries: false,
+                ..UpdateOptions::default()
+            },
+            UpdateOptions {
+                use_trig_tables: false,
+                ..UpdateOptions::default()
+            },
+            UpdateOptions {
+                use_simd: false,
+                ..UpdateOptions::default()
+            },
+        ];
+        let exec = Executor::new(Some(3));
+        for &(n, dim, eps, spread) in &[
+            (600usize, 2usize, 0.05f64, 0.2f64),
+            (400, 3, 0.1, 0.25),
+            (300, 8, 0.3, 0.3),
+        ] {
+            let coords = blobs(n, dim, spread);
+            let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+            for options in ablations {
+                let mut full = Pipeline::new(geo, &coords);
+                let mut short = Pipeline::new(geo, &coords);
+                let mut none = Pipeline::new(geo, &coords);
+                for pass in 0..3 {
+                    let want = full.step::<RUN_LIST>(&exec, eps, options);
+                    let tag = format!("d={dim} pass {pass} {options:?}");
+                    assert_eq!(short.step::<8>(&exec, eps, options), want, "{tag}");
+                    assert_eq!(none.step::<0>(&exec, eps, options), want, "{tag}");
+                }
+            }
         }
     }
 }

@@ -198,14 +198,7 @@ impl GridGeometry {
         let mut acc = 0.0;
         for i in 0..self.dim {
             let lo = self.cell_lo(coords[i]);
-            let hi = lo + self.cell_width;
-            let d = if p[i] < lo {
-                lo - p[i]
-            } else if p[i] > hi {
-                p[i] - hi
-            } else {
-                0.0
-            };
+            let d = gap(p[i], lo, lo + self.cell_width);
             acc += d * d;
         }
         acc
@@ -233,14 +226,8 @@ impl GridGeometry {
     #[inline]
     pub fn min_sq_dist_to_bounds(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
         let mut acc = 0.0;
-        for i in 0..p.len() {
-            let d = if p[i] < lo[i] {
-                lo[i] - p[i]
-            } else if p[i] > hi[i] {
-                p[i] - hi[i]
-            } else {
-                0.0
-            };
+        for ((&x, &l), &h) in p.iter().zip(lo).zip(hi) {
+            let d = gap(x, l, h);
             acc += d * d;
         }
         acc
@@ -262,6 +249,65 @@ impl GridGeometry {
             acc += d * d;
         }
         acc
+    }
+
+    /// Squared distance between the closest points of the boxes
+    /// `[a_lo, a_hi]` and `[b_lo, b_hi]`: a lower bound, in computed bits,
+    /// on [`GridGeometry::min_sq_dist_to_bounds`]`(p, b_lo, b_hi)` for
+    /// every `p` inside box `a`. Per dimension the gap is
+    /// `max(b_lo − a_hi, a_lo − b_hi, 0)`, which is `p`'s gap
+    /// `max(b_lo − p, p − b_hi, 0)` with `a_hi ≥ p` and `a_lo ≤ p` in
+    /// `p`'s place. Rounding is monotone, so each computed term is at most
+    /// `p`'s, and the squares and the sum, taken in the same order, keep
+    /// that. A box `b` this far beyond `r²` is beyond `r²` from every `p`
+    /// of `a` under the very comparison a per-point test makes.
+    #[inline]
+    pub(crate) fn min_sq_dist_between_bounds(
+        a_lo: &[f64],
+        a_hi: &[f64],
+        b_lo: &[f64],
+        b_hi: &[f64],
+    ) -> f64 {
+        let mut acc = 0.0;
+        for (((&al, &ah), &bl), &bh) in a_lo.iter().zip(a_hi).zip(b_lo).zip(b_hi) {
+            let d = larger(larger(bl - ah, al - bh), 0.0);
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// Squared distance between the farthest points of the boxes
+    /// `[a_lo, a_hi]` and `[b_lo, b_hi]`: an upper bound, in computed bits,
+    /// on [`GridGeometry::max_sq_dist_to_bounds`]`(p, b_lo, b_hi)` for
+    /// every `p` inside box `a`. Per dimension the far side is
+    /// `max(a_hi − b_lo, b_hi − a_lo)`; with `a_lo ≤ p ≤ a_hi` and
+    /// `b_lo ≤ b_hi`, monotone rounding puts both `|p − b_lo|` and
+    /// `|p − b_hi|` at or below it. A box `b` within `r²` of this is
+    /// within `r²` of every `p` of `a`.
+    #[inline]
+    pub(crate) fn max_sq_dist_between_bounds(
+        a_lo: &[f64],
+        a_hi: &[f64],
+        b_lo: &[f64],
+        b_hi: &[f64],
+    ) -> f64 {
+        let mut acc = 0.0;
+        for (((&al, &ah), &bl), &bh) in a_lo.iter().zip(a_hi).zip(b_lo).zip(b_hi) {
+            let d = larger(ah - bl, bh - al);
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// Write the grid box of the cell with coordinates `coords` into `lo`
+    /// and `hi`: the corners [`GridGeometry::min_sq_dist_to_cell`] and
+    /// [`GridGeometry::max_sq_dist_to_cell`] measure against, bit for bit.
+    #[inline]
+    pub(crate) fn cell_box(&self, coords: &[u64], lo: &mut [f64], hi: &mut [f64]) {
+        for i in 0..self.dim {
+            lo[i] = self.cell_lo(coords[i]);
+            hi[i] = lo[i] + self.cell_width;
+        }
     }
 
     /// Number of surrounding outer cells per dimension (`v = 2·reach + 1`).
@@ -296,6 +342,28 @@ impl GridGeometry {
             }
             f(id);
         }
+    }
+}
+
+/// Distance from `x` to the interval `[lo, hi]`, 0 inside it. Branch-free:
+/// for finite input with `lo ≤ hi` at most one of `lo − x` and `x − hi` is
+/// positive, so `max(lo − x, x − hi, 0)` picks the value the tests `x < lo`
+/// and `x > hi` would pick, up to the sign of a zero, which squares away.
+#[inline]
+fn gap(x: f64, lo: f64, hi: f64) -> f64 {
+    larger(larger(lo - x, x - hi), 0.0)
+}
+
+/// The larger of `a` and `b` as one compare-and-select, a single `maxsd`
+/// on x86-64 where `f64::max`'s NaN rule costs five more instructions.
+/// It differs from `f64::max` only on NaN input and in the sign of a zero
+/// result.
+#[inline]
+fn larger(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
     }
 }
 
@@ -424,6 +492,7 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn cell_diagonal_is_at_most_half_epsilon() {
@@ -554,6 +623,174 @@ mod tests {
             GridGeometry::min_sq_dist_to_bounds(&[3.5 * cw, 4.5 * cw], &lo, &hi),
             0.0
         );
+    }
+
+    /// The branchy per-dimension gap the branch-free [`gap`] replaced:
+    /// the oracle its bits are held to.
+    fn branchy_min_sq_dist(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..p.len() {
+            let d = if p[i] < lo[i] {
+                lo[i] - p[i]
+            } else if p[i] > hi[i] {
+                p[i] - hi[i]
+            } else {
+                0.0
+            };
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// `fresh` half of the time, otherwise a value from `pool`.
+    fn pick(rng: &mut StdRng, pool: &[f64], fresh: f64) -> f64 {
+        if rng.gen_range(0..2u32) == 0 {
+            fresh
+        } else {
+            pool[rng.gen_range(0..pool.len())]
+        }
+    }
+
+    #[test]
+    fn branch_free_min_distances_keep_the_branchy_bits() {
+        let bits = |x: f64| x.to_bits();
+        // boundary-exact points: on either face, one ulp to either side,
+        // signed zeros, over proper, degenerate and subnormal intervals
+        for (lo, hi) in [
+            (0.25f64, 0.5f64),
+            (0.0, 0.5),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (0.5, 0.5),
+            (1e-310, 3e-310),
+        ] {
+            for p in [
+                lo,
+                hi,
+                lo.next_down(),
+                lo.next_up(),
+                hi.next_down(),
+                hi.next_up(),
+                0.0,
+                -0.0,
+                1.0,
+            ] {
+                let (p, lo, hi) = ([p], [lo], [hi]);
+                assert_eq!(
+                    bits(GridGeometry::min_sq_dist_to_bounds(&p, &lo, &hi)),
+                    bits(branchy_min_sq_dist(&p, &lo, &hi)),
+                    "p {p:?} in [{lo:?}, {hi:?}]"
+                );
+            }
+        }
+        // random boxes and points in 1–8 dimensions, mixed with the same
+        // boundary values, and grid cells measured through their boxes
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let g = GridGeometry::new(8, 0.2, 1000, GridVariant::Auto);
+        let (mut p, mut lo, mut hi, mut key) = ([0.0; 8], [0.0; 8], [0.0; 8], [0u64; 8]);
+        for _ in 0..20_000 {
+            let dim = rng.gen_range(1..=8usize);
+            for i in 0..dim {
+                let (a, b) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+                (lo[i], hi[i]) = (a.min(b), a.max(b));
+                let pool = [lo[i], hi[i], lo[i].next_down(), hi[i].next_up(), 0.0, -0.0];
+                let fresh = rng.gen_range(0.0..1.0);
+                p[i] = pick(&mut rng, &pool, fresh);
+            }
+            let (p, lo, hi) = (&p[..dim], &lo[..dim], &hi[..dim]);
+            assert_eq!(
+                bits(GridGeometry::min_sq_dist_to_bounds(p, lo, hi)),
+                bits(branchy_min_sq_dist(p, lo, hi)),
+                "p {p:?} in {lo:?}..{hi:?}"
+            );
+        }
+        for _ in 0..20_000 {
+            for k in &mut key {
+                *k = rng.gen_range(0..g.width as u64);
+            }
+            g.cell_box(&key, &mut lo, &mut hi);
+            for i in 0..8 {
+                let pool = [lo[i], hi[i], lo[i].next_down(), hi[i].next_up()];
+                let fresh = rng.gen_range(0.0..1.0);
+                p[i] = pick(&mut rng, &pool, fresh);
+            }
+            assert_eq!(
+                bits(g.min_sq_dist_to_cell(&p, &key)),
+                bits(branchy_min_sq_dist(&p, &lo, &hi)),
+                "p {p:?} in cell {key:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn box_distances_bound_every_point_of_the_box() {
+        let mut rng = StdRng::seed_from_u64(0xb0c5);
+        let g = GridGeometry::new(8, 0.2, 1000, GridVariant::Auto);
+        let (mut a_lo, mut a_hi, mut b_lo, mut b_hi) = ([0.0; 8], [0.0; 8], [0.0; 8], [0.0; 8]);
+        let (mut key, mut p) = ([0u64; 8], [0.0; 8]);
+        for _ in 0..4_000 {
+            let dim = rng.gen_range(1..=8usize);
+            // A: a point MBR, often only ulps wide so that rounding
+            // matters; B: a nearby box of any size, or at d = 8 half the
+            // time the grid box of a nearby cell
+            let on_grid = dim == 8 && rng.gen_range(0..2u32) == 0;
+            for i in 0..dim {
+                let x = rng.gen_range(0.0..1.0);
+                let width = [0.0, 1e-15, 1e-3, 0.1][rng.gen_range(0..4usize)];
+                (a_lo[i], a_hi[i]) = (x, x + width * rng.gen_range(0.0..1.0));
+                let (u, v) = (x + rng.gen_range(-0.1..0.1), x + rng.gen_range(-0.1..0.1));
+                (b_lo[i], b_hi[i]) = (u.min(v), u.max(v));
+                key[i] = g.cell_coord(u);
+            }
+            if on_grid {
+                g.cell_box(&key, &mut b_lo, &mut b_hi);
+            }
+            let (a_lo, a_hi) = (&a_lo[..dim], &a_hi[..dim]);
+            let (b_lo, b_hi) = (&b_lo[..dim], &b_hi[..dim]);
+            let box_min = GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi);
+            let box_max = GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi);
+            // radii on both sides of each bound, and a random one
+            let radii_sq = [
+                box_min,
+                box_min.next_down(),
+                box_max,
+                box_max.next_up(),
+                rng.gen_range(0.0..0.1),
+            ];
+            // every corner of A, then points inside A, some an ulp from a face
+            let corners = 1usize << dim;
+            for k in 0..corners + 32 {
+                for i in 0..dim {
+                    p[i] = if k < corners {
+                        [a_lo[i], a_hi[i]][k >> i & 1]
+                    } else {
+                        let pool = [a_lo[i], a_hi[i], a_lo[i].next_up(), a_hi[i].next_down()];
+                        let inside = a_lo[i] + rng.gen_range(0.0..1.0) * (a_hi[i] - a_lo[i]);
+                        pick(&mut rng, &pool, inside).clamp(a_lo[i], a_hi[i])
+                    };
+                }
+                let p = &p[..dim];
+                let (min_p, max_p) = if on_grid {
+                    (
+                        g.min_sq_dist_to_cell(p, &key),
+                        g.max_sq_dist_to_cell(p, &key),
+                    )
+                } else {
+                    (
+                        GridGeometry::min_sq_dist_to_bounds(p, b_lo, b_hi),
+                        GridGeometry::max_sq_dist_to_bounds(p, b_lo, b_hi),
+                    )
+                };
+                for r_sq in radii_sq {
+                    if box_min > r_sq {
+                        assert!(min_p > r_sq, "p {p:?}: min {min_p:e} ≤ r² {r_sq:e}");
+                    }
+                    if box_max <= r_sq {
+                        assert!(max_p <= r_sq, "p {p:?}: max {max_p:e} > r² {r_sq:e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

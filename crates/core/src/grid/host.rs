@@ -1097,8 +1097,10 @@ impl CellGrid {
     /// host analogue of the preGrid walk (§4.2.5): empty outer buckets
     /// are skipped by a binary search over the sorted non-empty outer
     /// ranges instead of a precomputed list. The host update, which visits
-    /// the reach of many points in grid-sorted order, resolves it once per
-    /// outer cell with a `ReachMemo` instead.
+    /// the reach of many points in grid-sorted order, goes through a
+    /// `ReachMemo` instead: it resolves the reach once per outer cell and
+    /// classifies it once per inner cell into a candidate list that every
+    /// point of the cell replays, in this walk's order.
     pub fn for_each_cell_in_reach(&self, oid: usize, mut f: impl FnMut(usize)) {
         self.for_each_range_in_reach(oid, |lo, hi| {
             for c in lo..hi {
@@ -1191,32 +1193,61 @@ impl CellGrid {
     }
 }
 
-/// The reach of one outer cell, resolved once and replayed for every point
-/// of a run — the host edition of the per-cell preGrid list the paper's
-/// update threads share (§4.2.5). Points processed in grid-sorted order
-/// ([`CellGrid::point_order`]) come in runs that share an outer cell, and
-/// every point of a run walks the same reach. The memo keeps that reach as
-/// a list of compacted cell ranges on the stack, so the steady-state loop
-/// allocates nothing, and replays it: each point sees exactly the cells
-/// [`CellGrid::for_each_cell_in_reach`] would give it, in the same order.
+/// Capacity of [`ReachMemo`]'s per-run candidate list in production: 32 KiB
+/// of a worker's stack. The longest list of the benchmark workloads at
+/// seed 1 holds 559 cells, from a `blobs8d` reach of ~1 220 occupied cells.
+pub(crate) const RUN_LIST: usize = 4096;
+
+/// How one reach cell relates to every point of a run, decided once per
+/// run from boxes (see [`ReachMemo::for_each_candidate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunVerdict {
+    /// No point of the run can reach the cell: it leaves the list.
+    Unreachable,
+    /// Some points may reach the cell: each point classifies it itself.
+    Straddles,
+    /// The cell lies inside every run point's ε-ball: each point consumes
+    /// its summary without a test.
+    Covered,
+}
+
+/// The reach of one outer cell and the classified candidates of one inner
+/// cell, each resolved once and replayed for every point that shares it:
+/// the host edition of the per-cell preGrid list the paper's update
+/// threads share (§4.2.5), extended to the per-cell verdicts. Points
+/// processed in grid-sorted order ([`CellGrid::point_order`]) come in runs
+/// that share an inner cell, and every point of a run walks the same
+/// reach. The memo keeps that reach as a list of compacted cell ranges and
+/// the run's verdicts as a list of cells, both on the stack, so the
+/// steady-state loop allocates nothing.
 ///
-/// The list holds [`MAX_SURROUND_ENUM`] ranges, one per non-empty outer
-/// cell of the reach. [`GridVariant::Auto`] never exceeds it; under an
-/// explicit `Mixed` or `RandomAccess` variant a reach that does is walked
-/// per point instead.
+/// The range list holds [`MAX_SURROUND_ENUM`] ranges, one per non-empty
+/// outer cell of the reach. [`GridVariant::Auto`] never exceeds it; under
+/// an explicit `Mixed` or `RandomAccess` variant a reach that does is
+/// walked afresh for every point, unclassified. The candidate list holds
+/// `LIST` cells; a run with more candidates replays its whole reach with
+/// every cell straddling. Either way each point classifies every reach
+/// cell itself, which is the per-point walk.
 ///
 /// [`GridVariant::Auto`]: super::GridVariant::Auto
-pub(crate) struct ReachMemo<'g> {
+pub(crate) struct ReachMemo<'g, const LIST: usize> {
     grid: &'g CellGrid,
     /// Outer cell whose reach `ranges[..len]` holds, once resolved.
     oid: Option<usize>,
-    /// The reach of `oid` did not fit the list.
+    /// The reach of `oid` did not fit the range list.
     overflow: bool,
     len: usize,
     ranges: [(u32, u32); MAX_SURROUND_ENUM],
+    /// Inner cell whose candidates `list[..list_len]` holds, once built.
+    run: Option<usize>,
+    /// The candidates of `run` did not fit the list.
+    list_overflow: bool,
+    list_len: usize,
+    /// `(cell, covered)` per candidate, in reach order.
+    list: [(u32, bool); LIST],
 }
 
-impl<'g> ReachMemo<'g> {
+impl<'g, const LIST: usize> ReachMemo<'g, LIST> {
     /// An empty memo over `grid`; the first call resolves a reach.
     pub fn new(grid: &'g CellGrid) -> Self {
         Self {
@@ -1225,25 +1256,73 @@ impl<'g> ReachMemo<'g> {
             overflow: false,
             len: 0,
             ranges: [(0, 0); MAX_SURROUND_ENUM],
+            run: None,
+            list_overflow: false,
+            list_len: 0,
+            list: [(0, false); LIST],
         }
     }
 
-    /// Invoke `f` with the compacted index of every cell in the reach of
-    /// outer cell `oid`, in [`CellGrid::for_each_cell_in_reach`]'s order.
-    /// The reach is resolved only when `oid` differs from the previous
-    /// call's.
-    pub fn for_each_cell(&mut self, oid: usize, mut f: impl FnMut(usize)) {
+    /// Hand `f` the cells `c` in the reach of inner cell `run`'s outer cell
+    /// that `classify` does not rule [`RunVerdict::Unreachable`], in
+    /// [`CellGrid::for_each_cell_in_reach`]'s order, as `(c, covered)`
+    /// pairs with `covered` true for [`RunVerdict::Covered`]. `f` gets
+    /// the whole list in one call. `classify` runs once per reach cell when
+    /// `run` differs from the previous call's, and must give the same
+    /// verdicts on every call. A run whose candidates overflow the list,
+    /// or whose reach overflows the range list, instead hands `f` every
+    /// reach cell, one call each, unflagged: the per-point walk.
+    ///
+    /// Exactness rests on the verdicts: a cell left out must be one no
+    /// point of the run would consume, and a covered cell one every point
+    /// would consume whole. Dropping the first kind and deciding the second
+    /// early keeps each point's consumed cells, their paths and their
+    /// order, so the accumulated sums and counters keep their bits.
+    pub fn for_each_candidate(
+        &mut self,
+        run: usize,
+        mut classify: impl FnMut(usize) -> RunVerdict,
+        mut f: impl FnMut(&[(u32, bool)]),
+    ) {
+        let oid = self
+            .grid
+            .geometry
+            .outer_id_of_coords(self.grid.cell_key(run));
         if self.oid != Some(oid) {
             self.resolve(oid);
         }
-        if self.overflow {
-            self.grid.for_each_cell_in_reach(oid, f);
-            return;
-        }
-        for &(lo, hi) in &self.ranges[..self.len] {
-            for c in lo..hi {
-                f(c as usize);
+        let ranges = (!self.overflow).then_some(&self.ranges[..self.len]);
+        if self.run != Some(run) {
+            // one call site for `classify`, so the compiler inlines it
+            let (mut len, mut overflow) = (0, self.overflow);
+            'walk: for &(lo, hi) in ranges.unwrap_or_default() {
+                for c in lo..hi {
+                    let covered = match classify(c as usize) {
+                        RunVerdict::Unreachable => continue,
+                        RunVerdict::Straddles => false,
+                        RunVerdict::Covered => true,
+                    };
+                    if len == LIST {
+                        overflow = true;
+                        break 'walk;
+                    }
+                    self.list[len] = (c, covered);
+                    len += 1;
+                }
             }
+            (self.run, self.list_len, self.list_overflow) = (Some(run), len, overflow);
+        }
+        if !self.list_overflow {
+            f(&self.list[..self.list_len]);
+        } else if let Some(ranges) = ranges {
+            for &(lo, hi) in ranges {
+                for c in lo..hi {
+                    f(&[(c, false)]);
+                }
+            }
+        } else {
+            self.grid
+                .for_each_cell_in_reach(oid, |c| f(&[(c as u32, false)]));
         }
     }
 
@@ -1566,30 +1645,64 @@ mod tests {
         }
     }
 
-    /// Drive one [`ReachMemo`] over every `stride`-th point of `grid` — in
-    /// grid-sorted order (runs, as the update visits them), then in index
-    /// order (the outer cell changes at almost every step) — and check
-    /// each point replays [`CellGrid::for_each_cell_in_reach`]'s exact
-    /// visit sequence. Returns `(points checked, points whose reach
-    /// overflowed the memo)`.
-    fn assert_memo_replays_walk(grid: &CellGrid, coords: &[f64], stride: usize) -> (usize, usize) {
+    /// Drive one [`ReachMemo`] with a `LIST`-cell candidate list over
+    /// every `stride`-th point of `grid` — in grid-sorted order (runs, as
+    /// the update visits them), then in index order (the cell changes at
+    /// almost every step) — under a synthetic verdict of all three kinds.
+    /// Each point must replay [`CellGrid::for_each_cell_in_reach`]'s visit
+    /// sequence: the cells the verdict keeps, flagged when covered, or
+    /// every cell unflagged when the run's candidates overflow the list or
+    /// its reach overflows the range list.
+    /// Returns `(points checked, points whose reach overflowed the range
+    /// list, points whose run overflowed the candidate list)`.
+    fn assert_memo_replays_walk<const LIST: usize>(
+        grid: &CellGrid,
+        coords: &[f64],
+        stride: usize,
+    ) -> (usize, usize, usize) {
         let geo = *grid.geometry();
         let n = coords.len() / geo.dim;
-        let mut memo = ReachMemo::new(grid);
+        let verdict = |run: usize, c: usize| match (run * 7 + c * 13) % 3 {
+            0 => RunVerdict::Unreachable,
+            1 => RunVerdict::Straddles,
+            _ => RunVerdict::Covered,
+        };
+        let mut memo = ReachMemo::<LIST>::new(grid);
         let (mut walked, mut replayed) = (Vec::new(), Vec::new());
-        let (mut checked, mut overflowed) = (0, 0);
+        let (mut checked, mut overflowed, mut list_overflowed) = (0, 0, 0);
         let sorted = grid.point_order().iter().map(|&p| p as usize);
         for p_idx in sorted.step_by(stride).chain((0..n).step_by(stride)) {
+            let run = grid.point_cell()[p_idx] as usize;
             let oid = geo.outer_id_of_point(row(coords, geo.dim, p_idx));
             walked.clear();
             replayed.clear();
             grid.for_each_cell_in_reach(oid, |c| walked.push(c));
-            memo.for_each_cell(oid, |c| replayed.push(c));
-            assert_eq!(walked, replayed, "point {p_idx} (outer cell {oid})");
+            memo.for_each_candidate(
+                run,
+                |c| verdict(run, c),
+                |batch| replayed.push(batch.to_vec()),
+            );
+            let kept: Vec<(u32, bool)> = walked
+                .iter()
+                .filter_map(|&c| match verdict(run, c) {
+                    RunVerdict::Unreachable => None,
+                    v => Some((c as u32, v == RunVerdict::Covered)),
+                })
+                .collect();
+            let fits = !memo.overflow && kept.len() <= LIST;
+            assert_eq!(memo.list_overflow, !fits, "point {p_idx}");
+            // the whole list in one call, or each reach cell alone
+            let want: Vec<Vec<(u32, bool)>> = if fits {
+                vec![kept]
+            } else {
+                walked.iter().map(|&c| vec![(c as u32, false)]).collect()
+            };
+            assert_eq!(replayed, want, "point {p_idx} (outer cell {oid})");
             checked += 1;
             overflowed += usize::from(memo.overflow);
+            list_overflowed += usize::from(memo.list_overflow);
         }
-        (checked, overflowed)
+        (checked, overflowed, list_overflowed)
     }
 
     #[test]
@@ -1598,6 +1711,7 @@ mod tests {
         // (dim, eps, variant, points): Auto picks d' = 2 here; Sequential
         // walks one bucket; the rest enumerate offsets over many occupied
         // outer cells
+        let mut mixed = false;
         for (dim, eps, variant, n) in [
             (2, 0.05, GridVariant::Auto, 3000),
             (2, 0.05, GridVariant::Sequential, 600),
@@ -1612,11 +1726,17 @@ mod tests {
                 "{variant:?}"
             );
             assert_eq!(
-                assert_memo_replays_walk(&grid, &coords, 1),
-                (2 * n, 0),
+                assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 1),
+                (2 * n, 0, 0),
                 "{variant:?}"
             );
+            // a short candidate list: the replay must hold both for runs
+            // that fit it and for runs that overflow it
+            let (checked, _, list_overflowed) = assert_memo_replays_walk::<8>(&grid, &coords, 1);
+            assert!(list_overflowed > 0, "{variant:?}");
+            mixed |= list_overflowed < checked;
         }
+        assert!(mixed, "no grid mixes fitting and overflowing runs");
 
         // few occupied outer cells: the sorted-occupancy replay path
         let coords = pseudo_cloud(40, 2);
@@ -1624,7 +1744,10 @@ mod tests {
         let grid = CellGrid::build(&exec, g, &coords);
         let v = g.surround_per_dim();
         assert!(grid.outer_index.len() <= 64 && grid.outer_index.len() < v * v);
-        assert_eq!(assert_memo_replays_walk(&grid, &coords, 1), (80, 0));
+        assert_eq!(
+            assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 1),
+            (80, 0, 0)
+        );
 
         // a reach with more non-empty outer cells than the memo holds: a
         // 4-d lattice, one point per cell, every cell within the reach
@@ -1648,7 +1771,7 @@ mod tests {
         }
         assert!(coords.len() / 4 > MAX_SURROUND_ENUM);
         let grid = CellGrid::build(&exec, g, &coords);
-        let (checked, overflowed) = assert_memo_replays_walk(&grid, &coords, 97);
+        let (checked, overflowed, _) = assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 97);
         assert!(
             0 < overflowed && overflowed < checked,
             "{overflowed} of {checked} overflowed"

@@ -10,15 +10,18 @@
 //! the allocation-free guarantee applies to the algorithm's own buffers —
 //! exactly what `Executor::sequential()` isolates.
 //!
-//! The counter is process-wide and libtest runs tests in parallel, so every
-//! test holds [`SERIAL`] for its whole body: one test's warm-up (or
-//! teardown) must never land in another test's measured window. The
-//! counter stays global rather than thread-local because the pooled test
-//! must also see its worker threads' allocations.
+//! The counter is process-wide, so the binary holds a single libtest test
+//! that runs every check in turn. libtest's main thread allocates whenever
+//! a test of the binary finishes (recording its result, spawning the next
+//! test's thread), and with several tests that bookkeeping can land in
+//! whichever measured window is open at the time. With one test the
+//! harness stays parked until the end, and no other test's warm-up or
+//! teardown can overlap a window either. The counter stays global rather
+//! than thread-local because the pooled check must also see its worker
+//! threads' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use egg_sync_core::egg::termination::second_term_holds_host;
 use egg_sync_core::egg::update::{egg_update_host, IncrementalState, UpdateOptions};
@@ -54,16 +57,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Serializes the tests of this file around the shared [`ALLOCATIONS`]
-/// counter.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Hold [`SERIAL`] for the rest of the calling test. A test that panicked
-/// while holding it poisons it; that must not fail the tests after it.
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// The binary's only test: every steady-state check, one after another
+/// (see the module docs for why they share one test).
+#[test]
+fn steady_state_loops_do_not_allocate() {
+    steady_state_iterations_do_not_allocate();
+    incremental_steady_state_does_not_allocate();
+    device_steady_state_does_not_allocate();
+    pooled_dispatch_steady_state_does_not_allocate();
+    sharded_steady_state_does_not_allocate();
 }
 
 fn cloud(n: usize, dim: usize) -> Vec<f64> {
@@ -72,9 +74,7 @@ fn cloud(n: usize, dim: usize) -> Vec<f64> {
         .collect()
 }
 
-#[test]
 fn steady_state_iterations_do_not_allocate() {
-    let _serial = serial();
     let (n, dim, eps) = (3000, 2, 0.05);
     let exec = Executor::sequential();
     let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
@@ -124,9 +124,7 @@ fn steady_state_iterations_do_not_allocate() {
     );
 }
 
-#[test]
 fn incremental_steady_state_does_not_allocate() {
-    let _serial = serial();
     // same contract for the incremental pipeline: grid refresh driven by
     // the mover flags, skip-aware update, confinement-narrowed second term
     let (n, dim, eps) = (3000, 2, 0.05);
@@ -178,9 +176,7 @@ fn incremental_steady_state_does_not_allocate() {
     );
 }
 
-#[test]
 fn device_steady_state_does_not_allocate() {
-    let _serial = serial();
     // same contract for the simulated-GPU backend, in both pipeline
     // shapes: the fused per-cell kernels must reuse the workspace's lane
     // and summary buffers rather than staging through fresh allocations,
@@ -244,9 +240,7 @@ fn device_steady_state_does_not_allocate() {
     }
 }
 
-#[test]
 fn pooled_dispatch_steady_state_does_not_allocate() {
-    let _serial = serial();
     // the worker-pool contract: after construction spawns the long-lived
     // workers, a parallel dispatch is pure synchronization — publishing
     // the shared closure pointer and blocking on a condvar — so repeated
@@ -318,9 +312,7 @@ fn pooled_dispatch_steady_state_does_not_allocate() {
     );
 }
 
-#[test]
 fn sharded_steady_state_does_not_allocate() {
-    let _serial = serial();
     // the sharding contract's steady-state clause: once converged, member
     // lists are stable, the exchange buffer stays empty, and a full
     // synchronized iteration across all shards is allocation-free

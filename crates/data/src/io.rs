@@ -22,6 +22,14 @@ pub enum CsvError {
         /// The raw field text.
         field: String,
     },
+    /// A field that parses as a number but not a finite one (`nan`,
+    /// `inf`, or a literal beyond the `f64` range).
+    NonFinite {
+        /// 1-based line number of the offending field.
+        line: usize,
+        /// The raw field text.
+        field: String,
+    },
     /// A row whose arity differs from the first row.
     RaggedRow {
         /// 1-based line number of the offending row.
@@ -39,6 +47,9 @@ impl std::fmt::Display for CsvError {
             CsvError::Io(e) => write!(f, "I/O error: {e}"),
             CsvError::BadField { line, field } => {
                 write!(f, "line {line}: cannot parse field '{field}' as a number")
+            }
+            CsvError::NonFinite { line, field } => {
+                write!(f, "line {line}: field '{field}' is not a finite number")
             }
             CsvError::RaggedRow {
                 line,
@@ -60,7 +71,9 @@ impl From<std::io::Error> for CsvError {
 }
 
 /// Parse a dataset from CSV text in a reader. Empty and `#`-prefixed lines
-/// are skipped; the first data row fixes the dimensionality.
+/// are skipped; the first data row fixes the dimensionality. Every field
+/// must be a finite number: the clustering math has no meaning for `nan`
+/// or `inf`, so they are refused here, where the input enters.
 pub fn read_csv<R: BufRead>(reader: R) -> Result<Dataset, CsvError> {
     let mut coords = Vec::new();
     let mut dim = 0usize;
@@ -78,6 +91,12 @@ pub fn read_csv<R: BufRead>(reader: R) -> Result<Dataset, CsvError> {
                 line: line_no,
                 field: field.to_owned(),
             })?;
+            if !value.is_finite() {
+                return Err(CsvError::NonFinite {
+                    line: line_no,
+                    field: field.to_owned(),
+                });
+            }
             coords.push(value);
             count += 1;
         }
@@ -177,6 +196,19 @@ mod tests {
                 assert_eq!(field, "oops");
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_field_is_reported_with_line() {
+        for field in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            let err = read_csv(format!("1,2\n# note\n3,{field}\n").as_bytes()).unwrap_err();
+            match err {
+                CsvError::NonFinite { line, field: got } => {
+                    assert_eq!((line, got.as_str()), (3, field));
+                }
+                other => panic!("{field}: unexpected error {other:?}"),
+            }
         }
     }
 

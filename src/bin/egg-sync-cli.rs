@@ -93,6 +93,20 @@ fn load_input(flags: &Flags, normalize: bool) -> Result<Dataset, String> {
     Ok(if normalize { data.normalized() } else { data })
 }
 
+/// The `--epsilon` value, refused unless finite and positive (`missing`
+/// is the error when the flag is absent).
+fn parse_epsilon(flags: &Flags, missing: &str) -> Result<f64, String> {
+    let epsilon: f64 = flags
+        .parsed("--epsilon")?
+        .ok_or_else(|| missing.to_owned())?;
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(format!(
+            "--epsilon must be finite and positive, got {epsilon}"
+        ));
+    }
+    Ok(epsilon)
+}
+
 fn make_algorithm(name: &str, epsilon: f64) -> Result<Box<dyn ClusterAlgorithm>, String> {
     Ok(match name {
         "egg" => Box::new(EggSync::new(epsilon)),
@@ -124,12 +138,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         }
         selection.best
     } else {
-        let epsilon: f64 = flags
-            .parsed("--epsilon")?
-            .ok_or("--epsilon <e> (or --auto-epsilon) is required")?;
-        if epsilon <= 0.0 {
-            return Err("--epsilon must be positive".into());
-        }
+        let epsilon = parse_epsilon(&flags, "--epsilon <e> (or --auto-epsilon) is required")?;
         make_algorithm(algorithm, epsilon)?.cluster(&data)
     };
 
@@ -157,9 +166,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 fn cmd_outliers(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
     let data = load_input(&flags, !flags.present("--no-normalize"))?;
-    let epsilon: f64 = flags
-        .parsed("--epsilon")?
-        .ok_or("--epsilon <e> is required")?;
+    let epsilon = parse_epsilon(&flags, "--epsilon <e> is required")?;
     let threshold: f64 = flags.parsed("--threshold")?.unwrap_or(0.9);
     let detection = detect_outliers(&data, epsilon);
     let hits = detection.outliers(threshold);

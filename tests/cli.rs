@@ -170,3 +170,65 @@ fn bad_csv_is_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
 }
+
+/// A 200-point file from `generate`, with its first field replaced.
+fn generated_with_first_field(name: &str, first: &str) -> PathBuf {
+    let path = temp_path(name);
+    let out = cli()
+        .args(["generate", "--n", "200", "--output", path.to_str().unwrap()])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let csv = std::fs::read_to_string(&path).expect("read csv");
+    let (_, rest) = csv.split_once(',').expect("two fields");
+    std::fs::write(&path, format!("{first},{rest}")).expect("write csv");
+    path
+}
+
+#[test]
+fn non_finite_coordinates_are_refused() {
+    for field in ["nan", "inf"] {
+        let path = generated_with_first_field(&format!("non_finite_{field}.csv"), field);
+        for command in ["cluster", "outliers"] {
+            let out = cli()
+                .args([
+                    command,
+                    "--input",
+                    path.to_str().unwrap(),
+                    "--epsilon",
+                    "0.05",
+                ])
+                .output()
+                .expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {field}: {stderr}");
+            assert!(stderr.contains("line 1"), "{command} {field}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn invalid_epsilon_is_a_usage_error() {
+    let path = temp_path("epsilon_checks.csv");
+    std::fs::write(&path, "0.1,0.1\n0.2,0.2\n0.8,0.8\n").expect("write csv");
+    for command in ["cluster", "outliers"] {
+        for epsilon in ["0", "-0.05", "nan", "inf", "-inf"] {
+            let out = cli()
+                .args([
+                    command,
+                    "--input",
+                    path.to_str().unwrap(),
+                    "--epsilon",
+                    epsilon,
+                ])
+                .output()
+                .expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {epsilon}: {stderr}");
+            assert!(
+                stderr.contains("--epsilon"),
+                "{command} {epsilon}: {stderr}"
+            );
+        }
+    }
+}
