@@ -6,14 +6,9 @@
 //! work is identical (the output is bitwise identical — asserted here
 //! against the S = 1 oracle), each shard's resident grid shrinks to
 //! roughly 1/S of the single grid plus the ε-halo, and the halo-exchange
-//! bookkeeping is the price. The pipelined schedule (the default) hides
-//! part of that price behind interior compute; the sweep also runs each
-//! multi-shard point with `use_pipelined_shards` off, as its own ledger
-//! series, so the overlap's effect on the halo-exchange stage is a
-//! tracked quantity rather than a one-off claim. The regression gate
-//! then catches either the update stage slowing down or the exchange
-//! stage growing, in both schedules. Set `EGG_BENCH_SCALE` (e.g. `0.25`)
-//! for CI quick mode.
+//! bookkeeping is the price. The regression gate catches either the
+//! update stage slowing down or the exchange stage growing. Set
+//! `EGG_BENCH_SCALE` (e.g. `0.25`) for CI quick mode.
 
 use egg_bench::{
     append_bench_ledger, bench_ledger_row, default_synthetic, measurement_from, scaled, Experiment,
@@ -29,52 +24,36 @@ fn main() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut oracle: Option<(Vec<u32>, Vec<u64>, usize)> = None;
     for shards in [1usize, 2, 4, 8] {
-        // pipelined (the default) and serial shard schedules; on S = 1
-        // the toggle is inert, so only the default runs there
-        let modes: &[bool] = if shards == 1 { &[true] } else { &[true, false] };
-        for &pipelined in modes {
-            let mut algo = EggSync::host(0.05, None);
-            algo.options.num_shards = shards;
-            algo.options.use_pipelined_shards = pipelined;
-            let start = Instant::now();
-            let result = algo.cluster(&data);
-            let wall = start.elapsed().as_secs_f64();
-            let tag = if pipelined { "" } else { " serial" };
+        let mut algo = EggSync::host(0.05, None);
+        algo.options.num_shards = shards;
+        let start = Instant::now();
+        let result = algo.cluster(&data);
+        let wall = start.elapsed().as_secs_f64();
 
-            // neither shard count nor schedule may show in the output
-            let coords = bits(result.final_coords.coords());
-            match &oracle {
-                None => oracle = Some((result.labels.clone(), coords, result.iterations)),
-                Some((labels, oracle_coords, iterations)) => {
-                    assert_eq!(&result.labels, labels, "S={shards}{tag}: labels diverged");
-                    assert_eq!(
-                        &coords, oracle_coords,
-                        "S={shards}{tag}: coordinates diverged"
-                    );
-                    assert_eq!(
-                        result.iterations, *iterations,
-                        "S={shards}{tag}: iterations diverged"
-                    );
-                }
+        // the shard count may not show in the output
+        let coords = bits(result.final_coords.coords());
+        match &oracle {
+            None => oracle = Some((result.labels.clone(), coords, result.iterations)),
+            Some((labels, oracle_coords, iterations)) => {
+                assert_eq!(&result.labels, labels, "S={shards}: labels diverged");
+                assert_eq!(&coords, oracle_coords, "S={shards}: coordinates diverged");
+                assert_eq!(
+                    result.iterations, *iterations,
+                    "S={shards}: iterations diverged"
+                );
             }
-            println!(
-                "S={shards}{tag}: total grid {:.1} MiB, largest shard grid {:.1} MiB, \
-                 halo overlap {:.1} ms",
-                result.trace.peak_structure_bytes as f64 / (1 << 20) as f64,
-                result.trace.peak_shard_structure_bytes as f64 / (1 << 20) as f64,
-                result
-                    .trace
-                    .stages
-                    .get(egg_sync_core::instrument::Stage::HaloOverlap)
-                    * 1e3,
-            );
-            exp.push(measurement_from(
-                &format!("{} S={shards}{tag}", algo.name()),
-                shards as f64,
-                wall,
-                &result,
-            ));
         }
+        println!(
+            "S={shards}: total grid {:.1} MiB, largest shard grid {:.1} MiB",
+            result.trace.peak_structure_bytes as f64 / (1 << 20) as f64,
+            result.trace.peak_shard_structure_bytes as f64 / (1 << 20) as f64,
+        );
+        exp.push(measurement_from(
+            &format!("{} S={shards}", algo.name()),
+            shards as f64,
+            wall,
+            &result,
+        ));
     }
 
     let ledger_rows: Vec<_> = exp

@@ -54,40 +54,10 @@
 //! the engine (the same rule as [`IncrementalState::finish_pass`], over
 //! all points): a shard-local history cannot see movers just outside its
 //! resident set, whose old or new position still dirties cells it owns.
-//!
-//! # The pipelined iteration (`use_pipelined_shards`)
-//!
-//! The serial iteration computes every shard, then collects halo movers,
-//! then sorts and (next iteration) merges the membership edits — all on
-//! the main thread. But only points near a resident-range endpoint can
-//! *become* movers within one step ([`ShardPlan::near_resident_boundary`]:
-//! one update displaces a point by less than `reach` cells per axis), so
-//! the pipelined iteration splits each shard's owned cells into
-//! **boundary** and **interior** runs and reorders the schedule:
-//!
-//! ```text
-//! serial:     [update all cells][scatter, detect movers][sort+merge]
-//! pipelined:  [update+scatter boundary]─┬─[update+scatter interior]…
-//!                         sideline:     └─[movers→edits, sort, merge]
-//! ```
-//!
-//! Once every shard's boundary cells are updated and scattered, the set
-//! of potential movers is complete; a sideline thread turns them into the
-//! sorted exchange buffer and pre-merges next iteration's member lists
-//! while the main thread updates the interior. Interior points may still
-//! change cells — they just cannot flip any residency (debug-asserted) —
-//! so the staged mover set equals the serial scan's. The edit buffer is
-//! sorted by the same `(shard, point, insert)` key over the same unique
-//! entries before anything is applied, and the merge consumes the same
-//! pre-edit member lists, so the overlap changes scheduling only, never
-//! bits. The boundary/interior window split is equally invisible: chunk
-//! reductions are order-independent (above), per-point outputs depend
-//! only on the built grid, and cell-skip verdicts are computed once per
-//! shard and reused across windows (`ShardPass::reuse_cell_skip`).
 
 use egg_data::Dataset;
 
-use crate::exec::{Executor, Sideline};
+use crate::exec::Executor;
 use crate::grid::{CellGrid, GridGeometry, ShardPlan};
 use crate::instrument::{timed, IterationRecord, RunTrace, Stage, StageTimings, UpdateCounters};
 use crate::result::Clustering;
@@ -106,34 +76,13 @@ struct ExchangeEntry {
     insert: bool,
 }
 
-/// A point whose update moved it to a different leading cell, staged by
-/// the pipelined boundary scatter for the sideline's exchange collection.
-#[derive(Debug, Clone, Copy)]
-struct StagedMover {
-    point: u32,
-    old_c0: u32,
-    new_c0: u32,
-}
-
-/// One shard's pre-merged member list for the next iteration, produced on
-/// the sideline while interior compute runs. `buf` holds the post-edit
-/// list when `pending`; applying it is an O(1) swap at the next
-/// iteration's start, after which `buf` (now the old list) becomes the
-/// reusable merge scratch.
-#[derive(Debug, Default)]
-struct MergeState {
-    buf: Vec<u32>,
-    pending: bool,
-}
-
 /// Per-shard state: the shard-local coordinate mirrors and the shard's own
 /// grid + incremental history. (Member lists live on the engine —
-/// [`ShardedEngine::members`] — so the pipelined overlap can read them
-/// while the shards themselves are mutably borrowed by interior compute.)
-/// Local point index `i` is `members[s][i]`; keeping members sorted makes
-/// the local within-cell order (by local index) match the global
-/// within-cell order (by global index), which the update's slot-ordered
-/// accumulations rely on for bitwise equality.
+/// [`ShardedEngine::members`] — next to the exchange buffer that edits
+/// them.) Local point index `i` is `members[s][i]`; keeping members
+/// sorted makes the local within-cell order (by local index) match the
+/// global within-cell order (by global index), which the update's
+/// slot-ordered accumulations rely on for bitwise equality.
 struct Shard {
     /// Local mirror of the residents' current positions.
     coords: Vec<f64>,
@@ -149,14 +98,6 @@ struct Shard {
     /// Member list changed since the grid was last built — forces a full
     /// rebuild (local indices shifted, so mover flags are meaningless).
     membership_changed: bool,
-    /// Pipelined only: grid-sorted slot windows of the owned cells whose
-    /// points could flip a residency this iteration, in slot order.
-    boundary_slots: Vec<std::ops::Range<usize>>,
-    /// Pipelined only: the complementary interior slot windows.
-    interior_slots: Vec<std::ops::Range<usize>>,
-    /// Cell-skip verdicts already computed by an earlier window of this
-    /// iteration's pass (drives [`ShardPass::reuse_cell_skip`]).
-    skip_ready: bool,
 }
 
 impl Shard {
@@ -170,9 +111,6 @@ impl Shard {
             owned_cells: 0..0,
             owned_slots: 0..0,
             membership_changed: true,
-            boundary_slots: Vec::new(),
-            interior_slots: Vec::new(),
-            skip_ready: false,
         }
     }
 }
@@ -224,12 +162,9 @@ pub struct ShardedEngine {
     /// window — the shard's global slot base, whose value mod `LANES`
     /// phases its grid's lane tables (see [`CellGrid::set_lane_phase`]).
     phase_counts: Vec<u64>,
-    /// Per-shard merge scratch / pre-merged next member lists.
-    merge: Vec<MergeState>,
-    /// Pipelined only: this iteration's cell-changing boundary points.
-    staged: Vec<StagedMover>,
-    /// The overlap worker — present iff this engine pipelines.
-    sideline: Option<Sideline>,
+    /// Merge scratch of [`Self::apply_exchange`]: after each splice it
+    /// holds the shard's previous member list, reused by the next shard.
+    merge_scratch: Vec<u32>,
     shards: Vec<Shard>,
 }
 
@@ -253,11 +188,7 @@ impl ShardedEngine {
         for (p, &c0) in point_c0.iter().enumerate() {
             plan.for_each_resident_shard(c0 as u64, |s| members[s].push(p as u32));
         }
-        let merge = (0..plan.count()).map(|_| MergeState::default()).collect();
         let resident_starts: Vec<u64> = (0..plan.count()).map(|s| plan.resident(s).start).collect();
-        // a single shard has no halo to overlap — the serial schedule IS
-        // the pipelined one there, so skip the sideline thread
-        let sideline = (options.use_pipelined_shards && plan.count() > 1).then(Sideline::new);
         let use_inc = options.use_incremental;
         Self {
             geometry,
@@ -277,9 +208,7 @@ impl ShardedEngine {
             members,
             phase_counts: vec![0; resident_starts.len()],
             resident_starts,
-            merge,
-            staged: Vec::new(),
-            sideline,
+            merge_scratch: Vec::new(),
             shards,
         }
     }
@@ -289,28 +218,11 @@ impl ShardedEngine {
         self.plan.count()
     }
 
-    /// Whether iterations overlap halo bookkeeping with interior compute.
-    pub fn is_pipelined(&self) -> bool {
-        self.sideline.is_some()
-    }
-
     /// Run one synchronized iteration across all shards, adding stage
     /// timings to `stages`. Mirrors the single-grid loop body exactly:
     /// refresh → update (first term) → second term → swap, with the halo
-    /// bookkeeping accounted under [`Stage::HaloExchange`]. Dispatches to
-    /// the pipelined schedule when the engine was built with
-    /// `use_pipelined_shards` (bitwise identical output either way).
+    /// bookkeeping accounted under [`Stage::HaloExchange`].
     pub fn iterate(&mut self, exec: &Executor, stages: &mut StageTimings) -> ShardIteration {
-        if self.sideline.is_some() {
-            self.iterate_pipelined(exec, stages)
-        } else {
-            self.iterate_serial(exec, stages)
-        }
-    }
-
-    /// The serial schedule — the oracle the pipelined path must match bit
-    /// for bit at every iteration.
-    fn iterate_serial(&mut self, exec: &Executor, stages: &mut StageTimings) -> ShardIteration {
         let dim = self.dim;
         let use_inc = self.options.use_incremental;
 
@@ -338,7 +250,6 @@ impl ShardedEngine {
             let pass = ShardPass {
                 slots: sh.owned_slots.clone(),
                 outer_dirty: (use_inc && self.dirty_armed).then_some(&self.outer_dirty[..]),
-                reuse_cell_skip: false,
             };
             let (ft, c) = egg_update_host(
                 exec,
@@ -417,328 +328,6 @@ impl ShardedEngine {
         self.exchange.sort_unstable();
         std::mem::swap(&mut self.coords_cur, &mut self.coords_next);
         stages.add(Stage::HaloExchange, t_exchange.elapsed().as_secs_f64());
-
-        ShardIteration {
-            done,
-            counters,
-            total_grid_bytes,
-            max_shard_grid_bytes,
-        }
-    }
-
-    /// The pipelined schedule (see the module docs): boundary cells first,
-    /// then interior compute overlapped with the sideline's halo-mover
-    /// collection and member-list pre-merge.
-    fn iterate_pipelined(&mut self, exec: &Executor, stages: &mut StageTimings) -> ShardIteration {
-        let use_inc = self.options.use_incremental;
-
-        // --- apply last iteration's pre-merged member lists: O(1) swaps.
-        let t_apply = std::time::Instant::now();
-        self.apply_premerged();
-        stages.add(Stage::HaloExchange, t_apply.elapsed().as_secs_f64());
-
-        let t_sync = std::time::Instant::now();
-        self.sync_shards();
-        stages.add(Stage::HaloExchange, t_sync.elapsed().as_secs_f64());
-
-        let mut counters = UpdateCounters::default();
-        let t_build = std::time::Instant::now();
-        let (total_grid_bytes, max_shard_grid_bytes) = self.refresh_shards(exec, &mut counters);
-        stages.add(Stage::BuildStructure, t_build.elapsed().as_secs_f64());
-
-        // the rest of the iteration hands disjoint field borrows to the
-        // sideline job and the interior compute, so destructure once
-        let ShardedEngine {
-            geometry,
-            plan,
-            epsilon,
-            options,
-            dim,
-            coords_cur,
-            coords_next,
-            point_c0,
-            global_moved,
-            global_confined,
-            outer_dirty,
-            dirty_armed,
-            exchange,
-            members,
-            merge,
-            staged,
-            sideline,
-            shards,
-            ..
-        } = self;
-        let (dim, epsilon, options) = (*dim, *epsilon, *options);
-        let sideline = sideline.as_ref().expect("pipelined engine has a sideline");
-        let plan: &ShardPlan = plan;
-        let members: &[Vec<u32>] = members;
-
-        // --- classify owned cells into boundary/interior slot windows.
-        // Owned cells are sorted by leading coordinate, so each class
-        // forms a few contiguous runs; scratch vectors keep capacity.
-        let t_classify = std::time::Instant::now();
-        for sh in shards.iter_mut() {
-            sh.boundary_slots.clear();
-            sh.interior_slots.clear();
-            sh.skip_ready = false;
-            let cells = sh.owned_cells.clone();
-            let mut run_start = cells.start;
-            let mut run_boundary: Option<bool> = None;
-            for c in cells.clone() {
-                let b = plan.near_resident_boundary(sh.grid.cell_key(c)[0]);
-                match run_boundary {
-                    Some(prev) if prev == b => {}
-                    Some(prev) => {
-                        let slots = sh.grid.slots_of_cells(run_start..c);
-                        if prev {
-                            sh.boundary_slots.push(slots);
-                        } else {
-                            sh.interior_slots.push(slots);
-                        }
-                        run_start = c;
-                        run_boundary = Some(b);
-                    }
-                    None => run_boundary = Some(b),
-                }
-            }
-            if let Some(prev) = run_boundary {
-                let slots = sh.grid.slots_of_cells(run_start..cells.end);
-                if prev {
-                    sh.boundary_slots.push(slots);
-                } else {
-                    sh.interior_slots.push(slots);
-                }
-            }
-        }
-        stages.add(Stage::BuildStructure, t_classify.elapsed().as_secs_f64());
-
-        // --- boundary phase: update + scatter every shard's boundary
-        // windows, staging cell-changing points for the sideline. After
-        // this loop the mover set of the whole iteration is complete.
-        staged.clear();
-        let mut first_term = true;
-        let mut update_secs = 0.0f64;
-        let mut exchange_secs = 0.0f64;
-        for (s, sh) in shards.iter_mut().enumerate() {
-            let t_update = std::time::Instant::now();
-            for wi in 0..sh.boundary_slots.len() {
-                let window = sh.boundary_slots[wi].clone();
-                let pass = ShardPass {
-                    slots: window,
-                    outer_dirty: (use_inc && *dirty_armed).then_some(&outer_dirty[..]),
-                    reuse_cell_skip: sh.skip_ready,
-                };
-                let (ft, c) = egg_update_host(
-                    exec,
-                    &sh.grid,
-                    &sh.coords,
-                    &mut sh.next,
-                    epsilon,
-                    options,
-                    &mut sh.chunk_stats,
-                    if use_inc { Some(&mut sh.state) } else { None },
-                    Some(&pass),
-                );
-                first_term &= ft;
-                counters.merge(&c);
-                sh.skip_ready = use_inc;
-            }
-            update_secs += t_update.elapsed().as_secs_f64();
-            let t_scatter = std::time::Instant::now();
-            for wi in 0..sh.boundary_slots.len() {
-                for slot in sh.boundary_slots[wi].clone() {
-                    let lp = sh.grid.point_order()[slot] as usize;
-                    let g = members[s][lp] as usize;
-                    let row = &sh.next[lp * dim..(lp + 1) * dim];
-                    coords_next[g * dim..(g + 1) * dim].copy_from_slice(row);
-                    if use_inc {
-                        global_moved[g] = sh.state.moved[lp];
-                        global_confined[g] = sh.state.confined[lp];
-                    }
-                    let new_c0 = geometry.cell_coord(row[0]) as u32;
-                    let old_c0 = point_c0[g];
-                    if new_c0 != old_c0 {
-                        point_c0[g] = new_c0;
-                        staged.push(StagedMover {
-                            point: g as u32,
-                            old_c0,
-                            new_c0,
-                        });
-                    }
-                }
-            }
-            exchange_secs += t_scatter.elapsed().as_secs_f64();
-        }
-
-        // --- overlap: the sideline turns staged movers into the sorted
-        // exchange buffer and pre-merges next iteration's member lists
-        // while this thread computes the interior windows.
-        let overlap_base = sideline.busy_seconds();
-        exchange.clear();
-        let mut overlap_job = {
-            let exchange: &mut Vec<ExchangeEntry> = &mut *exchange;
-            let merge: &mut Vec<MergeState> = &mut *merge;
-            let staged: &[StagedMover] = &*staged;
-            move || {
-                for m in staged {
-                    for s2 in 0..plan.count() {
-                        let was = plan.is_resident(s2, m.old_c0 as u64);
-                        let is = plan.is_resident(s2, m.new_c0 as u64);
-                        if was != is {
-                            exchange.push(ExchangeEntry {
-                                shard: s2 as u32,
-                                point: m.point,
-                                insert: is,
-                            });
-                        }
-                    }
-                }
-                // entries are unique per (shard, point), so the sorted
-                // order is independent of the staging order above
-                exchange.sort_unstable();
-                let mut i = 0usize;
-                for (s, ms) in merge.iter_mut().enumerate() {
-                    let lo = i;
-                    while i < exchange.len() && exchange[i].shard as usize == s {
-                        i += 1;
-                    }
-                    let edits = &exchange[lo..i];
-                    ms.pending = !edits.is_empty();
-                    if edits.is_empty() {
-                        continue;
-                    }
-                    // same sequential splice as the serial apply, into the
-                    // pre-merge buffer; applied by swap next iteration
-                    let mem = &members[s];
-                    ms.buf.clear();
-                    let mut mi = 0usize;
-                    for e in edits {
-                        while mi < mem.len() && mem[mi] < e.point {
-                            ms.buf.push(mem[mi]);
-                            mi += 1;
-                        }
-                        if e.insert {
-                            debug_assert!(mi >= mem.len() || mem[mi] != e.point);
-                            ms.buf.push(e.point);
-                        } else {
-                            debug_assert!(mi < mem.len() && mem[mi] == e.point);
-                            mi += 1;
-                        }
-                    }
-                    ms.buf.extend_from_slice(&mem[mi..]);
-                }
-            }
-        };
-        // SAFETY: `wait` is called below, before `exchange`, `merge` or
-        // `staged` are touched again and before any captured borrow ends
-        unsafe { sideline.start(&mut overlap_job) };
-
-        // --- interior phase, concurrent with the sideline job ------------
-        for (s, sh) in shards.iter_mut().enumerate() {
-            let t_update = std::time::Instant::now();
-            for wi in 0..sh.interior_slots.len() {
-                let window = sh.interior_slots[wi].clone();
-                let pass = ShardPass {
-                    slots: window,
-                    outer_dirty: (use_inc && *dirty_armed).then_some(&outer_dirty[..]),
-                    reuse_cell_skip: sh.skip_ready,
-                };
-                let (ft, c) = egg_update_host(
-                    exec,
-                    &sh.grid,
-                    &sh.coords,
-                    &mut sh.next,
-                    epsilon,
-                    options,
-                    &mut sh.chunk_stats,
-                    if use_inc { Some(&mut sh.state) } else { None },
-                    Some(&pass),
-                );
-                first_term &= ft;
-                counters.merge(&c);
-                sh.skip_ready = use_inc;
-            }
-            update_secs += t_update.elapsed().as_secs_f64();
-            let t_scatter = std::time::Instant::now();
-            for wi in 0..sh.interior_slots.len() {
-                for slot in sh.interior_slots[wi].clone() {
-                    let lp = sh.grid.point_order()[slot] as usize;
-                    let g = members[s][lp] as usize;
-                    let row = &sh.next[lp * dim..(lp + 1) * dim];
-                    coords_next[g * dim..(g + 1) * dim].copy_from_slice(row);
-                    if use_inc {
-                        global_moved[g] = sh.state.moved[lp];
-                        global_confined[g] = sh.state.confined[lp];
-                    }
-                    let new_c0 = geometry.cell_coord(row[0]) as u32;
-                    let old_c0 = point_c0[g];
-                    if new_c0 != old_c0 {
-                        point_c0[g] = new_c0;
-                        // an interior cell is > reach cells from every
-                        // resident endpoint: the move cannot flip residency
-                        debug_assert!(
-                            (0..plan.count()).all(|s2| {
-                                plan.is_resident(s2, old_c0 as u64)
-                                    == plan.is_resident(s2, new_c0 as u64)
-                            }),
-                            "interior cell produced a halo mover"
-                        );
-                    }
-                }
-            }
-            exchange_secs += t_scatter.elapsed().as_secs_f64();
-        }
-        stages.add(Stage::Update, update_secs);
-
-        // --- second term on state t, only when the first survived; needs
-        // every owned point's confined flag, hence after both phases.
-        let mut done = false;
-        if first_term {
-            let t_check = std::time::Instant::now();
-            let second = shards.iter().all(|sh| {
-                second_term_holds_host_range(
-                    exec,
-                    &sh.grid,
-                    &sh.coords,
-                    epsilon,
-                    if use_inc {
-                        Some(&sh.state.confined[..])
-                    } else {
-                        None
-                    },
-                    options.use_simd,
-                    sh.owned_slots.clone(),
-                )
-            });
-            stages.add(Stage::ExtraCheck, t_check.elapsed().as_secs_f64());
-            done = second;
-        }
-
-        // --- tail: dirty flags from the complete mover set, then join the
-        // sideline and count its (already sorted) exchange entries.
-        let t_tail = std::time::Instant::now();
-        if use_inc {
-            outer_dirty.clear();
-            outer_dirty.resize(geometry.outer_cells, false);
-            for (g, &m) in global_moved.iter().enumerate() {
-                if m {
-                    let cur = &coords_cur[g * dim..(g + 1) * dim];
-                    let nxt = &coords_next[g * dim..(g + 1) * dim];
-                    outer_dirty[geometry.outer_id_of_point(cur)] = true;
-                    outer_dirty[geometry.outer_id_of_point(nxt)] = true;
-                }
-            }
-            *dirty_armed = true;
-        }
-        sideline.wait();
-        // the job's captured borrows of `exchange`/`merge` end here
-        let _ = overlap_job;
-        counters.halo_movers += exchange.len() as u64;
-        std::mem::swap(coords_cur, coords_next);
-        exchange_secs += t_tail.elapsed().as_secs_f64();
-        stages.add(Stage::HaloExchange, exchange_secs);
-        stages.add(Stage::HaloOverlap, sideline.busy_seconds() - overlap_base);
 
         ShardIteration {
             done,
@@ -852,7 +441,7 @@ impl ShardedEngine {
             }
             sh.membership_changed = true;
             let members = &mut self.members[s];
-            let scratch = &mut self.merge[s].buf;
+            let scratch = &mut self.merge_scratch;
             scratch.clear();
             let mut mi = 0usize;
             for e in edits {
@@ -872,21 +461,6 @@ impl ShardedEngine {
             std::mem::swap(members, scratch);
         }
         self.exchange.clear();
-    }
-
-    /// Apply the sideline's pre-merged member lists: an O(1) swap per
-    /// edited shard. The splice itself already ran (overlapped) inside
-    /// the previous iteration, against these exact pre-edit lists.
-    fn apply_premerged(&mut self) {
-        for (s, ms) in self.merge.iter_mut().enumerate() {
-            if ms.pending {
-                std::mem::swap(&mut self.members[s], &mut ms.buf);
-                ms.pending = false;
-                self.shards[s].membership_changed = true;
-            }
-        }
-        self.exchange.clear();
-        self.staged.clear();
     }
 
     /// Gather: non-empty cells of the certified grids are the clusters.

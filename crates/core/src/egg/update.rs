@@ -133,14 +133,6 @@ pub struct UpdateOptions {
     /// environment variable is set (the CI leg exercising the scoped
     /// oracle end to end).
     pub use_pooled_exec: bool,
-    /// Pipeline the sharded engine's iterations: update each shard's
-    /// halo-adjacent boundary cells first, then overlap the interior
-    /// update with halo-mover collection and edit-buffer merging on a
-    /// sideline thread. The exchange buffer is sorted before application
-    /// either way, so the overlap changes scheduling only, never bits.
-    /// Inert when `num_shards == 1`. Defaults to on unless
-    /// `EGG_FORCE_SCOPED` is set (one switch flips both oracles).
-    pub use_pipelined_shards: bool,
 }
 
 /// Process-wide default for [`UpdateOptions::use_simd`]: on, unless the
@@ -188,7 +180,6 @@ impl Default for UpdateOptions {
             num_shards: shards_default(),
             use_fused_kernels: fused_default(),
             use_pooled_exec: crate::exec::pooled_default(),
-            use_pipelined_shards: crate::exec::pooled_default(),
         }
     }
 }
@@ -648,14 +639,6 @@ pub struct ShardPass<'a> {
     /// Replaces the shard-local [`IncrementalState::outer_dirty`], which
     /// cannot see movers outside the shard's residents.
     pub outer_dirty: Option<&'a [bool]>,
-    /// Reuse the cell-skip verdicts already present in the incremental
-    /// state instead of clearing and recomputing them. Set by callers
-    /// that split one shard's pass into several slot windows (the
-    /// pipelined boundary/interior split): the first window computes the
-    /// verdicts for **all** cells of the grid, later windows reuse them.
-    /// The verdicts are a pure function of `outer_dirty`, so reuse is
-    /// bitwise-neutral; it only drops the redundant marking dispatches.
-    pub reuse_cell_skip: bool,
 }
 
 /// Host-engine counterpart of [`egg_update`]: move every point of `coords`
@@ -762,23 +745,14 @@ fn update_host<const LIST: usize>(
         slots.len().div_ceil(POINT_CHUNK),
         (true, UpdateCounters::default()),
     );
-    let reuse_skip = shard.is_some_and(|sh| sh.reuse_cell_skip);
     // `(active, cell_skip, moved writer, confined writer)` when incremental
     let inc = match state {
         Some(s) => {
             s.moved.resize(n, false);
             s.confined.resize(n, false);
             let num_cells = grid.num_cells();
-            if reuse_skip {
-                debug_assert_eq!(
-                    s.cell_skip.len(),
-                    num_cells,
-                    "reuse_cell_skip without a prior pass over this grid"
-                );
-            } else {
-                s.cell_skip.clear();
-                s.cell_skip.resize(num_cells, false);
-            }
+            s.cell_skip.clear();
+            s.cell_skip.resize(num_cells, false);
             // Sharded passes see movers outside their resident set only
             // through the global dirty flags, so those override the
             // shard-local history (which is never armed).
@@ -786,7 +760,7 @@ fn update_host<const LIST: usize>(
                 Some(sh) => (sh.outer_dirty.is_some(), sh.outer_dirty.unwrap_or(&[])),
                 None => (s.active, &s.outer_dirty),
             };
-            if skip_active && !reuse_skip {
+            if skip_active {
                 // a cell may be skipped iff no outer cell in the surround
                 // of its own outer cell is dirty — then no mover's old or
                 // new position lies within the ε-reach of any of its points

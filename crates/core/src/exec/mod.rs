@@ -49,9 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-mod sideline;
-pub use sideline::Sideline;
-
 /// A shared view over a mutable slice that lets parallel chunk closures
 /// scatter-write to caller-proven **disjoint** index ranges.
 ///

@@ -464,29 +464,6 @@ impl ShardPlan {
             }
         }
     }
-
-    /// Whether a point in a cell with leading coordinate `c0` could change
-    /// any shard's residency within **one** update step — the *boundary*
-    /// cells of the pipelined shard iteration; everything else is
-    /// *interior* and provably produces no halo movers.
-    ///
-    /// One update step displaces a point along any axis by the average of
-    /// `sin(q_i − p_i)` terms over its ε-neighbors, each bounded by
-    /// `min(ε, 1) < ε + δ ≤ reach · cell_width`, so the new leading cell
-    /// lies within `reach` cells of the old. A residency flip requires
-    /// old and new leading coordinates to straddle a resident-range
-    /// endpoint, which is impossible when the old coordinate is more than
-    /// `reach` cells from every endpoint; `reach + 1` adds one guard cell
-    /// of slack (the interior scatter debug-asserts the claim).
-    #[inline]
-    pub fn near_resident_boundary(&self, c0: u64) -> bool {
-        let margin = self.reach as u64 + 1;
-        (0..self.count).any(|s| {
-            let r = self.resident(s);
-            (c0 + margin >= r.start && c0 <= r.start + margin)
-                || (c0 + margin >= r.end && c0 <= r.end + margin)
-        })
-    }
 }
 
 #[cfg(test)]

@@ -36,10 +36,10 @@ pub enum Stage {
     /// wall-clock stages above, so excluded from
     /// [`StageTimings::total`]. The number the persistent pool shrinks.
     ExecDispatch,
-    /// Diagnostic: seconds the shard pipeline's sideline worker spent on
-    /// halo-mover collection and edit-buffer merging *concurrently with*
-    /// interior compute — overlapped time, excluded from
-    /// [`StageTimings::total`]. Zero on serial (non-pipelined) runs.
+    /// Diagnostic with no producer: always zero, because the sharded
+    /// iteration is bulk-synchronous. It stays because committed ledger
+    /// rows carry a `halo_overlap` column, which timed an overlap thread
+    /// the engine no longer has. Excluded from [`StageTimings::total`].
     HaloOverlap,
 }
 
@@ -59,8 +59,8 @@ impl Stage {
     ];
 
     /// The wall-clock stages that partition a run's elapsed time; the
-    /// diagnostic tail of [`Stage::ALL`] (dispatch overhead, overlapped
-    /// sideline time) is measured *inside* these and would double-count.
+    /// diagnostic tail of [`Stage::ALL`] (dispatch overhead, halo overlap)
+    /// is measured *inside* these and would double-count.
     pub const WALL_CLOCK: usize = 7;
 
     /// Column header as printed in Table 1.

@@ -168,6 +168,9 @@ fn cmd_outliers(args: &[String]) -> Result<(), String> {
     let data = load_input(&flags, !flags.present("--no-normalize"))?;
     let epsilon = parse_epsilon(&flags, "--epsilon <e> is required")?;
     let threshold: f64 = flags.parsed("--threshold")?.unwrap_or(0.9);
+    if !threshold.is_finite() {
+        return Err(format!("--threshold must be finite, got {threshold}"));
+    }
     let detection = detect_outliers(&data, epsilon);
     let hits = detection.outliers(threshold);
     println!(
@@ -195,6 +198,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         seed: flags.parsed("--seed")?.unwrap_or(42),
         ..GaussianSpec::default()
     };
+    if spec.dim == 0 {
+        return Err("--dim must be positive".into());
+    }
+    if spec.clusters == 0 {
+        return Err("--clusters must be positive".into());
+    }
+    if !(spec.std_dev.is_finite() && spec.std_dev >= 0.0) {
+        return Err(format!(
+            "--std must be finite and non-negative, got {}",
+            spec.std_dev
+        ));
+    }
     let path = flags
         .value("--output")
         .ok_or("--output <csv> is required")?;

@@ -232,3 +232,52 @@ fn invalid_epsilon_is_a_usage_error() {
         }
     }
 }
+
+#[test]
+fn invalid_generate_arguments_are_usage_errors() {
+    let path = temp_path("generate_checks.csv");
+    for (flag, value) in [
+        ("--dim", "0"),
+        ("--clusters", "0"),
+        ("--std", "-1"),
+        ("--std", "nan"),
+        ("--std", "inf"),
+    ] {
+        let out = cli()
+            .args([
+                "generate",
+                "--n",
+                "50",
+                flag,
+                value,
+                "--output",
+                path.to_str().unwrap(),
+            ])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn non_finite_threshold_is_a_usage_error() {
+    let path = temp_path("threshold_checks.csv");
+    std::fs::write(&path, "0.1,0.1\n0.2,0.2\n0.8,0.8\n").expect("write csv");
+    let out = cli()
+        .args([
+            "outliers",
+            "--input",
+            path.to_str().unwrap(),
+            "--epsilon",
+            "0.05",
+            "--threshold",
+            "nan",
+        ])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--threshold"), "{stderr}");
+}

@@ -671,17 +671,16 @@ proptest! {
     }
 
     #[test]
-    fn dispatch_and_pipeline_modes_are_bitwise_invisible(
+    fn dispatch_modes_are_bitwise_invisible(
         raw in prop::collection::vec(0.0f64..=1.0, 48..=240),
         dim in 2usize..=6,
         variant_pick in 0usize..=3,
     ) {
-        // the scheduling contract of PR 10: the pooled executor and the
-        // pipelined shard iteration reorder *when* work happens — never
-        // what it computes. For every shard count, worker count and grid
-        // variant, flipping either toggle (or both) against the
-        // scoped/serial oracle must leave labels, iteration count, final
-        // coordinate bits and the work counters untouched
+        // the scheduling contract of the worker pool: pooled dispatch
+        // reorders *when* work happens — never what it computes. For every
+        // shard count, worker count and grid variant, flipping it against
+        // the scoped oracle must leave labels, iteration count, final
+        // coordinate bits and every work counter untouched
         use egg_sync::core::egg::update::UpdateOptions;
         use egg_sync::core::grid::MAX_OUTER_CELLS;
         let coords: Vec<f64> = raw[..raw.len() / dim * dim].to_vec();
@@ -704,43 +703,33 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for shards in [1usize, 2, 4] {
             for workers in [1usize, 4, 8] {
-                let run_with = |pooled: bool, pipelined: bool| {
+                let run_with = |pooled: bool| {
                     let mut algo = EggSync::host(eps, Some(workers));
                     algo.variant = variant;
                     algo.options = UpdateOptions {
                         num_shards: shards,
                         use_pooled_exec: pooled,
-                        use_pipelined_shards: pipelined,
                         ..UpdateOptions::default()
                     };
                     algo.cluster(&data)
                 };
-                let oracle = run_with(false, false);
-                for (pooled, pipelined) in [(true, false), (false, true), (true, true)] {
-                    let run = run_with(pooled, pipelined);
-                    let ctx = format!(
-                        "S={shards} workers={workers} pooled={pooled} \
-                         pipelined={pipelined} {variant:?}"
-                    );
-                    prop_assert_eq!(&run.labels, &oracle.labels, "labels {}", &ctx);
-                    prop_assert_eq!(run.iterations, oracle.iterations, "iterations {}", &ctx);
-                    prop_assert_eq!(
-                        bits(run.final_coords.coords()),
-                        bits(oracle.final_coords.coords()),
-                        "coords {}", &ctx
-                    );
-                    // same shard count on both sides, so every work
-                    // counter must match exactly (exec_dispatches is the
-                    // exception by design: the pipelined schedule issues
-                    // one dispatch per window rather than per shard)
-                    let (a, b) = (&run.trace.update_counters, &oracle.trace.update_counters);
-                    prop_assert_eq!(a.point_pairs, b.point_pairs, "point_pairs {}", &ctx);
-                    prop_assert_eq!(a.cells_skipped, b.cells_skipped, "cells_skipped {}", &ctx);
-                    prop_assert_eq!(a.moved_points, b.moved_points, "moved_points {}", &ctx);
-                    prop_assert_eq!(a.dirty_cells, b.dirty_cells, "dirty_cells {}", &ctx);
-                    prop_assert_eq!(a.halo_movers, b.halo_movers, "halo_movers {}", &ctx);
-                    prop_assert_eq!(a.summary_cells, b.summary_cells, "summary_cells {}", &ctx);
-                }
+                let oracle = run_with(false);
+                let run = run_with(true);
+                let ctx = format!("S={shards} workers={workers} {variant:?}");
+                prop_assert_eq!(&run.labels, &oracle.labels, "labels {}", &ctx);
+                prop_assert_eq!(run.iterations, oracle.iterations, "iterations {}", &ctx);
+                prop_assert_eq!(
+                    bits(run.final_coords.coords()),
+                    bits(oracle.final_coords.coords()),
+                    "coords {}", &ctx
+                );
+                // same shard count on both sides, so every work counter
+                // must match exactly, down to the number of dispatches
+                prop_assert_eq!(
+                    run.trace.update_counters,
+                    oracle.trace.update_counters,
+                    "counters {}", &ctx
+                );
             }
         }
     }
