@@ -6,8 +6,6 @@
 //!   cells be consumed without touching their points,
 //! * the **precomputed surrounding non-empty cells** (§4.2.5) that stop
 //!   threads from probing empty space,
-//! * the per-point **trig tables** that replace every per-pair
-//!   `sin(q − p)` in the partial-cell path with an angle-addition FMA,
 //! * the **incremental grid maintenance** that re-bins only movers and
 //!   skips cells whose whole ε-reach is stationary, and
 //! * the **SIMD lane kernels** that stripe four trig-table rows per step
@@ -28,12 +26,11 @@ fn bench_toggles(c: &mut Criterion) {
     let data = default_synthetic(scaled(2_000));
     let mut group = c.benchmark_group("egg_ablation");
     group.sample_size(10);
-    for (label, use_summaries, use_pregrid, use_trig_tables) in [
-        ("full", true, true, true),
-        ("no_trig_tables", true, true, false),
-        ("no_summaries", false, true, true),
-        ("no_pregrid", true, false, true),
-        ("none", false, false, false),
+    for (label, use_summaries, use_pregrid) in [
+        ("full", true, true),
+        ("no_summaries", false, true),
+        ("no_pregrid", true, false),
+        ("none", false, false),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
@@ -41,7 +38,6 @@ fn bench_toggles(c: &mut Criterion) {
                 algo.options = UpdateOptions {
                     use_summaries,
                     use_pregrid,
-                    use_trig_tables,
                     ..UpdateOptions::default()
                 };
                 algo.cluster(&data)
@@ -447,37 +443,9 @@ fn bench_pooled_dispatch_100k_d4(c: &mut Criterion) {
     }
 }
 
-fn bench_trig_tables_100k_d4(c: &mut Criterion) {
-    let n = scaled(100_000);
-    let data = egg_data::generator::GaussianSpec {
-        n,
-        dim: 4,
-        ..egg_data::generator::GaussianSpec::default()
-    }
-    .generate_normalized()
-    .0;
-    let eps = 0.2;
-    let mut group = c.benchmark_group("egg_trig_tables_100k_d4");
-    group.sample_size(10);
-    for (label, use_trig_tables) in [("trig_tables", true), ("per_pair_sin", false)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut algo = EggSync::host(eps, Some(1));
-                algo.options = UpdateOptions {
-                    use_trig_tables,
-                    ..UpdateOptions::default()
-                };
-                algo.cluster(&data)
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_toggles,
-    bench_trig_tables_100k_d4,
     bench_pooled_dispatch_100k_d4,
     bench_simd_update_100k_d4,
     bench_incremental_grid_100k_d4

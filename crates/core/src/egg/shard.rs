@@ -64,7 +64,9 @@ use crate::result::Clustering;
 
 use super::algorithm::EggSync;
 use super::termination::second_term_holds_host_range;
-use super::update::{egg_update_host, IncrementalState, ShardPass, UpdateOptions};
+use super::update::{
+    egg_update_host, mark_moved_outers, IncrementalState, ShardPass, UpdateOptions,
+};
 
 /// One membership edit queued for a shard: insert or remove global point
 /// `point` from shard `shard`'s member list. The derived order —
@@ -405,22 +407,18 @@ impl ShardedEngine {
     }
 
     /// Rebuild the global outer-dirty flags from the complete mover set —
-    /// same rule as `IncrementalState::finish_pass`, over ALL points.
+    /// the rule of `IncrementalState::finish_pass`, over ALL points.
     fn rebuild_outer_dirty(&mut self) {
         if !self.options.use_incremental {
             return;
         }
-        let dim = self.dim;
-        self.outer_dirty.clear();
-        self.outer_dirty.resize(self.geometry.outer_cells, false);
-        for (g, &m) in self.global_moved.iter().enumerate() {
-            if m {
-                let cur = &self.coords_cur[g * dim..(g + 1) * dim];
-                let nxt = &self.coords_next[g * dim..(g + 1) * dim];
-                self.outer_dirty[self.geometry.outer_id_of_point(cur)] = true;
-                self.outer_dirty[self.geometry.outer_id_of_point(nxt)] = true;
-            }
-        }
+        mark_moved_outers(
+            &mut self.outer_dirty,
+            &self.geometry,
+            &self.global_moved,
+            &self.coords_cur,
+            &self.coords_next,
+        );
         self.dirty_armed = true;
     }
 
@@ -528,13 +526,7 @@ pub(crate) fn cluster_host_sharded(
         }
     }
 
-    let (labels, gather_secs) = timed(|| {
-        if iterations > 0 {
-            engine.gather()
-        } else {
-            Vec::new()
-        }
-    });
+    let (labels, gather_secs) = timed(|| engine.gather());
     trace.stages.add(Stage::Clustering, gather_secs);
 
     let final_coords = Dataset::from_coords(engine.take_final_coords(), dim);

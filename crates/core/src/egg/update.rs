@@ -5,13 +5,13 @@
 //! surrounding outer cells of its point's outer cell (§4.2.5) and, for
 //! every inner cell, classifies it against the ε-ball:
 //!
-//! * **fully inside** (farthest corner within ε): consume the cell's
-//!   precomputed Σsin/Σcos via the angle-addition identity — no point
-//!   access at all (§4.3.1);
+//! * **fully inside** (farthest corner of its point MBR within ε): consume
+//!   the cell's precomputed Σsin/Σcos via the angle-addition identity — no
+//!   point access at all (§4.3.1);
 //! * **partially overlapping** (nearest corner within ε): fall back to the
-//!   points of that cell — by default through the per-point trig table and
-//!   the same angle-addition identity, so the inner loop is pure
-//!   multiply-add with no transcendentals;
+//!   points of that cell — through the per-point trig table and the same
+//!   angle-addition identity, so the inner loop is pure multiply-add with
+//!   no transcendentals;
 //! * **disjoint**: skip.
 //!
 //! The kernel simultaneously evaluates the *first term* of the exact
@@ -65,13 +65,6 @@ pub struct UpdateOptions {
     /// When off, enumerate all geometric surroundings and test emptiness
     /// inline.
     pub use_pregrid: bool,
-    /// Consume the per-point trig table via the angle-addition identity
-    /// `sin(q−p) = sin q · cos p − cos q · sin p` on the partial-cell
-    /// path, instead of evaluating `sin(q_i − p_i)` per pair per
-    /// dimension. When off, the inner loop calls `sin` directly (the
-    /// pre-optimization behavior, bit-compatible with a brute-force
-    /// update).
-    pub use_trig_tables: bool,
     /// Maintain the grid incrementally across iterations (re-bin only
     /// cell-changing movers, refresh summaries/trig rows only for dirty
     /// cells, patch the preGrid only on emptiness flips) and skip the
@@ -86,22 +79,9 @@ pub struct UpdateOptions {
     /// **exact** (lane distances accumulate dimension-major, matching the
     /// scalar chain bitwise); only the pair-term sum is reassociated
     /// across lanes, so results agree with the scalar oracle to ~1e-9.
-    /// Output is still bitwise identical across worker counts. Requires
-    /// `use_trig_tables`; without it this flag is inert. Defaults to on
-    /// unless the `EGG_FORCE_SCALAR` environment variable is set.
+    /// Output is still bitwise identical across worker counts. Defaults to
+    /// on unless the `EGG_FORCE_SCALAR` environment variable is set.
     pub use_simd: bool,
-    /// Classify cells against the ε-ball through their *point MBRs*
-    /// instead of their grid boxes. Exact: a cell's points all lie inside
-    /// its MBR, so `max_dist(p, MBR) ≤ ε` still certifies every member as
-    /// a neighbor (consume the summary) and `min_dist(p, MBR) > ε` still
-    /// certifies none is (skip the cell). On tightly clustered data —
-    /// where a cell's occupied spread is far below the cell width, and
-    /// increasingly so as synchronization contracts each cluster — this
-    /// collapses the quadratic partial-cell pair term into O(1) summary
-    /// consumption. Changes which cells take which path, hence the
-    /// summation order; results agree with the box-classified oracle to
-    /// ~1e-9 and remain bitwise identical across worker counts.
-    pub use_cell_bounds: bool,
     /// Shard the host engine's domain along the leading grid dimension
     /// into this many regions, each owning its own [`CellGrid`] over its
     /// resident (owned + ε-halo) points, with halo movers exchanged
@@ -161,7 +141,7 @@ fn shards_default() -> usize {
 /// Process-wide default for [`UpdateOptions::use_fused_kernels`] — and for
 /// [`crate::grid::GridWorkspace`]'s pipeline selection: on, unless the
 /// `EGG_FORCE_UNFUSED` environment variable is set (the CI leg that
-/// exercises the unfused oracle end to end). Cached like [`simd_default`]
+/// exercises the unfused oracle end to end). Cached like `simd_default`
 /// so defaults stay allocation-free.
 pub fn fused_default() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -173,10 +153,8 @@ impl Default for UpdateOptions {
         Self {
             use_summaries: true,
             use_pregrid: true,
-            use_trig_tables: true,
             use_incremental: true,
             use_simd: simd_default(),
-            use_cell_bounds: true,
             num_shards: shards_default(),
             use_fused_kernels: fused_default(),
             use_pooled_exec: crate::exec::pooled_default(),
@@ -235,16 +213,29 @@ impl IncrementalState {
     /// its old reach entirely, so both ends must invalidate skips) and
     /// arm the skip logic for the next pass.
     pub fn finish_pass(&mut self, geo: &GridGeometry, cur: &[f64], next: &[f64]) {
-        let dim = geo.dim;
-        self.outer_dirty.clear();
-        self.outer_dirty.resize(geo.outer_cells, false);
-        for (p, &m) in self.moved.iter().enumerate() {
-            if m {
-                self.outer_dirty[geo.outer_id_of_point(&cur[p * dim..(p + 1) * dim])] = true;
-                self.outer_dirty[geo.outer_id_of_point(&next[p * dim..(p + 1) * dim])] = true;
-            }
-        }
+        mark_moved_outers(&mut self.outer_dirty, geo, &self.moved, cur, next);
         self.active = true;
+    }
+}
+
+/// Reset `outer_dirty` to one clear flag per outer cell of `geo`, then set
+/// the flags of the outer cells holding the old (`cur`) and the new
+/// (`next`) position of every point flagged in `moved`.
+pub(crate) fn mark_moved_outers(
+    outer_dirty: &mut Vec<bool>,
+    geo: &GridGeometry,
+    moved: &[bool],
+    cur: &[f64],
+    next: &[f64],
+) {
+    let dim = geo.dim;
+    outer_dirty.clear();
+    outer_dirty.resize(geo.outer_cells, false);
+    for (p, &m) in moved.iter().enumerate() {
+        if m {
+            outer_dirty[geo.outer_id_of_point(&cur[p * dim..(p + 1) * dim])] = true;
+            outer_dirty[geo.outer_id_of_point(&next[p * dim..(p + 1) * dim])] = true;
+        }
     }
 }
 
@@ -421,68 +412,46 @@ pub fn egg_update(
                 return;
             }
         }
+        // same coordinates the table was built from — identical bits
         let (mut sin_p, mut cos_p) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
-        if options.use_trig_tables {
-            // same coordinates the table was built from — identical bits
-            match lanes {
-                Some(l) => {
-                    for i in 0..dim {
-                        let at = LaneTables::at(entry, dim, i);
-                        sin_p[i] = l.sin.load_coalesced(at);
-                        cos_p[i] = l.cos.load_coalesced(at);
-                    }
-                }
-                None => {
-                    for i in 0..dim {
-                        sin_p[i] = grid.trig_sin.load(p_idx * dim + i);
-                        cos_p[i] = grid.trig_cos.load(p_idx * dim + i);
-                    }
+        match lanes {
+            Some(l) => {
+                for i in 0..dim {
+                    let at = LaneTables::at(entry, dim, i);
+                    sin_p[i] = l.sin.load_coalesced(at);
+                    cos_p[i] = l.cos.load_coalesced(at);
                 }
             }
-        } else {
-            for i in 0..dim {
-                sin_p[i] = p[i].sin();
-                cos_p[i] = p[i].cos();
+            None => {
+                for i in 0..dim {
+                    sin_p[i] = grid.trig_sin.load(p_idx * dim + i);
+                    cos_p[i] = grid.trig_cos.load(p_idx * dim + i);
+                }
             }
         }
         let c_oid = geo.outer_id_of_point(&p[..dim]);
 
         let mut sums = [0.0f64; MAX_DIM];
         let mut neighbors = 0u64;
-        let mut cell_coords = [0u64; MAX_DIM];
         let mut local = UpdateCounters::default();
 
         let mut visit_outer = |oid: usize| {
             let cells_lo = seg_start(&grid.o_ends, oid) as usize;
             let cells_hi = grid.o_ends.load(oid) as usize;
             for c in cells_lo..cells_hi {
-                // classify against the point MBR (tight, still exact) or
-                // the grid box, per `options.use_cell_bounds`
-                let fully_within;
-                if options.use_cell_bounds {
-                    let (mut lo, mut hi) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
-                    for i in 0..dim {
-                        lo[i] = grid.c_bounds.load(c * 2 * dim + i);
-                        hi[i] = grid.c_bounds.load(c * 2 * dim + dim + i);
-                    }
-                    if GridGeometry::min_sq_dist_to_bounds(&p[..dim], &lo[..dim], &hi[..dim])
-                        > eps_sq
-                    {
-                        continue;
-                    }
-                    fully_within = options.use_summaries
-                        && GridGeometry::max_sq_dist_to_bounds(&p[..dim], &lo[..dim], &hi[..dim])
-                            <= eps_sq;
-                } else {
-                    for i in 0..dim {
-                        cell_coords[i] = grid.i_ids.load(c * dim + i);
-                    }
-                    if geo.min_sq_dist_to_cell(&p[..dim], &cell_coords[..dim]) > eps_sq {
-                        continue;
-                    }
-                    fully_within = options.use_summaries
-                        && geo.max_sq_dist_to_cell(&p[..dim], &cell_coords[..dim]) <= eps_sq;
+                // classify against the cell's point MBR: tighter than its
+                // grid box and still exact, since its points lie inside
+                let (mut lo, mut hi) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
+                for i in 0..dim {
+                    lo[i] = grid.c_bounds.load(c * 2 * dim + i);
+                    hi[i] = grid.c_bounds.load(c * 2 * dim + dim + i);
                 }
+                if GridGeometry::min_sq_dist_to_bounds(&p[..dim], &lo[..dim], &hi[..dim]) > eps_sq {
+                    continue;
+                }
+                let fully_within = options.use_summaries
+                    && GridGeometry::max_sq_dist_to_bounds(&p[..dim], &lo[..dim], &hi[..dim])
+                        <= eps_sq;
                 if fully_within {
                     for i in 0..dim {
                         sums[i] += cos_p[i] * grid.sin_sums.load(c * dim + i)
@@ -496,7 +465,7 @@ pub fn egg_update(
                     let pts_lo = grid.cell_start(c) as usize;
                     let pts_hi = grid.i_ends.load(c) as usize;
                     local.point_pairs += (pts_hi - pts_lo) as u64;
-                    if options.use_simd && options.use_trig_tables {
+                    if options.use_simd {
                         // Lane accounting mirrors the host SIMD path: on a
                         // real GPU every pair occupies a SIMD lane. Counted
                         // as the minimal whole 4-lane blocks covering the
@@ -513,54 +482,38 @@ pub fn egg_update(
                         // slot through the lane-blocked tables — coalesced,
                         // and with no `i_points` indirection at all
                         for e in pts_lo..pts_hi {
-                            let mut q = [0.0f64; MAX_DIM];
                             let mut dist_sq = 0.0;
                             for i in 0..dim {
-                                q[i] = l.coords.load_coalesced(LaneTables::at(e, dim, i));
-                                let d = q[i] - p[i];
+                                let d = l.coords.load_coalesced(LaneTables::at(e, dim, i)) - p[i];
                                 dist_sq += d * d;
                             }
                             if dist_sq <= eps_sq {
                                 neighbors += 1;
-                                if options.use_trig_tables {
-                                    // sin(q−p) = sin q · cos p − cos q · sin p
-                                    for i in 0..dim {
-                                        let at = LaneTables::at(e, dim, i);
-                                        sums[i] += l.sin.load_coalesced(at) * cos_p[i]
-                                            - l.cos.load_coalesced(at) * sin_p[i];
-                                    }
-                                    local.sin_calls_avoided += dim as u64;
-                                } else {
-                                    for i in 0..dim {
-                                        sums[i] += (q[i] - p[i]).sin();
-                                    }
+                                // sin(q−p) = sin q · cos p − cos q · sin p
+                                for i in 0..dim {
+                                    let at = LaneTables::at(e, dim, i);
+                                    sums[i] += l.sin.load_coalesced(at) * cos_p[i]
+                                        - l.cos.load_coalesced(at) * sin_p[i];
                                 }
+                                local.sin_calls_avoided += dim as u64;
                             }
                         }
                     } else {
                         for e in pts_lo..pts_hi {
                             let q_idx = grid.i_points.load(e) as usize;
-                            let mut q = [0.0f64; MAX_DIM];
                             let mut dist_sq = 0.0;
                             for i in 0..dim {
-                                q[i] = coords.load(q_idx * dim + i);
-                                let d = q[i] - p[i];
+                                let d = coords.load(q_idx * dim + i) - p[i];
                                 dist_sq += d * d;
                             }
                             if dist_sq <= eps_sq {
                                 neighbors += 1;
-                                if options.use_trig_tables {
-                                    // sin(q−p) = sin q · cos p − cos q · sin p
-                                    for i in 0..dim {
-                                        sums[i] += grid.trig_sin.load(q_idx * dim + i) * cos_p[i]
-                                            - grid.trig_cos.load(q_idx * dim + i) * sin_p[i];
-                                    }
-                                    local.sin_calls_avoided += dim as u64;
-                                } else {
-                                    for i in 0..dim {
-                                        sums[i] += (q[i] - p[i]).sin();
-                                    }
+                                // sin(q−p) = sin q · cos p − cos q · sin p
+                                for i in 0..dim {
+                                    sums[i] += grid.trig_sin.load(q_idx * dim + i) * cos_p[i]
+                                        - grid.trig_cos.load(q_idx * dim + i) * sin_p[i];
                                 }
+                                local.sin_calls_avoided += dim as u64;
                             }
                         }
                     }
@@ -636,7 +589,7 @@ pub struct ShardPass<'a> {
     /// Global outer-dirty flags (geometry-indexed, so shareable across
     /// shards read-only) driving the cell-skip logic, or `None` on
     /// passes where skips must not run (first pass, incremental off).
-    /// Replaces the shard-local [`IncrementalState::outer_dirty`], which
+    /// Replaces the shard-local `IncrementalState::outer_dirty`, which
     /// cannot see movers outside the shard's residents.
     pub outer_dirty: Option<&'a [bool]>,
 }
@@ -657,14 +610,13 @@ pub struct ShardPass<'a> {
 ///
 /// The classification against the ε-ball is shared per grid cell. For each
 /// run of consecutive points in one inner cell, a `ReachMemo` on the
-/// chunk's stack walks the reach once and tests every reach cell's box
-/// (its point MBR, or its grid box with `use_cell_bounds` off) against the
-/// run cell's point MBR. A cell no point of the run can reach leaves the
-/// run's candidate list. A cell inside every run point's ε-ball is flagged,
-/// and each point consumes its summary with no test of its own. Only the
-/// straddling cells are still classified per point. The box-vs-box
-/// distances bound every run point's computed distances bit for bit
-/// ([`GridGeometry`]'s `*_between_bounds`), so each cell takes the path
+/// chunk's stack walks the reach once and tests every reach cell's point
+/// MBR against the run cell's point MBR. A cell no point of the run can
+/// reach leaves the run's candidate list. A cell inside every run point's
+/// ε-ball is flagged, and each point consumes its summary with no test of
+/// its own. Only the straddling cells are still classified per point. The
+/// box-vs-box distances bound every run point's computed distances bit for
+/// bit ([`GridGeometry`]'s `*_between_bounds`), so each cell takes the path
 /// the per-point test would give it, in the same order, and output bits and
 /// counters are those of a per-point walk. A run with more candidates than
 /// the list holds takes that per-point walk.
@@ -798,7 +750,6 @@ fn update_host<const LIST: usize>(
         None => None,
     };
     let inc = &inc;
-    let use_lane = options.use_simd && options.use_trig_tables;
     let (lane_sin, lane_cos, lane_coords) = (grid.lane_sin(), grid.lane_cos(), grid.lane_coords());
     // slot s lives at lane index lane_phase + s; a sharded grid sets the
     // phase so lane-block boundaries match the single grid's (see
@@ -814,23 +765,15 @@ fn update_host<const LIST: usize>(
         // run's reach once, replay the verdicts for each of its points
         let mut reach = ReachMemo::<LIST>::new(grid);
         // per-point scratch, sized once per chunk: a point uses `[..dim]`
-        let (mut sin_buf, mut cos_buf) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
         let mut sums = [0.0f64; MAX_DIM];
         // per-dimension lane accumulators of the SIMD pair-term path,
         // reduced into `sums` once after the whole reach walk
         let mut lane_acc = [F64x4::ZERO; MAX_DIM];
-        // the verdict on reach cell `c` for every point of inner cell `run`:
-        // the run's box is its point MBR, the cell's box is the one the
-        // per-point test below uses
-        let (mut box_lo, mut box_hi) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
-        let mut run_verdict = |run: usize, c: usize| {
+        // the verdict on reach cell `c` for every point of inner cell `run`,
+        // from the two cells' point MBRs
+        let run_verdict = |run: usize, c: usize| {
             let (a_lo, a_hi) = grid.cell_bounds(run);
-            let (b_lo, b_hi) = if options.use_cell_bounds {
-                grid.cell_bounds(c)
-            } else {
-                geo.cell_box(grid.cell_key(c), &mut box_lo[..dim], &mut box_hi[..dim]);
-                (&box_lo[..dim], &box_hi[..dim])
-            };
+            let (b_lo, b_hi) = grid.cell_bounds(c);
             if GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) > eps_sq {
                 RunVerdict::Unreachable
             } else if options.use_summaries
@@ -866,16 +809,8 @@ fn update_host<const LIST: usize>(
                     continue;
                 }
             }
-            let (sin_p, cos_p): (&[f64], &[f64]) = if options.use_trig_tables {
-                // `entry` is p's grid-sorted slot, the trig table's index
-                (grid.slot_sin(entry), grid.slot_cos(entry))
-            } else {
-                for i in 0..dim {
-                    sin_buf[i] = p[i].sin();
-                    cos_buf[i] = p[i].cos();
-                }
-                (&sin_buf[..dim], &cos_buf[..dim])
-            };
+            // `entry` is p's grid-sorted slot, the trig table's index
+            let (sin_p, cos_p) = (grid.slot_sin(entry), grid.slot_cos(entry));
             let sums = &mut sums[..dim];
             sums.fill(0.0);
             let lane_acc = &mut lane_acc[..dim];
@@ -890,19 +825,13 @@ fn update_host<const LIST: usize>(
                         // a straddling cell is classified against p itself
                         let fully_within = if covered {
                             true
-                        } else if options.use_cell_bounds {
+                        } else {
                             let (lo, hi) = grid.cell_bounds(c);
                             if GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > eps_sq {
                                 continue;
                             }
                             options.use_summaries
                                 && GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= eps_sq
-                        } else {
-                            let key = grid.cell_key(c);
-                            if geo.min_sq_dist_to_cell(p, key) > eps_sq {
-                                continue;
-                            }
-                            options.use_summaries && geo.max_sq_dist_to_cell(p, key) <= eps_sq
                         };
                         if fully_within {
                             // zipped, not indexed: no bounds checks, and the
@@ -918,7 +847,7 @@ fn update_host<const LIST: usize>(
                             neighbors += len;
                             counters.summary_cells += 1;
                             counters.sin_calls_avoided += dim as u64 * len;
-                        } else if use_lane {
+                        } else if options.use_simd {
                             let slots = grid.cell_range(c);
                             counters.point_pairs += slots.len() as u64;
                             // stripe the cell's slot range in whole lane blocks
@@ -966,26 +895,19 @@ fn update_host<const LIST: usize>(
                                 }
                                 if dist_sq <= eps_sq {
                                     neighbors += 1;
-                                    if options.use_trig_tables {
-                                        let (sin_q, cos_q) =
-                                            (grid.slot_sin(slot), grid.slot_cos(slot));
-                                        // sin(q−p) = sin q · cos p − cos q · sin p
-                                        for i in 0..dim {
-                                            sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
-                                        }
-                                        counters.sin_calls_avoided += dim as u64;
-                                    } else {
-                                        for i in 0..dim {
-                                            sums[i] += (q[i] - p[i]).sin();
-                                        }
+                                    let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
+                                    // sin(q−p) = sin q · cos p − cos q · sin p
+                                    for i in 0..dim {
+                                        sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
                                     }
+                                    counters.sin_calls_avoided += dim as u64;
                                 }
                             }
                         }
                     }
                 },
             );
-            if use_lane {
+            if options.use_simd {
                 // one ordered cross-lane fold per dimension — the sole
                 // reassociation relative to the scalar oracle
                 for i in 0..dim {
@@ -1121,7 +1043,6 @@ mod tests {
             UpdateOptions {
                 use_summaries: false,
                 use_pregrid: true,
-                use_trig_tables: false,
                 ..UpdateOptions::default()
             },
         );
@@ -1140,38 +1061,10 @@ mod tests {
             UpdateOptions {
                 use_summaries: true,
                 use_pregrid: false,
-                use_trig_tables: true,
                 ..UpdateOptions::default()
             },
         );
         assert_close(&got, &expected, 1e-9);
-    }
-
-    #[test]
-    fn trig_table_path_matches_direct_sin() {
-        let coords = cloud(250, 3);
-        let direct = run_update(
-            &coords,
-            3,
-            0.15,
-            GridVariant::Auto,
-            UpdateOptions {
-                use_summaries: true,
-                use_pregrid: true,
-                use_trig_tables: false,
-                ..UpdateOptions::default()
-            },
-        )
-        .0;
-        let tabled = run_update(
-            &coords,
-            3,
-            0.15,
-            GridVariant::Auto,
-            UpdateOptions::default(),
-        )
-        .0;
-        assert_close(&tabled, &direct, 1e-9);
     }
 
     #[test]
@@ -1195,12 +1088,10 @@ mod tests {
             UpdateOptions {
                 use_summaries: false,
                 use_pregrid: true,
-                use_trig_tables: false,
                 ..UpdateOptions::default()
             },
         );
         assert_eq!(off.summary_cells, 0);
-        assert_eq!(off.sin_calls_avoided, 0);
         assert!(off.point_pairs > on.point_pairs);
     }
 
@@ -1289,31 +1180,10 @@ mod tests {
             UpdateOptions {
                 use_summaries: false,
                 use_pregrid: true,
-                use_trig_tables: false,
                 ..UpdateOptions::default()
             },
         );
         assert_close(&got, &expected, 1e-12);
-    }
-
-    #[test]
-    fn host_trig_table_path_matches_direct_sin() {
-        let coords = cloud(400, 2);
-        let direct = run_update_host(
-            &coords,
-            2,
-            0.06,
-            3,
-            UpdateOptions {
-                use_summaries: true,
-                use_pregrid: true,
-                use_trig_tables: false,
-                ..UpdateOptions::default()
-            },
-        )
-        .0;
-        let tabled = run_update_host(&coords, 2, 0.06, 3, UpdateOptions::default()).0;
-        assert_close(&tabled, &direct, 1e-9);
     }
 
     #[test]
@@ -1597,15 +1467,7 @@ mod tests {
         let ablations = [
             UpdateOptions::default(),
             UpdateOptions {
-                use_cell_bounds: false,
-                ..UpdateOptions::default()
-            },
-            UpdateOptions {
                 use_summaries: false,
-                ..UpdateOptions::default()
-            },
-            UpdateOptions {
-                use_trig_tables: false,
                 ..UpdateOptions::default()
             },
             UpdateOptions {

@@ -185,44 +185,11 @@ impl GridGeometry {
         }
     }
 
-    /// Lower corner of a cell along one dimension.
-    #[inline]
-    pub fn cell_lo(&self, coord: u64) -> f64 {
-        coord as f64 * self.cell_width
-    }
-
-    /// Squared distance from `p` to the closest point of the cell with
-    /// coordinates `coords` (0 when `p` is inside).
-    #[inline]
-    pub fn min_sq_dist_to_cell(&self, p: &[f64], coords: &[u64]) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..self.dim {
-            let lo = self.cell_lo(coords[i]);
-            let d = gap(p[i], lo, lo + self.cell_width);
-            acc += d * d;
-        }
-        acc
-    }
-
-    /// Squared distance from `p` to the farthest point of the cell — the
-    /// "cell fully within the ε-ball" test of Algorithm 3.
-    #[inline]
-    pub fn max_sq_dist_to_cell(&self, p: &[f64], coords: &[u64]) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..self.dim {
-            let lo = self.cell_lo(coords[i]);
-            let hi = lo + self.cell_width;
-            let d = (p[i] - lo).abs().max((p[i] - hi).abs());
-            acc += d * d;
-        }
-        acc
-    }
-
     /// Squared distance from `p` to the closest point of the axis-aligned
     /// box `[lo, hi]` (0 when `p` is inside). With a cell's *point* MBR as
-    /// the box this is a tighter — still conservative — edition of
-    /// [`GridGeometry::min_sq_dist_to_cell`]: the points are inside the
-    /// MBR, so a cell whose MBR lies beyond ε provably holds no neighbor.
+    /// the box this is a tighter — still conservative — edition of the
+    /// distance to the cell's grid box: the points are inside the MBR, so
+    /// a cell whose MBR lies beyond ε provably holds no neighbor.
     #[inline]
     pub fn min_sq_dist_to_bounds(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
         let mut acc = 0.0;
@@ -234,13 +201,13 @@ impl GridGeometry {
     }
 
     /// Squared distance from `p` to the farthest point of the box
-    /// `[lo, hi]` — the MBR edition of
-    /// [`GridGeometry::max_sq_dist_to_cell`]. When this is ≤ ε² every
-    /// point of the cell is within ε of `p` (points ⊆ MBR), so consuming
-    /// the cell's Σsin/Σcos summary stays **exact** even though the grid
-    /// box itself straddles the ε-ball. This is what collapses the pair
-    /// term on tightly clustered data, where late-stage cells hold
-    /// near-coincident points whose spread is far below the cell width.
+    /// `[lo, hi]` — the MBR edition of Algorithm 3's "cell fully within the
+    /// ε-ball" test. When this is ≤ ε² every point of the cell is within ε
+    /// of `p` (points ⊆ MBR), so consuming the cell's Σsin/Σcos summary
+    /// stays **exact** even though the grid box itself straddles the
+    /// ε-ball. This is what collapses the pair term on tightly clustered
+    /// data, where late-stage cells hold near-coincident points whose
+    /// spread is far below the cell width.
     #[inline]
     pub fn max_sq_dist_to_bounds(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
         let mut acc = 0.0;
@@ -297,17 +264,6 @@ impl GridGeometry {
             acc += d * d;
         }
         acc
-    }
-
-    /// Write the grid box of the cell with coordinates `coords` into `lo`
-    /// and `hi`: the corners [`GridGeometry::min_sq_dist_to_cell`] and
-    /// [`GridGeometry::max_sq_dist_to_cell`] measure against, bit for bit.
-    #[inline]
-    pub(crate) fn cell_box(&self, coords: &[u64], lo: &mut [f64], hi: &mut [f64]) {
-        for i in 0..self.dim {
-            lo[i] = self.cell_lo(coords[i]);
-            hi[i] = lo[i] + self.cell_width;
-        }
     }
 
     /// Number of surrounding outer cells per dimension (`v = 2·reach + 1`).
@@ -544,21 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_cell_distances() {
-        let g = GridGeometry::new(2, 0.1, 1000, GridVariant::Auto);
-        let cw = g.cell_width;
-        let coords = [3u64, 4u64];
-        // point inside the cell
-        let inside = [3.5 * cw, 4.5 * cw];
-        assert_eq!(g.min_sq_dist_to_cell(&inside, &coords), 0.0);
-        let max_d = g.max_sq_dist_to_cell(&inside, &coords).sqrt();
-        assert!((max_d - (2.0f64).sqrt() * cw / 2.0).abs() < 1e-12);
-        // point one cell to the left
-        let left = [2.5 * cw, 4.5 * cw];
-        assert!((g.min_sq_dist_to_cell(&left, &coords).sqrt() - 0.5 * cw).abs() < 1e-12);
-    }
-
-    #[test]
     fn auto_budget_is_clamped_to_the_directory_cap() {
         // n·d = 20.5M exceeds MAX_OUTER_CELLS; the uncapped heuristic
         // would pick a directory in the (cap, budget] window and the
@@ -584,15 +525,15 @@ mod tests {
     fn bounds_distances_are_tighter_than_cell_distances() {
         let g = GridGeometry::new(2, 0.1, 1000, GridVariant::Auto);
         let cw = g.cell_width;
-        let coords = [3u64, 4u64];
-        // points huddled in the middle 20% of the cell
+        // the grid box of cell (3, 4), and points huddled in its middle 20%
+        let (box_lo, box_hi) = ([3.0 * cw, 4.0 * cw], [4.0 * cw, 5.0 * cw]);
         let lo = [3.4 * cw, 4.4 * cw];
         let hi = [3.6 * cw, 4.6 * cw];
         let p = [1.0 * cw, 4.5 * cw];
         let min_b = GridGeometry::min_sq_dist_to_bounds(&p, &lo, &hi);
         let max_b = GridGeometry::max_sq_dist_to_bounds(&p, &lo, &hi);
-        assert!(min_b >= g.min_sq_dist_to_cell(&p, &coords));
-        assert!(max_b <= g.max_sq_dist_to_cell(&p, &coords));
+        assert!(min_b >= GridGeometry::min_sq_dist_to_bounds(&p, &box_lo, &box_hi));
+        assert!(max_b <= GridGeometry::max_sq_dist_to_bounds(&p, &box_lo, &box_hi));
         assert!((min_b.sqrt() - 2.4 * cw).abs() < 1e-12);
         assert!((max_b.sqrt() - (2.6f64 * 2.6 + 0.1 * 0.1).sqrt() * cw).abs() < 1e-12);
         // a point inside the MBR is at distance 0
@@ -661,10 +602,9 @@ mod tests {
             }
         }
         // random boxes and points in 1–8 dimensions, mixed with the same
-        // boundary values, and grid cells measured through their boxes
+        // boundary values
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        let g = GridGeometry::new(8, 0.2, 1000, GridVariant::Auto);
-        let (mut p, mut lo, mut hi, mut key) = ([0.0; 8], [0.0; 8], [0.0; 8], [0u64; 8]);
+        let (mut p, mut lo, mut hi) = ([0.0; 8], [0.0; 8], [0.0; 8]);
         for _ in 0..20_000 {
             let dim = rng.gen_range(1..=8usize);
             for i in 0..dim {
@@ -681,46 +621,23 @@ mod tests {
                 "p {p:?} in {lo:?}..{hi:?}"
             );
         }
-        for _ in 0..20_000 {
-            for k in &mut key {
-                *k = rng.gen_range(0..g.width as u64);
-            }
-            g.cell_box(&key, &mut lo, &mut hi);
-            for i in 0..8 {
-                let pool = [lo[i], hi[i], lo[i].next_down(), hi[i].next_up()];
-                let fresh = rng.gen_range(0.0..1.0);
-                p[i] = pick(&mut rng, &pool, fresh);
-            }
-            assert_eq!(
-                bits(g.min_sq_dist_to_cell(&p, &key)),
-                bits(branchy_min_sq_dist(&p, &lo, &hi)),
-                "p {p:?} in cell {key:?}"
-            );
-        }
     }
 
     #[test]
     fn box_distances_bound_every_point_of_the_box() {
         let mut rng = StdRng::seed_from_u64(0xb0c5);
-        let g = GridGeometry::new(8, 0.2, 1000, GridVariant::Auto);
         let (mut a_lo, mut a_hi, mut b_lo, mut b_hi) = ([0.0; 8], [0.0; 8], [0.0; 8], [0.0; 8]);
-        let (mut key, mut p) = ([0u64; 8], [0.0; 8]);
+        let mut p = [0.0; 8];
         for _ in 0..4_000 {
             let dim = rng.gen_range(1..=8usize);
             // A: a point MBR, often only ulps wide so that rounding
-            // matters; B: a nearby box of any size, or at d = 8 half the
-            // time the grid box of a nearby cell
-            let on_grid = dim == 8 && rng.gen_range(0..2u32) == 0;
+            // matters; B: a nearby box of any size
             for i in 0..dim {
                 let x = rng.gen_range(0.0..1.0);
                 let width = [0.0, 1e-15, 1e-3, 0.1][rng.gen_range(0..4usize)];
                 (a_lo[i], a_hi[i]) = (x, x + width * rng.gen_range(0.0..1.0));
                 let (u, v) = (x + rng.gen_range(-0.1..0.1), x + rng.gen_range(-0.1..0.1));
                 (b_lo[i], b_hi[i]) = (u.min(v), u.max(v));
-                key[i] = g.cell_coord(u);
-            }
-            if on_grid {
-                g.cell_box(&key, &mut b_lo, &mut b_hi);
             }
             let (a_lo, a_hi) = (&a_lo[..dim], &a_hi[..dim]);
             let (b_lo, b_hi) = (&b_lo[..dim], &b_hi[..dim]);
@@ -747,17 +664,8 @@ mod tests {
                     };
                 }
                 let p = &p[..dim];
-                let (min_p, max_p) = if on_grid {
-                    (
-                        g.min_sq_dist_to_cell(p, &key),
-                        g.max_sq_dist_to_cell(p, &key),
-                    )
-                } else {
-                    (
-                        GridGeometry::min_sq_dist_to_bounds(p, b_lo, b_hi),
-                        GridGeometry::max_sq_dist_to_bounds(p, b_lo, b_hi),
-                    )
-                };
+                let min_p = GridGeometry::min_sq_dist_to_bounds(p, b_lo, b_hi);
+                let max_p = GridGeometry::max_sq_dist_to_bounds(p, b_lo, b_hi);
                 for r_sq in radii_sq {
                     if box_min > r_sq {
                         assert!(min_p > r_sq, "p {p:?}: min {min_p:e} ≤ r² {r_sq:e}");

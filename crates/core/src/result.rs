@@ -32,6 +32,7 @@ impl Clustering {
         final_coords: Dataset,
         trace: RunTrace,
     ) -> Self {
+        debug_assert_eq!(labels.len(), final_coords.len());
         let (labels, num_clusters) = dense_relabel(labels);
         Self {
             labels,

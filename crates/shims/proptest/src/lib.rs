@@ -183,7 +183,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`]: an exact length, a
+    /// Length specifications accepted by [`vec()`]: an exact length, a
     /// half-open range, or an inclusive range.
     pub trait IntoSizeRange {
         /// The inclusive `(min, max)` length bounds.

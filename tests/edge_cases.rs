@@ -1,7 +1,7 @@
 //! Edge-case and robustness tests across all algorithms: degenerate
 //! inputs, boundary geometry, extreme parameters.
 
-use egg_sync::core::grid::GridVariant;
+use egg_sync::core::grid::{GridGeometry, GridVariant};
 use egg_sync::prelude::*;
 
 fn all_algorithms(eps: f64) -> Vec<Box<dyn ClusterAlgorithm>> {
@@ -176,12 +176,31 @@ fn max_iterations_zero_returns_unconverged_input() {
         ..GaussianSpec::default()
     }
     .generate_normalized();
-    let mut egg = EggSync::new(0.05);
-    egg.max_iterations = 0;
-    let result = egg.cluster(&data);
-    assert!(!result.converged);
-    assert_eq!(result.iterations, 0);
-    assert!(result.labels.is_empty()); // no grid was ever built
+    // no iteration runs, so the clusters are the grid cells of the input
+    let geometry = GridGeometry::new(2, 0.05, data.len(), GridVariant::Auto);
+    let cell_of = |p: usize| {
+        let mut key = [0u64; 2];
+        geometry.cell_coords_of(data.point(p), &mut key);
+        key
+    };
+    let mut sharded = EggSync::host(0.05, Some(2));
+    sharded.options.num_shards = 3;
+    for mut egg in [EggSync::new(0.05), EggSync::host(0.05, Some(2)), sharded] {
+        egg.max_iterations = 0;
+        let result = egg.cluster(&data);
+        assert!(!result.converged);
+        assert_eq!(result.iterations, 0);
+        assert_eq!(result.labels.len(), data.len(), "one label per point");
+        for p in 0..data.len() {
+            for q in 0..data.len() {
+                assert_eq!(
+                    result.labels[p] == result.labels[q],
+                    cell_of(p) == cell_of(q),
+                    "points {p} and {q}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
