@@ -3,11 +3,17 @@
 //! compaction, and the raw atomic-increment list-claim pattern — plus the
 //! raw cost gaps the two fast paths exploit: per-pair `sin(q − p)` vs.
 //! the angle-addition FMA over precomputed sin/cos tables, and the scalar
-//! pair-term/distance loops vs. their 4-lane kernel editions.
+//! pair-term/distance loops vs. their 4-lane kernel editions — and the
+//! host update's run classification and candidate walk against the scalar
+//! loops they replaced.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use egg_data::generator::GaussianSpec;
 use egg_gpu_sim::{grid_for, primitives, Device, DeviceConfig};
+use egg_sync_core::egg::update::{CandidateWalk, PointSums, UpdateOptions};
 use egg_sync_core::exec::Executor;
+use egg_sync_core::grid::{CellGrid, GridGeometry, GridVariant};
+use egg_sync_core::instrument::UpdateCounters;
 use egg_sync_core::kernels::{
     avx2_available, distance_sq_lanes, pair_term_block, pair_term_cell, F64x4, Mask4, LANES,
 };
@@ -250,11 +256,136 @@ fn bench_lane_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The larger of `a` and `b`, `maxpd`'s rule: the scalar classifier's
+/// per-dimension max.
+fn larger(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The grid of a `blobs8d`-shaped input: 3 000 points of the paper's
+/// Gaussian blobs in d = 8, at ε = 0.2.
+fn blobs8d_grid() -> (CellGrid, Vec<f64>, f64) {
+    const DIM: usize = 8;
+    let eps = 0.2;
+    let (data, _) = GaussianSpec {
+        n: 3_000,
+        dim: DIM,
+        seed: 1,
+        ..GaussianSpec::default()
+    }
+    .generate_normalized();
+    let geo = GridGeometry::new(DIM, eps, data.len(), GridVariant::Auto);
+    let grid = CellGrid::build(&Executor::sequential(), geo, data.coords());
+    (grid, data.coords().to_vec(), eps)
+}
+
+/// A run's reach classification over a `blobs8d`-shaped grid, every cell
+/// of it in the reach (~1 260 cells, d = 8): the per-cell scalar box test
+/// over row-major MBRs (`[lo.., hi..]` per cell) against
+/// `CellGrid::classify_reach`, four cells per step, portable and AVX2.
+fn bench_run_classification(c: &mut Criterion) {
+    let (grid, coords, eps) = blobs8d_grid();
+    let (dim, cells) = (grid.geometry().dim, grid.num_cells());
+    let eps_sq = eps * eps;
+    // the same boxes row-major, for the scalar loop
+    let mut rows = vec![0.0f64; cells * 2 * dim];
+    for cell in 0..cells {
+        let (lo, hi) = rows[cell * 2 * dim..(cell + 1) * 2 * dim].split_at_mut(dim);
+        lo.fill(f64::INFINITY);
+        hi.fill(f64::NEG_INFINITY);
+        for &p in grid.cell_points(cell) {
+            let p = &coords[p as usize * dim..(p as usize + 1) * dim];
+            for i in 0..dim {
+                lo[i] = lo[i].min(p[i]);
+                hi[i] = hi[i].max(p[i]);
+            }
+        }
+    }
+    let run = grid.point_cell()[0] as usize;
+    let ranges = [(0u32, cells as u32)];
+    let mut list = vec![(0u32, false); cells];
+
+    let mut group = c.benchmark_group("run_classification_1260_cells_d8");
+    group.sample_size(20);
+    group.bench_function("classify_scalar", |b| {
+        b.iter(|| {
+            let (a_lo, a_hi) = rows[run * 2 * dim..(run + 1) * 2 * dim].split_at(dim);
+            let mut len = 0;
+            for cell in 0..cells {
+                let (b_lo, b_hi) = rows[cell * 2 * dim..(cell + 1) * 2 * dim].split_at(dim);
+                let (mut min, mut max) = (0.0, 0.0);
+                for i in 0..dim {
+                    let g = larger(larger(b_lo[i] - a_hi[i], a_lo[i] - b_hi[i]), 0.0);
+                    min += g * g;
+                    let f = larger(a_hi[i] - b_lo[i], b_hi[i] - a_lo[i]);
+                    max += f * f;
+                }
+                if min > eps_sq {
+                    continue;
+                }
+                list[len] = (cell as u32, max <= eps_sq);
+                len += 1;
+            }
+            len
+        })
+    });
+    for (label, use_avx2) in [("classify_reach", false), ("classify_reach_avx2", true)] {
+        if use_avx2 && !avx2_available() {
+            continue;
+        }
+        group.bench_function(label, |b| {
+            b.iter(|| grid.classify_reach(run, &ranges, eps_sq, true, &mut list, use_avx2))
+        });
+    }
+    group.finish();
+}
+
+/// One point's candidate walk over ~275 covered cells of a `blobs8d`-shaped
+/// grid (its per-point summary count): the portable walk against the walk
+/// compiled for AVX2, which keeps the Σ accumulators in registers.
+fn bench_candidate_walk(c: &mut Criterion) {
+    const COVERED: u32 = 275;
+    let (grid, coords, eps) = blobs8d_grid();
+    let dim = grid.geometry().dim;
+    assert!(grid.num_cells() >= COVERED as usize);
+    let candidates: Vec<(u32, bool)> = (0..COVERED).map(|cell| (cell, true)).collect();
+    let options = UpdateOptions {
+        use_simd: true,
+        ..UpdateOptions::default()
+    };
+    let walk = CandidateWalk::new(&grid, &coords, eps * eps, options);
+    let mut acc = PointSums::new();
+
+    let mut group = c.benchmark_group("candidate_walk_275_covered_d8");
+    group.sample_size(20);
+    for (label, use_avx2) in [("walk_scalar", false), ("walk_avx2", true)] {
+        if use_avx2 && !avx2_available() {
+            continue;
+        }
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                acc.reset(dim);
+                let mut counters = UpdateCounters::default();
+                walk.visit(0, &candidates, &mut acc, &mut counters, use_avx2);
+                black_box(&acc);
+                counters
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_primitives,
     bench_dispatch_latency,
     bench_pair_sin,
-    bench_lane_kernels
+    bench_lane_kernels,
+    bench_run_classification,
+    bench_candidate_walk
 );
 criterion_main!(benches);

@@ -539,3 +539,83 @@ pub(crate) fn cluster_host_sharded(
     trace.total_seconds = trace.stages.total();
     Clustering::from_labels(labels, iterations, converged, final_coords, trace)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::GridVariant;
+    use crate::result::ClusterAlgorithm;
+
+    /// Three blobs strung along the leading axis, so each of three shards
+    /// owns points and ghosts its neighbors' edges.
+    fn strung_blobs(n: usize, dim: usize) -> Vec<f64> {
+        let val = |k: usize| (k as f64 * 0.618_033_988_749_895).fract();
+        (0..n * dim)
+            .map(|k| {
+                let (p, i) = (k / dim, k % dim);
+                let center = if i == 0 { [0.2, 0.5, 0.8][p % 3] } else { 0.5 };
+                center + (val(k) - 0.5) * 0.2
+            })
+            .collect()
+    }
+
+    /// A 3-shard run whose shard grids sit at nonzero lane phases matches
+    /// the single grid bit for bit, through the box classifier and the
+    /// candidate walk: final positions, labels, iterations and every
+    /// size-based counter.
+    #[test]
+    fn three_shards_at_nonzero_lane_phases_match_the_single_grid_bitwise() {
+        for (dim, eps, n) in [
+            (2usize, 0.05f64, 1_501usize),
+            (3, 0.1, 1_003),
+            (8, 0.3, 601),
+        ] {
+            let coords = strung_blobs(n, dim);
+            let run = |shards: usize| {
+                let mut algo = EggSync::host(eps, Some(2));
+                algo.max_iterations = 5;
+                algo.options.use_simd = true;
+                algo.options.num_shards = shards;
+                algo.cluster(&Dataset::from_coords(coords.clone(), dim))
+            };
+            let (single, sharded) = (run(1), run(3));
+            let tag = format!("dim {dim}");
+            let bits = |c: &Clustering| {
+                let coords = c.final_coords.coords();
+                coords.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&sharded), bits(&single), "{tag}");
+            assert_eq!(sharded.labels, single.labels, "{tag}");
+            assert_eq!(sharded.iterations, single.iterations, "{tag}");
+            let (a, b) = (sharded.trace.update_counters, single.trace.update_counters);
+            assert_eq!(
+                (a.summary_cells, a.point_pairs, a.sin_calls_avoided),
+                (b.summary_cells, b.point_pairs, b.sin_calls_avoided),
+                "{tag}"
+            );
+            assert_eq!(
+                (a.simd_lanes, a.moved_points, a.cells_skipped),
+                (b.simd_lanes, b.moved_points, b.cells_skipped),
+                "{tag}"
+            );
+            assert_eq!(a.shard_count, 3, "{tag}");
+            assert!(a.halo_cells > 0, "{tag}: no ghost cells");
+
+            // the shard grids really are phased
+            let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+            let options = UpdateOptions {
+                use_simd: true,
+                num_shards: 3,
+                ..UpdateOptions::default()
+            };
+            let mut engine =
+                ShardedEngine::new(geo, ShardPlan::new(&geo, 3), eps, options, &coords);
+            engine.iterate(&Executor::new(Some(2)), &mut StageTimings::default());
+            assert!(
+                engine.shards.iter().any(|sh| sh.grid.lane_phase() != 0),
+                "{tag}: every shard grid at lane phase 0: {:?}",
+                engine.phase_counts
+            );
+        }
+    }
+}

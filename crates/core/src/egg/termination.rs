@@ -353,10 +353,9 @@ pub fn second_term_holds_host_range(
             // past the shell no cell point reaches it, and entirely inside
             // the ε-ball every cell point is a plain ε-neighbor, never a
             // shell point (this collapses the scan on converged clusters)
-            let (b_lo, b_hi) = grid.cell_bounds(c);
             if dragged
-                || GridGeometry::min_sq_dist_to_bounds(p, b_lo, b_hi) > shell_sq
-                || GridGeometry::max_sq_dist_to_bounds(p, b_lo, b_hi) <= eps_sq
+                || grid.min_sq_dist_to_cell(c, p) > shell_sq
+                || grid.max_sq_dist_to_cell(c, p) <= eps_sq
             {
                 return;
             }
@@ -417,8 +416,7 @@ fn shell_pair_reaches_host(
 ) -> bool {
     let mut reaches = false;
     grid.for_each_cell_in_reach(geo.outer_id_of_point(q1), |c| {
-        let (b_lo, b_hi) = grid.cell_bounds(c);
-        if reaches || GridGeometry::min_sq_dist_to_bounds(q1, b_lo, b_hi) > half_sq {
+        if reaches || grid.min_sq_dist_to_cell(c, q1) > half_sq {
             return;
         }
         for &q2_idx in grid.cell_points(c) {

@@ -24,9 +24,11 @@ use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
 use crate::algorithms::gpu_sync::{BLOCK, MAX_DIM};
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
-use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo, RunVerdict, RUN_LIST};
+use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo, RUN_LIST};
 use crate::instrument::UpdateCounters;
-use crate::kernels::{pair_term_cell, F64x4, LANES};
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::avx2_available;
+use crate::kernels::{lane_pad, pair_term_cell, F64x4, LANES};
 
 use super::super::grid::device::{seg_start, LaneTables};
 
@@ -79,8 +81,11 @@ pub struct UpdateOptions {
     /// **exact** (lane distances accumulate dimension-major, matching the
     /// scalar chain bitwise); only the pair-term sum is reassociated
     /// across lanes, so results agree with the scalar oracle to ~1e-9.
-    /// Output is still bitwise identical across worker counts. Defaults to
-    /// on unless the `EGG_FORCE_SCALAR` environment variable is set.
+    /// Output is still bitwise identical across worker counts. For
+    /// `dim` ≤ 8 it also selects the AVX2 candidate walk
+    /// ([`CandidateWalk::visit`]), bitwise identical to the scalar walk.
+    /// Defaults to on unless the `EGG_FORCE_SCALAR` environment variable
+    /// is set.
     pub use_simd: bool,
     /// Shard the host engine's domain along the leading grid dimension
     /// into this many regions, each owning its own [`CellGrid`] over its
@@ -611,7 +616,8 @@ pub struct ShardPass<'a> {
 /// The classification against the ε-ball is shared per grid cell. For each
 /// run of consecutive points in one inner cell, a `ReachMemo` on the
 /// chunk's stack walks the reach once and tests every reach cell's point
-/// MBR against the run cell's point MBR. A cell no point of the run can
+/// MBR against the run cell's point MBR, four cells per step
+/// ([`CellGrid::classify_reach`]). A cell no point of the run can
 /// reach leaves the run's candidate list. A cell inside every run point's
 /// ε-ball is flagged, and each point consumes its summary with no test of
 /// its own. Only the straddling cells are still classified per point. The
@@ -619,7 +625,8 @@ pub struct ShardPass<'a> {
 /// bit ([`GridGeometry`]'s `*_between_bounds`), so each cell takes the path
 /// the per-point test would give it, in the same order, and output bits and
 /// counters are those of a per-point walk. A run with more candidates than
-/// the list holds takes that per-point walk.
+/// the list holds takes that per-point walk. Each point then consumes its
+/// candidates in one [`CandidateWalk::visit`] call.
 ///
 /// `chunk_stats` is reusable per-chunk scratch (`(first-term, counters)`
 /// slots): it is resized to the chunk count and keeps its capacity, so a
@@ -750,11 +757,7 @@ fn update_host<const LIST: usize>(
         None => None,
     };
     let inc = &inc;
-    let (lane_sin, lane_cos, lane_coords) = (grid.lane_sin(), grid.lane_cos(), grid.lane_coords());
-    // slot s lives at lane index lane_phase + s; a sharded grid sets the
-    // phase so lane-block boundaries match the single grid's (see
-    // CellGrid::set_lane_phase)
-    let lane_phase = grid.lane_phase();
+    let walk = CandidateWalk::new(grid, coords, eps_sq, options);
     let writer = ScatterWriter::new(next);
     let writer = &writer;
     let slot_base = slots.start;
@@ -763,27 +766,9 @@ fn update_host<const LIST: usize>(
         let mut counters = UpdateCounters::default();
         // grid-sorted points come in runs sharing a cell: classify the
         // run's reach once, replay the verdicts for each of its points
-        let mut reach = ReachMemo::<LIST>::new(grid);
-        // per-point scratch, sized once per chunk: a point uses `[..dim]`
-        let mut sums = [0.0f64; MAX_DIM];
-        // per-dimension lane accumulators of the SIMD pair-term path,
-        // reduced into `sums` once after the whole reach walk
-        let mut lane_acc = [F64x4::ZERO; MAX_DIM];
-        // the verdict on reach cell `c` for every point of inner cell `run`,
-        // from the two cells' point MBRs
-        let run_verdict = |run: usize, c: usize| {
-            let (a_lo, a_hi) = grid.cell_bounds(run);
-            let (b_lo, b_hi) = grid.cell_bounds(c);
-            if GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) > eps_sq {
-                RunVerdict::Unreachable
-            } else if options.use_summaries
-                && GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) <= eps_sq
-            {
-                RunVerdict::Covered
-            } else {
-                RunVerdict::Straddles
-            }
-        };
+        let mut reach = ReachMemo::<LIST>::new(grid, eps_sq, options.use_summaries);
+        // per-point sums, sized once per chunk: a point uses `[..dim]`
+        let mut acc = PointSums::new();
         for off in range {
             // chunking is over the processed window, so the chunk layout
             // (hence the reduction order) matches an unsharded pass over
@@ -809,112 +794,20 @@ fn update_host<const LIST: usize>(
                     continue;
                 }
             }
-            // `entry` is p's grid-sorted slot, the trig table's index
-            let (sin_p, cos_p) = (grid.slot_sin(entry), grid.slot_cos(entry));
-            let sums = &mut sums[..dim];
-            sums.fill(0.0);
-            let lane_acc = &mut lane_acc[..dim];
-            lane_acc.fill(F64x4::ZERO);
-            let mut neighbors = 0u64;
-            reach.for_each_candidate(
-                c_cell,
-                |c| run_verdict(c_cell, c),
-                |candidates| {
-                    for &(c, covered) in candidates {
-                        let c = c as usize;
-                        // a straddling cell is classified against p itself
-                        let fully_within = if covered {
-                            true
-                        } else {
-                            let (lo, hi) = grid.cell_bounds(c);
-                            if GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > eps_sq {
-                                continue;
-                            }
-                            options.use_summaries
-                                && GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= eps_sq
-                        };
-                        if fully_within {
-                            // zipped, not indexed: no bounds checks, and the
-                            // per-dimension updates vectorize unchanged
-                            let trig_p = cos_p.iter().zip(sin_p);
-                            let trig_c = grid.sin_sums(c).iter().zip(grid.cos_sums(c));
-                            for (s, ((&cp, &sp), (&sc, &cc))) in
-                                sums.iter_mut().zip(trig_p.zip(trig_c))
-                            {
-                                *s += cp * sc - sp * cc;
-                            }
-                            let len = grid.cell_len(c) as u64;
-                            neighbors += len;
-                            counters.summary_cells += 1;
-                            counters.sin_calls_avoided += dim as u64 * len;
-                        } else if options.use_simd {
-                            let slots = grid.cell_range(c);
-                            counters.point_pairs += slots.len() as u64;
-                            // stripe the cell's slot range in whole lane blocks
-                            // of the lane-blocked tables; the first/last block
-                            // mask off slots outside the range. Lane distances
-                            // are exact, so the neighbor count matches the
-                            // scalar path bit for bit — only the pair-term sum
-                            // reassociates. (Lane counters use the minimal
-                            // covering block count, a pure function of the cell
-                            // size shared with the device kernel; a straddling
-                            // range may touch one extra block.)
-                            let lanes = (slots.len().div_ceil(LANES) * LANES) as u64;
-                            counters.simd_lanes += lanes;
-                            counters.simd_remainder_lanes += lanes - slots.len() as u64;
-                            let hits = pair_term_cell(
-                                lane_coords,
-                                lane_sin,
-                                lane_cos,
-                                dim,
-                                lane_phase + slots.start,
-                                lane_phase + slots.end,
-                                p,
-                                sin_p,
-                                cos_p,
-                                eps_sq,
-                                lane_acc,
-                                // the AVX2 body wherever the CPU has it
-                                true,
-                            );
-                            neighbors += u64::from(hits);
-                            counters.sin_calls_avoided += dim as u64 * u64::from(hits);
-                        } else {
-                            let slots = grid.cell_range(c);
-                            counters.point_pairs += slots.len() as u64;
-                            // walk the cell by slot: q's coordinates are looked
-                            // up through the order permutation, but the trig
-                            // rows are the contiguous block `slots` of the table
-                            for slot in slots {
-                                let q_idx = order[slot] as usize;
-                                let q = &coords[q_idx * dim..(q_idx + 1) * dim];
-                                let mut dist_sq = 0.0;
-                                for i in 0..dim {
-                                    let d = q[i] - p[i];
-                                    dist_sq += d * d;
-                                }
-                                if dist_sq <= eps_sq {
-                                    neighbors += 1;
-                                    let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
-                                    // sin(q−p) = sin q · cos p − cos q · sin p
-                                    for i in 0..dim {
-                                        sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
-                                    }
-                                    counters.sin_calls_avoided += dim as u64;
-                                }
-                            }
-                        }
-                    }
-                },
-            );
+            acc.reset(dim);
+            reach.for_each_candidate(c_cell, |candidates| {
+                // the AVX2 walk wherever the CPU has it
+                walk.visit(entry, candidates, &mut acc, &mut counters, true);
+            });
+            let sums = &mut acc.sums[..dim];
             if options.use_simd {
                 // one ordered cross-lane fold per dimension — the sole
                 // reassociation relative to the scalar oracle
-                for i in 0..dim {
-                    sums[i] += lane_acc[i].reduce_sum();
+                for (s, lanes) in sums.iter_mut().zip(&acc.lanes) {
+                    *s += lanes.reduce_sum();
                 }
             }
-            let inv = 1.0 / neighbors as f64;
+            let inv = 1.0 / acc.neighbors as f64;
             // disjoint rows: `order` is a permutation of the point indices
             let out = unsafe { writer.row_mut(p_idx * dim, dim) };
             let mut any_moved = false;
@@ -923,7 +816,7 @@ fn update_host<const LIST: usize>(
                 any_moved |= out[i].to_bits() != p[i].to_bits();
             }
             // first term of Definition 4.2, host edition
-            let confined = neighbors == grid.cell_len(c_cell) as u64;
+            let confined = acc.neighbors == grid.cell_len(c_cell) as u64;
             all_local &= confined;
             if let Some((_, _, moved_w, confined_w)) = inc {
                 // each point index occurs in exactly one chunk
@@ -945,6 +838,246 @@ fn update_host<const LIST: usize>(
         totals.merge(counters);
     }
     (first_term, totals)
+}
+
+/// The running sums of one point's update, carried across the
+/// [`CandidateWalk::visit`] calls of its reach walk.
+#[derive(Debug, Clone)]
+pub struct PointSums {
+    /// Σ of the summary terms and the scalar pair terms, per dimension
+    /// (`[..dim]` live).
+    sums: [f64; MAX_DIM],
+    /// The SIMD pair term's per-dimension lane accumulators, folded into
+    /// `sums` once after the walk.
+    lanes: [F64x4; MAX_DIM],
+    /// Neighbors counted so far.
+    neighbors: u64,
+}
+
+impl PointSums {
+    /// All zero: the start of a point's walk.
+    pub fn new() -> Self {
+        Self {
+            sums: [0.0; MAX_DIM],
+            lanes: [F64x4::ZERO; MAX_DIM],
+            neighbors: 0,
+        }
+    }
+
+    /// Zero the `dim` live entries for the next point.
+    pub fn reset(&mut self, dim: usize) {
+        self.sums[..dim].fill(0.0);
+        self.lanes[..dim].fill(F64x4::ZERO);
+        self.neighbors = 0;
+    }
+}
+
+impl Default for PointSums {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One host update pass's view for consuming a point's candidate cells:
+/// the grid, the positions it was built from, ε² and the options.
+#[derive(Debug, Clone, Copy)]
+pub struct CandidateWalk<'a> {
+    grid: &'a CellGrid,
+    coords: &'a [f64],
+    eps_sq: f64,
+    options: UpdateOptions,
+}
+
+impl<'a> CandidateWalk<'a> {
+    /// The walk of a pass at radius² `eps_sq` over `grid`, built from the
+    /// row-major positions `coords`; it reads `options.use_summaries` and
+    /// `options.use_simd`.
+    pub fn new(grid: &'a CellGrid, coords: &'a [f64], eps_sq: f64, options: UpdateOptions) -> Self {
+        Self {
+            grid,
+            coords,
+            eps_sq,
+            options,
+        }
+    }
+
+    /// Consume `candidates` — a run's candidate list, or one reach cell of
+    /// the per-point walk — for the point in grid-sorted slot `slot`,
+    /// adding to `acc` and `counters`. A covered cell's summary is
+    /// consumed outright; any other cell is classified against the point's
+    /// position first, then consumed through its summary if it lies
+    /// inside the ε-ball, through the pair term if it straddles it, or
+    /// skipped.
+    ///
+    /// Under `use_simd`, `use_avx2` requests the walk compiled for AVX2,
+    /// taken where the CPU has it, and specialized on `dim` for 1–8: the
+    /// running sums stay in registers across the whole list, the summary
+    /// update vectorizes across dimensions, and the pair-term body inlines.
+    /// Both editions run the same source, so every sum sees the same
+    /// operations in the same order and they give the same bits. `false`
+    /// runs portable code throughout, down to [`pair_term_cell`].
+    pub fn visit(
+        &self,
+        slot: usize,
+        candidates: &[(u32, bool)],
+        acc: &mut PointSums,
+        counters: &mut UpdateCounters,
+        use_avx2: bool,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2 && self.options.use_simd && avx2_available() {
+            macro_rules! by_dim {
+                ($($d:literal)*) => {
+                    match self.grid.geometry().dim {
+                        $($d => self.visit_avx2::<$d>(slot, candidates, acc, counters),)*
+                        _ => self.visit_avx2::<0>(slot, candidates, acc, counters),
+                    }
+                };
+            }
+            // SAFETY: AVX2 was detected at runtime, and every arm passes
+            // `D = dim` or `D = 0`
+            return unsafe { by_dim!(1 2 3 4 5 6 7 8) };
+        }
+        let lanes = self.options.use_simd.then_some(use_avx2);
+        self.walk::<0>(slot, candidates, acc, counters, lanes);
+    }
+
+    /// [`CandidateWalk::walk`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    /// Requires AVX2, and `D` 0 or `dim`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn visit_avx2<const D: usize>(
+        &self,
+        slot: usize,
+        candidates: &[(u32, bool)],
+        acc: &mut PointSums,
+        counters: &mut UpdateCounters,
+    ) {
+        self.walk::<D>(slot, candidates, acc, counters, Some(true));
+    }
+
+    /// The walk behind [`CandidateWalk::visit`], for `D` = `dim`, or
+    /// `D = 0` to read `dim` at run time; the portable edition is the
+    /// oracle. `lanes` is `Some(use_avx2)` to run straddling cells through
+    /// [`pair_term_cell`], `None` for the scalar pair loop. The sums and
+    /// the hot counts are carried in locals and stored back once at the
+    /// end, so split calls (the per-point walk's one cell each) chain.
+    #[inline(always)]
+    fn walk<const D: usize>(
+        &self,
+        slot: usize,
+        candidates: &[(u32, bool)],
+        acc: &mut PointSums,
+        counters: &mut UpdateCounters,
+        lanes: Option<bool>,
+    ) {
+        let Self {
+            grid,
+            coords,
+            eps_sq,
+            options,
+        } = *self;
+        let dim = if D == 0 { grid.geometry().dim } else { D };
+        debug_assert_eq!(grid.geometry().dim, dim);
+        let order = grid.point_order();
+        let p_idx = order[slot] as usize;
+        let p = &coords[p_idx * dim..(p_idx + 1) * dim];
+        // the point's trig row and its sums as locals, which the compiler
+        // can keep in registers across the list
+        let (mut sin_p, mut cos_p, mut sums) = ([0.0; MAX_DIM], [0.0; MAX_DIM], [0.0; MAX_DIM]);
+        let (sin_p, cos_p, sums) = (&mut sin_p[..dim], &mut cos_p[..dim], &mut sums[..dim]);
+        sin_p.copy_from_slice(grid.slot_sin(slot));
+        cos_p.copy_from_slice(grid.slot_cos(slot));
+        sums.copy_from_slice(&acc.sums[..dim]);
+        let ts = lane_pad(2 * dim);
+        // the neighbor count in a local; every candidate the walk neither
+        // skips nor pairs is a summary cell, so only those are counted
+        let (mut neighbors, mut not_summaries) = (acc.neighbors, 0);
+        for &(c, covered) in candidates {
+            let c = c as usize;
+            // a straddling cell is classified against p itself
+            let fully_within = covered || {
+                if grid.min_sq_dist_to_cell(c, p) > eps_sq {
+                    not_summaries += 1;
+                    continue;
+                }
+                options.use_summaries && grid.max_sq_dist_to_cell(c, p) <= eps_sq
+            };
+            if fully_within {
+                let (sin_c, cos_c) = grid.summary_rows()[c * ts..][..2 * dim].split_at(dim);
+                for i in 0..dim {
+                    sums[i] += cos_p[i] * sin_c[i] - sin_p[i] * cos_c[i];
+                }
+                neighbors += grid.cell_len(c) as u64;
+                continue;
+            }
+            not_summaries += 1;
+            if let Some(use_avx2) = lanes {
+                let slots = grid.cell_range(c);
+                counters.point_pairs += slots.len() as u64;
+                // stripe the cell's slot range in whole lane blocks of the
+                // lane-blocked tables; the first/last block mask off slots
+                // outside the range. Lane distances are exact, so the
+                // neighbor count matches the scalar path bit for bit —
+                // only the pair-term sum reassociates. (Lane counters use
+                // the minimal covering block count, a pure function of the
+                // cell size shared with the device kernel; a straddling
+                // range may touch one extra block.)
+                let lanes = (slots.len().div_ceil(LANES) * LANES) as u64;
+                counters.simd_lanes += lanes;
+                counters.simd_remainder_lanes += lanes - slots.len() as u64;
+                // slot s lives at lane index lane_phase + s; a sharded grid
+                // sets the phase so lane-block boundaries match the single
+                // grid's (see CellGrid::set_lane_phase)
+                let lane_phase = grid.lane_phase();
+                let hits = pair_term_cell(
+                    grid.lane_coords(),
+                    grid.lane_sin(),
+                    grid.lane_cos(),
+                    dim,
+                    lane_phase + slots.start,
+                    lane_phase + slots.end,
+                    p,
+                    sin_p,
+                    cos_p,
+                    eps_sq,
+                    &mut acc.lanes[..dim],
+                    use_avx2,
+                );
+                neighbors += u64::from(hits);
+            } else {
+                let slots = grid.cell_range(c);
+                counters.point_pairs += slots.len() as u64;
+                // walk the cell by slot: q's coordinates are looked up
+                // through the order permutation, but the trig rows are the
+                // contiguous block `slots` of the table
+                for slot in slots {
+                    let q_idx = order[slot] as usize;
+                    let q = &coords[q_idx * dim..(q_idx + 1) * dim];
+                    let mut dist_sq = 0.0;
+                    for i in 0..dim {
+                        let d = q[i] - p[i];
+                        dist_sq += d * d;
+                    }
+                    if dist_sq <= eps_sq {
+                        neighbors += 1;
+                        let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
+                        // sin(q−p) = sin q · cos p − cos q · sin p
+                        for i in 0..dim {
+                            sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
+                        }
+                    }
+                }
+            }
+        }
+        counters.summary_cells += candidates.len() as u64 - not_summaries;
+        // every neighbor, on every path, saves `dim` sin evaluations
+        counters.sin_calls_avoided += dim as u64 * (neighbors - acc.neighbors);
+        acc.sums[..dim].copy_from_slice(sums);
+        acc.neighbors = neighbors;
+    }
 }
 
 #[cfg(test)]
@@ -1456,6 +1589,77 @@ mod tests {
         }
     }
 
+    /// The candidate walk compiled for AVX2 must reproduce the portable
+    /// walk bit for bit, for every `dim` it is specialized on (1–8) and
+    /// for `dim` 9, which reads `dim` at run time: the summary sums, the
+    /// pair term's lanes, the neighbor count and every counter, from
+    /// seeded starting sums (the per-point walk chains one call per cell),
+    /// with summaries on and off.
+    #[test]
+    fn avx2_walk_is_bitwise_identical_to_the_scalar_walk() {
+        for dim in 1..=9 {
+            let n = 300;
+            let coords = blobs(n, dim, 0.3);
+            let eps = 0.06 * (dim as f64).sqrt();
+            let eps_sq = eps * eps;
+            let exec = Executor::sequential();
+            let grid = CellGrid::build(
+                &exec,
+                GridGeometry::new(dim, eps, n, GridVariant::Auto),
+                &coords,
+            );
+            let mut seen = UpdateCounters::default();
+            for use_summaries in [true, false] {
+                let options = UpdateOptions {
+                    use_summaries,
+                    use_simd: true,
+                    ..UpdateOptions::default()
+                };
+                let walk = CandidateWalk::new(&grid, &coords, eps_sq, options);
+                let mut reach = ReachMemo::<RUN_LIST>::new(&grid, eps_sq, use_summaries);
+                let mut seed = PointSums::new();
+                for i in 0..dim {
+                    seed.sums[i] = 0.125 * (i + 1) as f64;
+                    seed.lanes[i] = F64x4([0.5, -0.25, 1.0, -2.0]);
+                }
+                seed.neighbors = 3;
+                for slot in 0..n {
+                    let run = grid.point_cell()[grid.point_order()[slot] as usize] as usize;
+                    reach.for_each_candidate(run, |candidates| {
+                        let (mut fast, mut oracle) = (seed.clone(), seed.clone());
+                        let (mut fast_c, mut oracle_c) =
+                            (UpdateCounters::default(), UpdateCounters::default());
+                        walk.visit(slot, candidates, &mut fast, &mut fast_c, true);
+                        walk.visit(slot, candidates, &mut oracle, &mut oracle_c, false);
+                        let case = format!("dim {dim} slot {slot} summaries={use_summaries}");
+                        for i in 0..dim {
+                            assert_eq!(
+                                fast.sums[i].to_bits(),
+                                oracle.sums[i].to_bits(),
+                                "{case}: sum {i}"
+                            );
+                            for j in 0..LANES {
+                                assert_eq!(
+                                    fast.lanes[i].0[j].to_bits(),
+                                    oracle.lanes[i].0[j].to_bits(),
+                                    "{case}: dim {i} lane {j}"
+                                );
+                            }
+                        }
+                        assert_eq!(fast.neighbors, oracle.neighbors, "{case}");
+                        assert_eq!(fast_c, oracle_c, "{case}");
+                        seen.merge(&oracle_c);
+                    });
+                }
+            }
+            // both paths of the walk ran
+            assert!(
+                seen.summary_cells > 0 && seen.point_pairs > 0,
+                "dim {dim}: {seen:?}"
+            );
+        }
+    }
+
     /// The per-run candidate list must reproduce the per-point walk bit
     /// for bit. A list of 0 cells overflows on every run, which is that
     /// walk; a list of 8 cells fits some runs and overflows on the rest.
@@ -1476,10 +1680,14 @@ mod tests {
             },
         ];
         let exec = Executor::new(Some(3));
+        // d = 5 has a partial second vector per summary half, d = 9 reads
+        // `dim` at run time
         for &(n, dim, eps, spread) in &[
             (600usize, 2usize, 0.05f64, 0.2f64),
             (400, 3, 0.1, 0.25),
+            (300, 5, 0.2, 0.3),
             (300, 8, 0.3, 0.3),
+            (200, 9, 0.35, 0.3),
         ] {
             let coords = blobs(n, dim, spread);
             let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);

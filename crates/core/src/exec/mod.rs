@@ -167,7 +167,8 @@ struct PoolState {
     /// Workers still running the current job.
     running: usize,
     /// Live workers — the participant count of the next dispatch. Shrinks
-    /// if a job closure panics and unwinds a worker.
+    /// when a job closure panics and unwinds a worker, as that worker
+    /// retires the job.
     alive: usize,
     /// A worker's job closure panicked during the current dispatch.
     panicked: bool,
@@ -218,16 +219,6 @@ impl Pool {
     }
 
     fn worker_loop(shared: &PoolShared) {
-        // decrement `alive` on every exit path — including an unwind out
-        // of a panicking job body — so future dispatches count only
-        // workers that will actually report completion
-        struct AliveGuard<'a>(&'a PoolShared);
-        impl Drop for AliveGuard<'_> {
-            fn drop(&mut self) {
-                lock(&self.0.state).alive -= 1;
-            }
-        }
-        let _alive = AliveGuard(shared);
         let mut seen = 0u64;
         loop {
             let body = {
@@ -249,13 +240,18 @@ impl Pool {
                 }
             };
             // retire the job even if its body panics: the dispatching
-            // caller is blocked on `running` reaching zero
+            // caller is blocked on `running` reaching zero. A panicking
+            // worker unwinds out of the pool, so it also leaves the live
+            // count here, in the same critical section: once `running`
+            // drains, the next dispatch counts only workers that will
+            // report back
             struct DoneGuard<'a>(&'a PoolShared);
             impl Drop for DoneGuard<'_> {
                 fn drop(&mut self) {
                     let mut st = lock(&self.0.state);
                     if std::thread::panicking() {
                         st.panicked = true;
+                        st.alive -= 1;
                     }
                     st.running -= 1;
                     if st.running == 0 {
@@ -796,16 +792,30 @@ mod tests {
         assert_eq!(exec.dispatch_count(), 500);
     }
 
+    /// Live pool workers, as the next dispatch will count them.
+    fn live_workers(exec: &Executor) -> usize {
+        lock(&exec.pool.as_ref().expect("pooled executor").shared.state).alive
+    }
+
     #[test]
     fn pooled_worker_panic_propagates_and_pool_survives() {
         let exec = Executor::with_mode(Some(4), true);
+        assert_eq!(live_workers(&exec), 3);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.map_ranges(1000, 10, |r| {
                 assert!(r.start != 500, "intentional test panic");
                 r.len()
             })
         }));
-        assert!(caught.is_err(), "chunk panic must propagate to the caller");
+        let payload = caught.expect_err("chunk panic must propagate to the caller");
+        // a worker's panic costs the pool that worker, and it has left the
+        // live count by the time the dispatch returns; the caller's own
+        // chunk panicking costs nothing. The payload tells which it was:
+        // the caller's comes through as is.
+        let from_worker = payload
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.contains("pool worker panicked"));
+        assert_eq!(live_workers(&exec), if from_worker { 2 } else { 3 });
         // the pool must still dispatch correctly afterwards
         let sums = exec.map_ranges(100, 7, |r| r.sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());

@@ -192,12 +192,7 @@ impl GridGeometry {
     /// a cell whose MBR lies beyond ε provably holds no neighbor.
     #[inline]
     pub fn min_sq_dist_to_bounds(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for ((&x, &l), &h) in p.iter().zip(lo).zip(hi) {
-            let d = gap(x, l, h);
-            acc += d * d;
-        }
-        acc
+        min_sq_dist_to_box(p, lo.iter().copied().zip(hi.iter().copied()))
     }
 
     /// Squared distance from `p` to the farthest point of the box
@@ -210,12 +205,7 @@ impl GridGeometry {
     /// spread is far below the cell width.
     #[inline]
     pub fn max_sq_dist_to_bounds(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..p.len() {
-            let d = (p[i] - lo[i]).abs().max((p[i] - hi[i]).abs());
-            acc += d * d;
-        }
-        acc
+        max_sq_dist_to_box(p, lo.iter().copied().zip(hi.iter().copied()))
     }
 
     /// Squared distance between the closest points of the boxes
@@ -228,7 +218,10 @@ impl GridGeometry {
     /// `p`'s, and the squares and the sum, taken in the same order, keep
     /// that. A box `b` this far beyond `r²` is beyond `r²` from every `p`
     /// of `a` under the very comparison a per-point test makes.
-    #[inline]
+    ///
+    /// The scalar oracle of [`super::CellGrid::classify_reach`], whose lanes
+    /// compute the same fold four cells at a time.
+    #[cfg(test)]
     pub(crate) fn min_sq_dist_between_bounds(
         a_lo: &[f64],
         a_hi: &[f64],
@@ -250,8 +243,9 @@ impl GridGeometry {
     /// `max(a_hi − b_lo, b_hi − a_lo)`; with `a_lo ≤ p ≤ a_hi` and
     /// `b_lo ≤ b_hi`, monotone rounding puts both `|p − b_lo|` and
     /// `|p − b_hi|` at or below it. A box `b` within `r²` of this is
-    /// within `r²` of every `p` of `a`.
-    #[inline]
+    /// within `r²` of every `p` of `a`. The scalar oracle of
+    /// [`super::CellGrid::classify_reach`], like its `min` twin.
+    #[cfg(test)]
     pub(crate) fn max_sq_dist_between_bounds(
         a_lo: &[f64],
         a_hi: &[f64],
@@ -299,6 +293,32 @@ impl GridGeometry {
             f(id);
         }
     }
+}
+
+/// [`GridGeometry::min_sq_dist_to_bounds`] over a box given as one
+/// `(lo_i, hi_i)` pair per dimension: the fold the lane-blocked cell MBRs
+/// of [`super::CellGrid`] are read through too, so both give the same
+/// bits.
+#[inline(always)]
+pub(crate) fn min_sq_dist_to_box(p: &[f64], bounds: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let mut acc = 0.0;
+    for (&x, (lo, hi)) in p.iter().zip(bounds) {
+        let d = gap(x, lo, hi);
+        acc += d * d;
+    }
+    acc
+}
+
+/// [`GridGeometry::max_sq_dist_to_bounds`] over a box given as one
+/// `(lo_i, hi_i)` pair per dimension, like [`min_sq_dist_to_box`].
+#[inline(always)]
+pub(crate) fn max_sq_dist_to_box(p: &[f64], bounds: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let mut acc = 0.0;
+    for (&x, (lo, hi)) in p.iter().zip(bounds) {
+        let d = (x - lo).abs().max((x - hi).abs());
+        acc += d * d;
+    }
+    acc
 }
 
 /// Distance from `x` to the interval `[lo, hi]`, 0 inside it. Branch-free:

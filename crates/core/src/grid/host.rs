@@ -18,9 +18,11 @@ use egg_spatial::distance::{row, within_sq};
 
 use crate::algorithms::gpu_sync::MAX_DIM;
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
-use crate::kernels::{accumulate_row, lane_pad, LANES};
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::avx2_available;
+use crate::kernels::{accumulate_row, lane_pad, F64x4, LANES};
 
-use super::geometry::{GridGeometry, MAX_SURROUND_ENUM};
+use super::geometry::{max_sq_dist_to_box, min_sq_dist_to_box, GridGeometry, MAX_SURROUND_ENUM};
 
 /// Host-side grid: full-dimensional cell coordinates → indices of the
 /// points inside.
@@ -194,15 +196,20 @@ pub struct CellGrid {
     /// lane grouping — and therefore its reduction order — identical to
     /// the single grid's for every cell. 0 for a standalone grid.
     lane_phase: usize,
-    /// Per-cell point MBR `[lo_0.. lo_{d-1}, hi_0.. hi_{d-1}]`, rows of
-    /// stride `2·dim` in sorted cell order. Recomputed from the final CSR
-    /// layout and raw coordinates after every rebuild/refresh — a pure
-    /// function of both, so the rows are identical whichever maintenance
-    /// path produced the layout, and for any worker count. The update
-    /// kernel classifies cells against the ε-ball through these bounds
-    /// (exact: points ⊆ MBR ⊆ cell box), which keeps tightly clustered
-    /// cells on the O(1) summary path even when their grid box straddles
-    /// the ball.
+    /// Per-cell point MBRs in lane blocks of four cells, the layout of
+    /// `lane_sin` with cells for slots: block `b` holds cells `4b..4b+4`,
+    /// `dim` lane rows of low corners then `dim` lane rows of high
+    /// corners, so `cell_bounds[(b·2·dim + i)·4 + j]` is `lo_i` and
+    /// `cell_bounds[(b·2·dim + dim + i)·4 + j]` is `hi_i` of cell
+    /// `4b + j` (zero in the pad lanes past the last cell). Recomputed
+    /// from the final CSR layout and raw coordinates after every
+    /// rebuild/refresh — a pure function of both, so the table is
+    /// identical whichever maintenance path produced the layout, and for
+    /// any worker count. The update classifies cells against the ε-ball
+    /// through these bounds (exact: points ⊆ MBR ⊆ cell box), four cells
+    /// per step for a run's reach ([`ReachMemo`]), which keeps tightly
+    /// clustered cells on the O(1) summary path even when their grid box
+    /// straddles the ball.
     cell_bounds: Vec<f64>,
     /// `(outer id, lo, hi)` cell ranges in sorted cell order, ascending by
     /// outer id (binary-searched by [`CellGrid::for_each_cell_in_reach`]).
@@ -834,35 +841,50 @@ impl CellGrid {
     /// Recompute the per-cell point MBRs from the final grid-sorted order
     /// — an O(n·d) pass, within the same per-iteration envelope as the
     /// lane-table relayout that precedes it. Each cell scans its own
-    /// contiguous slot range sequentially, so the rows are a pure function
-    /// of the CSR layout and the coordinates: bitwise identical for any
-    /// worker count and for either maintenance path.
+    /// contiguous slot range once, sequentially, into its lane of its
+    /// block, so the table is a pure function of the CSR layout and the
+    /// coordinates: bitwise identical for any worker count and for either
+    /// maintenance path. Chunks hold [`CELL_CHUNK`] cells, as every other
+    /// per-cell pass.
     fn rebuild_cell_bounds(&mut self, exec: &Executor, coords: &[f64]) {
         let dim = self.geometry.dim;
         let num_cells = self.num_cells();
-        let bs = 2 * dim;
+        let bs = 2 * dim * LANES;
         self.cell_bounds.clear();
-        self.cell_bounds.resize(num_cells * bs, 0.0);
+        self.cell_bounds.resize(num_cells.div_ceil(LANES) * bs, 0.0);
         let cell_starts = &self.cell_starts;
         let order = &self.cell_points;
-        exec.map_chunks_mut(&mut self.cell_bounds, CELL_CHUNK * bs, |offset, chunk| {
-            let first = offset / bs;
-            for (r, bounds) in chunk.chunks_exact_mut(bs).enumerate() {
-                let c = first + r;
-                let lo = cell_starts[c] as usize;
-                let hi = cell_starts[c + 1] as usize;
-                let (b_lo, b_hi) = bounds.split_at_mut(dim);
-                b_lo.copy_from_slice(row(coords, dim, order[lo] as usize));
-                b_hi.copy_from_slice(b_lo);
-                for slot in lo + 1..hi {
-                    let q = row(coords, dim, order[slot] as usize);
-                    for i in 0..dim {
-                        b_lo[i] = b_lo[i].min(q[i]);
-                        b_hi[i] = b_hi[i].max(q[i]);
+        exec.map_chunks_mut(
+            &mut self.cell_bounds,
+            CELL_CHUNK / LANES * bs,
+            |offset, chunk| {
+                let first = offset / bs;
+                for (r, block) in chunk.chunks_exact_mut(bs).enumerate() {
+                    let (b_lo, b_hi) = block.split_at_mut(dim * LANES);
+                    for j in 0..LANES {
+                        let c = (first + r) * LANES + j;
+                        if c >= num_cells {
+                            break;
+                        }
+                        let lo = cell_starts[c] as usize;
+                        let hi = cell_starts[c + 1] as usize;
+                        let q = row(coords, dim, order[lo] as usize);
+                        for i in 0..dim {
+                            b_lo[i * LANES + j] = q[i];
+                            b_hi[i * LANES + j] = q[i];
+                        }
+                        for slot in lo + 1..hi {
+                            let q = row(coords, dim, order[slot] as usize);
+                            for i in 0..dim {
+                                let (l, h) = (&mut b_lo[i * LANES + j], &mut b_hi[i * LANES + j]);
+                                *l = l.min(q[i]);
+                                *h = h.max(q[i]);
+                            }
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
     }
 
     /// Rebuild the lane-blocked SoA tables (`lane_sin`, `lane_cos`,
@@ -1016,13 +1038,90 @@ impl CellGrid {
         &self.trig_sums[c * ts + dim..c * ts + 2 * dim]
     }
 
-    /// The point MBR of compacted cell `c`: `(lo, hi)` slices of `dim`
-    /// values each — the tight bounds the update kernel classifies the
-    /// cell with (exact: the cell's points all lie inside them).
-    pub fn cell_bounds(&self, c: usize) -> (&[f64], &[f64]) {
+    /// `(lo_i, hi_i)` of compacted cell `c`'s point MBR, per dimension,
+    /// read in place from its lane of the lane-blocked table.
+    #[inline(always)]
+    fn mbr(&self, c: usize) -> impl Iterator<Item = (f64, f64)> + '_ {
         let dim = self.geometry.dim;
-        let bs = 2 * dim;
-        self.cell_bounds[c * bs..(c + 1) * bs].split_at(dim)
+        let bs = 2 * dim * LANES;
+        let (lo, hi) = self.cell_bounds[c / LANES * bs..][..bs].split_at(dim * LANES);
+        let j = c % LANES;
+        lo.chunks_exact(LANES)
+            .zip(hi.chunks_exact(LANES))
+            .map(move |(lo, hi)| (lo[j], hi[j]))
+    }
+
+    /// Squared distance from `p` to the closest point of compacted cell
+    /// `c`'s point MBR: [`GridGeometry::min_sq_dist_to_bounds`] with the
+    /// cell's bounds, bit for bit. No point of the cell is nearer to `p`.
+    #[inline]
+    pub fn min_sq_dist_to_cell(&self, c: usize, p: &[f64]) -> f64 {
+        min_sq_dist_to_box(p, self.mbr(c))
+    }
+
+    /// Squared distance from `p` to the farthest point of compacted cell
+    /// `c`'s point MBR: [`GridGeometry::max_sq_dist_to_bounds`] with the
+    /// cell's bounds, bit for bit. No point of the cell is farther from
+    /// `p`.
+    #[inline]
+    pub fn max_sq_dist_to_cell(&self, c: usize, p: &[f64]) -> f64 {
+        max_sq_dist_to_box(p, self.mbr(c))
+    }
+
+    /// Box-versus-box verdicts for a run of points that share cell `run`:
+    /// classify the cells `lo..hi` of every range in `ranges`, in order,
+    /// four per step, and write each cell that some point of the run may
+    /// reach to `list` as `(cell, covered)`. Returns the number of
+    /// candidates written, or `None` when they do not fit `list`.
+    ///
+    /// With box `a` the run cell's point MBR and `b` a reach cell's, each
+    /// of the four lanes folds the dimensions in order, with separate
+    /// multiply and add:
+    ///
+    /// * `g = max(max(b_lo − a_hi, a_lo − b_hi), 0)`, `min += g·g`;
+    /// * `f = max(a_hi − b_lo, b_hi − a_lo)`, `max += f·f`;
+    ///
+    /// where `max(x, y)` is `x` if `x > y`, else `y` ([`F64x4::larger`],
+    /// `maxpd`'s rule). These are the computations of
+    /// `GridGeometry::{min,max}_sq_dist_between_bounds`, so every lane's
+    /// sums carry their bits. A cell is unreachable iff `min > eps_sq`,
+    /// and covered iff `use_summaries` and `max ≤ eps_sq`.
+    ///
+    /// `use_avx2` requests the same loop compiled for AVX2, taken only
+    /// when [`avx2_available`](crate::kernels::avx2_available) confirms
+    /// the CPU has it; it runs the whole range list in one call, so the
+    /// dispatch is paid once per run.
+    ///
+    /// # Panics
+    /// If `run` or a range reaches past the last lane block of cells.
+    pub fn classify_reach(
+        &self,
+        run: usize,
+        ranges: &[(u32, u32)],
+        eps_sq: f64,
+        use_summaries: bool,
+        list: &mut [(u32, bool)],
+        use_avx2: bool,
+    ) -> Option<usize> {
+        let (bounds, dim) = (&self.cell_bounds[..], self.geometry.dim);
+        let covered_mask = if use_summaries { 0xF } else { 0 };
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2 && avx2_available() {
+            // SAFETY: AVX2 was detected at runtime
+            return unsafe {
+                classify_blocks_avx2(bounds, dim, run, ranges, eps_sq, covered_mask, list)
+            };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = use_avx2;
+        classify_blocks::<0>(bounds, dim, run, ranges, eps_sq, covered_mask, list)
+    }
+
+    /// Every cell's Σsin/Σcos row, [`CellGrid::trig_stride`] apart: cell
+    /// `c`'s [`CellGrid::sin_sums`] then [`CellGrid::cos_sums`] start at
+    /// `c · trig_stride()`.
+    pub(crate) fn summary_rows(&self) -> &[f64] {
+        &self.trig_sums
     }
 
     /// All point indices in grid-sorted order — the host edition of the
@@ -1198,19 +1297,6 @@ impl CellGrid {
 /// seed 1 holds 559 cells, from a `blobs8d` reach of ~1 220 occupied cells.
 pub(crate) const RUN_LIST: usize = 4096;
 
-/// How one reach cell relates to every point of a run, decided once per
-/// run from boxes (see [`ReachMemo::for_each_candidate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunVerdict {
-    /// No point of the run can reach the cell: it leaves the list.
-    Unreachable,
-    /// Some points may reach the cell: each point classifies it itself.
-    Straddles,
-    /// The cell lies inside every run point's ε-ball: each point consumes
-    /// its summary without a test.
-    Covered,
-}
-
 /// The reach of one outer cell and the classified candidates of one inner
 /// cell, each resolved once and replayed for every point that shares it:
 /// the host edition of the per-cell preGrid list the paper's update
@@ -1220,6 +1306,14 @@ pub(crate) enum RunVerdict {
 /// reach. The memo keeps that reach as a list of compacted cell ranges and
 /// the run's verdicts as a list of cells, both on the stack, so the
 /// steady-state loop allocates nothing.
+///
+/// The verdicts compare boxes: the run cell's point MBR against each
+/// reach cell's, four reach cells per step
+/// ([`CellGrid::classify_reach`]). A cell no point of the run can reach
+/// leaves the list. A cell inside every run point's ε-ball is flagged
+/// covered, and each point consumes its summary without a test of its
+/// own. The rest straddle: each point classifies them against its own
+/// position.
 ///
 /// The range list holds [`MAX_SURROUND_ENUM`] ranges, one per non-empty
 /// outer cell of the reach. [`GridVariant::Auto`] never exceeds it; under
@@ -1232,6 +1326,10 @@ pub(crate) enum RunVerdict {
 /// [`GridVariant::Auto`]: super::GridVariant::Auto
 pub(crate) struct ReachMemo<'g, const LIST: usize> {
     grid: &'g CellGrid,
+    /// ε² of the pass the verdicts serve.
+    eps_sq: f64,
+    /// Whether covered cells are flagged (the summary ablation).
+    use_summaries: bool,
     /// Outer cell whose reach `ranges[..len]` holds, once resolved.
     oid: Option<usize>,
     /// The reach of `oid` did not fit the range list.
@@ -1248,10 +1346,13 @@ pub(crate) struct ReachMemo<'g, const LIST: usize> {
 }
 
 impl<'g, const LIST: usize> ReachMemo<'g, LIST> {
-    /// An empty memo over `grid`; the first call resolves a reach.
-    pub fn new(grid: &'g CellGrid) -> Self {
+    /// An empty memo over `grid` for a pass at radius² `eps_sq`, flagging
+    /// covered cells iff `use_summaries`; the first call resolves a reach.
+    pub fn new(grid: &'g CellGrid, eps_sq: f64, use_summaries: bool) -> Self {
         Self {
             grid,
+            eps_sq,
+            use_summaries,
             oid: None,
             overflow: false,
             len: 0,
@@ -1264,53 +1365,43 @@ impl<'g, const LIST: usize> ReachMemo<'g, LIST> {
     }
 
     /// Hand `f` the cells `c` in the reach of inner cell `run`'s outer cell
-    /// that `classify` does not rule [`RunVerdict::Unreachable`], in
+    /// that some point of the run may reach, in
     /// [`CellGrid::for_each_cell_in_reach`]'s order, as `(c, covered)`
-    /// pairs with `covered` true for [`RunVerdict::Covered`]. `f` gets
-    /// the whole list in one call. `classify` runs once per reach cell when
-    /// `run` differs from the previous call's, and must give the same
-    /// verdicts on every call. A run whose candidates overflow the list,
-    /// or whose reach overflows the range list, instead hands `f` every
-    /// reach cell, one call each, unflagged: the per-point walk.
+    /// pairs with `covered` set for cells inside every run point's ε-ball.
+    /// `f` gets the whole list in one call. The list is built when `run`
+    /// differs from the previous call's. A run whose candidates overflow
+    /// the list, or whose reach overflows the range list, instead hands
+    /// `f` every reach cell, one call each, unflagged: the per-point walk.
     ///
     /// Exactness rests on the verdicts: a cell left out must be one no
     /// point of the run would consume, and a covered cell one every point
-    /// would consume whole. Dropping the first kind and deciding the second
-    /// early keeps each point's consumed cells, their paths and their
-    /// order, so the accumulated sums and counters keep their bits.
-    pub fn for_each_candidate(
-        &mut self,
-        run: usize,
-        mut classify: impl FnMut(usize) -> RunVerdict,
-        mut f: impl FnMut(&[(u32, bool)]),
-    ) {
-        let oid = self
-            .grid
-            .geometry
-            .outer_id_of_coords(self.grid.cell_key(run));
+    /// would consume whole. The box-vs-box distances bound every run
+    /// point's computed distances bit for bit
+    /// (`GridGeometry::*_between_bounds`), so dropping the first kind and
+    /// deciding the second early keeps each point's consumed cells, their
+    /// paths and their order, and the accumulated sums and counters keep
+    /// their bits.
+    pub fn for_each_candidate(&mut self, run: usize, mut f: impl FnMut(&[(u32, bool)])) {
+        let grid = self.grid;
+        let oid = grid.geometry.outer_id_of_coords(grid.cell_key(run));
         if self.oid != Some(oid) {
             self.resolve(oid);
         }
         let ranges = (!self.overflow).then_some(&self.ranges[..self.len]);
         if self.run != Some(run) {
-            // one call site for `classify`, so the compiler inlines it
-            let (mut len, mut overflow) = (0, self.overflow);
-            'walk: for &(lo, hi) in ranges.unwrap_or_default() {
-                for c in lo..hi {
-                    let covered = match classify(c as usize) {
-                        RunVerdict::Unreachable => continue,
-                        RunVerdict::Straddles => false,
-                        RunVerdict::Covered => true,
-                    };
-                    if len == LIST {
-                        overflow = true;
-                        break 'walk;
-                    }
-                    self.list[len] = (c, covered);
-                    len += 1;
-                }
-            }
-            (self.run, self.list_len, self.list_overflow) = (Some(run), len, overflow);
+            let verdicts = ranges.and_then(|ranges| {
+                // the AVX2 loop wherever the CPU has it
+                grid.classify_reach(
+                    run,
+                    ranges,
+                    self.eps_sq,
+                    self.use_summaries,
+                    &mut self.list,
+                    true,
+                )
+            });
+            (self.run, self.list_len, self.list_overflow) =
+                (Some(run), verdicts.unwrap_or(0), verdicts.is_none());
         }
         if !self.list_overflow {
             f(&self.list[..self.list_len]);
@@ -1321,8 +1412,7 @@ impl<'g, const LIST: usize> ReachMemo<'g, LIST> {
                 }
             }
         } else {
-            self.grid
-                .for_each_cell_in_reach(oid, |c| f(&[(c as u32, false)]));
+            grid.for_each_cell_in_reach(oid, |c| f(&[(c as u32, false)]));
         }
     }
 
@@ -1338,6 +1428,119 @@ impl<'g, const LIST: usize> ReachMemo<'g, LIST> {
             });
         (self.oid, self.len, self.overflow) = (Some(oid), len, overflow);
     }
+}
+
+/// [`CellGrid::classify_reach`]'s loop compiled with AVX2 enabled, `D` =
+/// `dim` for `dim` 1–8 and read at run time above that.
+///
+/// # Safety
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn classify_blocks_avx2(
+    bounds: &[f64],
+    dim: usize,
+    run: usize,
+    ranges: &[(u32, u32)],
+    eps_sq: f64,
+    covered_mask: u32,
+    list: &mut [(u32, bool)],
+) -> Option<usize> {
+    macro_rules! by_dim {
+        ($($d:literal)*) => {
+            match dim {
+                $($d => classify_blocks::<$d>(bounds, dim, run, ranges, eps_sq, covered_mask, list),)*
+                _ => classify_blocks::<0>(bounds, dim, run, ranges, eps_sq, covered_mask, list),
+            }
+        };
+    }
+    by_dim!(1 2 3 4 5 6 7 8)
+}
+
+/// The loop behind [`CellGrid::classify_reach`] over the lane-blocked MBR
+/// table `bounds` (see [`CellGrid`]'s `cell_bounds`), for `D` = `dim`, or
+/// `D = 0` to read `dim` at run time. `covered_mask` is `0xF`, or 0 to
+/// flag no cell covered.
+#[inline(always)]
+fn classify_blocks<const D: usize>(
+    bounds: &[f64],
+    dim: usize,
+    run: usize,
+    ranges: &[(u32, u32)],
+    eps_sq: f64,
+    covered_mask: u32,
+    list: &mut [(u32, bool)],
+) -> Option<usize> {
+    let dim = if D == 0 { dim } else { D };
+    let bs = 2 * dim * LANES;
+    // the run cell's box, gathered once from its lane
+    let (mut a_lo, mut a_hi) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
+    let run_block = &bounds[run / LANES * bs..][..bs];
+    for i in 0..dim {
+        a_lo[i] = run_block[i * LANES + run % LANES];
+        a_hi[i] = run_block[(dim + i) * LANES + run % LANES];
+    }
+    let eps = F64x4::splat(eps_sq);
+    let mut len = 0;
+    for &(lo, hi) in ranges {
+        for b in lo as usize / LANES..(hi as usize).div_ceil(LANES) {
+            let block = &bounds[b * bs..(b + 1) * bs];
+            let (mut min, mut max) = (F64x4::ZERO, F64x4::ZERO);
+            for i in 0..dim {
+                let (b_lo, b_hi) = (
+                    F64x4::load(&block[i * LANES..]),
+                    F64x4::load(&block[(dim + i) * LANES..]),
+                );
+                let (a_lo, a_hi) = (F64x4::splat(a_lo[i]), F64x4::splat(a_hi[i]));
+                let g = (b_lo - a_hi).larger(a_lo - b_hi).larger(F64x4::ZERO);
+                min += g * g;
+                let f = (a_hi - b_lo).larger(b_hi - a_lo);
+                max += f * f;
+            }
+            let reach = min.gt(eps).bits() ^ 0xF;
+            let covered = max.le(eps).bits() & covered_mask;
+            len = push_candidates(list, len, b, lo, hi, reach, covered)?;
+        }
+    }
+    Some(len)
+}
+
+/// Write the cells of lane block `b` that lie in `lo..hi` and have their
+/// `reach` bit set to `list[len..]`, in lane order, each with its
+/// `covered` bit. Returns the new length, or `None` once `list` is full.
+#[inline(always)]
+fn push_candidates(
+    list: &mut [(u32, bool)],
+    len: usize,
+    b: usize,
+    lo: u32,
+    hi: u32,
+    reach: u32,
+    covered: u32,
+) -> Option<usize> {
+    let first = (b * LANES) as u32;
+    // lanes outside `lo..hi` hold other ranges' cells, or none
+    let (below, above) = (
+        lo.saturating_sub(first).min(LANES as u32),
+        (first + LANES as u32).saturating_sub(hi).min(LANES as u32),
+    );
+    let reach = reach & (0xF << below) & (0xF >> above);
+    let mut len = len;
+    if len + LANES <= list.len() {
+        // branch-free: every lane is written, only kept ones advance
+        for j in 0..LANES {
+            list[len] = (first + j as u32, covered >> j & 1 != 0);
+            len += (reach >> j & 1) as usize;
+        }
+    } else {
+        for j in 0..LANES {
+            if reach >> j & 1 != 0 {
+                *list.get_mut(len)? = (first + j as u32, covered >> j & 1 != 0);
+                len += 1;
+            }
+        }
+    }
+    Some(len)
 }
 
 #[cfg(test)]
@@ -1645,31 +1848,49 @@ mod tests {
         }
     }
 
+    /// Compacted cell `c`'s point MBR as `(lo, hi)` vectors.
+    fn cell_mbr(grid: &CellGrid, c: usize) -> (Vec<f64>, Vec<f64>) {
+        grid.mbr(c).unzip()
+    }
+
     /// Drive one [`ReachMemo`] with a `LIST`-cell candidate list over
     /// every `stride`-th point of `grid` — in grid-sorted order (runs, as
     /// the update visits them), then in index order (the cell changes at
-    /// almost every step) — under a synthetic verdict of all three kinds.
-    /// Each point must replay [`CellGrid::for_each_cell_in_reach`]'s visit
-    /// sequence: the cells the verdict keeps, flagged when covered, or
-    /// every cell unflagged when the run's candidates overflow the list or
-    /// its reach overflows the range list.
-    /// Returns `(points checked, points whose reach overflowed the range
-    /// list, points whose run overflowed the candidate list)`.
+    /// almost every step) — at the grid's ε, flagging covered cells iff
+    /// `use_summaries`. Each point must replay
+    /// [`CellGrid::for_each_cell_in_reach`]'s visit sequence: the cells the
+    /// scalar box distances (`GridGeometry::*_between_bounds`) keep for
+    /// the run, flagged when covered, or every cell unflagged when the
+    /// run's candidates overflow the list or its reach overflows the range
+    /// list. Returns `(points checked, points whose reach overflowed the
+    /// range list, points whose run overflowed the candidate list, reach
+    /// cells judged [unreachable, straddling, covered])`.
     fn assert_memo_replays_walk<const LIST: usize>(
         grid: &CellGrid,
         coords: &[f64],
         stride: usize,
-    ) -> (usize, usize, usize) {
+        use_summaries: bool,
+    ) -> (usize, usize, usize, [usize; 3]) {
         let geo = *grid.geometry();
         let n = coords.len() / geo.dim;
-        let verdict = |run: usize, c: usize| match (run * 7 + c * 13) % 3 {
-            0 => RunVerdict::Unreachable,
-            1 => RunVerdict::Straddles,
-            _ => RunVerdict::Covered,
+        let eps_sq = geo.epsilon * geo.epsilon;
+        // 0 unreachable, 1 straddling, 2 covered
+        let verdict = |run: usize, c: usize| {
+            let ((a_lo, a_hi), (b_lo, b_hi)) = (cell_mbr(grid, run), cell_mbr(grid, c));
+            if GridGeometry::min_sq_dist_between_bounds(&a_lo, &a_hi, &b_lo, &b_hi) > eps_sq {
+                0
+            } else if use_summaries
+                && GridGeometry::max_sq_dist_between_bounds(&a_lo, &a_hi, &b_lo, &b_hi) <= eps_sq
+            {
+                2
+            } else {
+                1
+            }
         };
-        let mut memo = ReachMemo::<LIST>::new(grid);
+        let mut memo = ReachMemo::<LIST>::new(grid, eps_sq, use_summaries);
         let (mut walked, mut replayed) = (Vec::new(), Vec::new());
         let (mut checked, mut overflowed, mut list_overflowed) = (0, 0, 0);
+        let mut kinds = [0; 3];
         let sorted = grid.point_order().iter().map(|&p| p as usize);
         for p_idx in sorted.step_by(stride).chain((0..n).step_by(stride)) {
             let run = grid.point_cell()[p_idx] as usize;
@@ -1677,17 +1898,16 @@ mod tests {
             walked.clear();
             replayed.clear();
             grid.for_each_cell_in_reach(oid, |c| walked.push(c));
-            memo.for_each_candidate(
-                run,
-                |c| verdict(run, c),
-                |batch| replayed.push(batch.to_vec()),
-            );
+            memo.for_each_candidate(run, |batch| replayed.push(batch.to_vec()));
+            let verdicts: Vec<usize> = walked.iter().map(|&c| verdict(run, c)).collect();
+            for &v in &verdicts {
+                kinds[v] += 1;
+            }
             let kept: Vec<(u32, bool)> = walked
                 .iter()
-                .filter_map(|&c| match verdict(run, c) {
-                    RunVerdict::Unreachable => None,
-                    v => Some((c as u32, v == RunVerdict::Covered)),
-                })
+                .zip(&verdicts)
+                .filter(|&(_, &v)| v > 0)
+                .map(|(&c, &v)| (c as u32, v == 2))
                 .collect();
             let fits = !memo.overflow && kept.len() <= LIST;
             assert_eq!(memo.list_overflow, !fits, "point {p_idx}");
@@ -1702,7 +1922,7 @@ mod tests {
             overflowed += usize::from(memo.overflow);
             list_overflowed += usize::from(memo.list_overflow);
         }
-        (checked, overflowed, list_overflowed)
+        (checked, overflowed, list_overflowed, kinds)
     }
 
     #[test]
@@ -1712,6 +1932,7 @@ mod tests {
         // walks one bucket; the rest enumerate offsets over many occupied
         // outer cells
         let mut mixed = false;
+        let mut kinds = [0; 3];
         for (dim, eps, variant, n) in [
             (2, 0.05, GridVariant::Auto, 3000),
             (2, 0.05, GridVariant::Sequential, 600),
@@ -1725,18 +1946,31 @@ mod tests {
                 occupied > 64 || grid.geometry().outer_dims == 0,
                 "{variant:?}"
             );
-            assert_eq!(
-                assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 1),
-                (2 * n, 0, 0),
-                "{variant:?}"
-            );
+            for use_summaries in [true, false] {
+                let (checked, overflowed, list_overflowed, seen) =
+                    assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 1, use_summaries);
+                assert_eq!(
+                    (checked, overflowed, list_overflowed),
+                    (2 * n, 0, 0),
+                    "{variant:?}"
+                );
+                assert!(use_summaries || seen[2] == 0, "covered without summaries");
+                for k in 0..3 {
+                    kinds[k] += seen[k];
+                }
+            }
             // a short candidate list: the replay must hold both for runs
             // that fit it and for runs that overflow it
-            let (checked, _, list_overflowed) = assert_memo_replays_walk::<8>(&grid, &coords, 1);
+            let (checked, _, list_overflowed, _) =
+                assert_memo_replays_walk::<8>(&grid, &coords, 1, true);
             assert!(list_overflowed > 0, "{variant:?}");
             mixed |= list_overflowed < checked;
         }
         assert!(mixed, "no grid mixes fitting and overflowing runs");
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "verdict kinds seen: {kinds:?}"
+        );
 
         // few occupied outer cells: the sorted-occupancy replay path
         let coords = pseudo_cloud(40, 2);
@@ -1744,10 +1978,9 @@ mod tests {
         let grid = CellGrid::build(&exec, g, &coords);
         let v = g.surround_per_dim();
         assert!(grid.outer_index.len() <= 64 && grid.outer_index.len() < v * v);
-        assert_eq!(
-            assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 1),
-            (80, 0, 0)
-        );
+        let (checked, overflowed, list_overflowed, _) =
+            assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 1, true);
+        assert_eq!((checked, overflowed, list_overflowed), (80, 0, 0));
 
         // a reach with more non-empty outer cells than the memo holds: a
         // 4-d lattice, one point per cell, every cell within the reach
@@ -1771,11 +2004,147 @@ mod tests {
         }
         assert!(coords.len() / 4 > MAX_SURROUND_ENUM);
         let grid = CellGrid::build(&exec, g, &coords);
-        let (checked, overflowed, _) = assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 97);
+        let (checked, overflowed, _, _) =
+            assert_memo_replays_walk::<RUN_LIST>(&grid, &coords, 97, true);
         assert!(
             0 < overflowed && overflowed < checked,
             "{overflowed} of {checked} overflowed"
         );
+    }
+
+    /// The lane-blocked MBR table of `boxes`, one `(lo, hi)` per cell.
+    fn mbr_table(boxes: &[(Vec<f64>, Vec<f64>)], dim: usize) -> Vec<f64> {
+        let bs = 2 * dim * LANES;
+        let mut table = vec![0.0; boxes.len().div_ceil(LANES) * bs];
+        for (c, (lo, hi)) in boxes.iter().enumerate() {
+            let at = c / LANES * bs + c % LANES;
+            for i in 0..dim {
+                table[at + i * LANES] = lo[i];
+                table[at + (dim + i) * LANES] = hi[i];
+            }
+        }
+        table
+    }
+
+    /// [`CellGrid::classify_reach`]'s candidates, one cell at a time
+    /// through the scalar `GridGeometry::*_between_bounds`.
+    fn scalar_verdicts(
+        boxes: &[(Vec<f64>, Vec<f64>)],
+        run: usize,
+        ranges: &[(u32, u32)],
+        eps_sq: f64,
+        use_summaries: bool,
+    ) -> Vec<(u32, bool)> {
+        let (a_lo, a_hi) = &boxes[run];
+        let mut out = Vec::new();
+        for &(lo, hi) in ranges {
+            for c in lo..hi {
+                let (b_lo, b_hi) = &boxes[c as usize];
+                if GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) > eps_sq {
+                    continue;
+                }
+                let covered = use_summaries
+                    && GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi) <= eps_sq;
+                out.push((c, covered));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn classify_reach_matches_the_scalar_box_distances_bitwise() {
+        use rand::{Rng, SeedableRng, StdRng};
+        const CELLS: usize = 23;
+        let mut rng = StdRng::seed_from_u64(0xb10c);
+        // reach ranges: everything, one cell, ranges that start or end
+        // mid-block, adjacent ranges sharing a block
+        let range_sets: [&[(u32, u32)]; 5] = [
+            &[(0, CELLS as u32)],
+            &[(6, 7)],
+            &[(1, 3), (5, 10), (13, 22)],
+            &[(3, 4), (4, 9), (9, 13)],
+            &[(0, 4), (17, 18), (20, 23)],
+        ];
+        for dim in 1..=12 {
+            for round in 0..8 {
+                // the run box, and boxes around it: single points, boxes
+                // touching it, boxes with signed-zero faces, random ones
+                let mut boxes: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(CELLS);
+                let pool = [0.0f64, -0.0, 0.25, 0.5];
+                for c in 0..CELLS {
+                    let (mut lo, mut hi) = (vec![0.0; dim], vec![0.0; dim]);
+                    for i in 0..dim {
+                        let (x, y) = match (c + round) % 4 {
+                            0 => {
+                                let x = pool[rng.gen_range(0..pool.len())];
+                                (x, x)
+                            }
+                            1 if c > 0 => {
+                                // touching cell 0's high face
+                                let face = boxes[0].1[i];
+                                (face, face + rng.gen_range(0.0..0.1))
+                            }
+                            2 => (-0.0, pool[rng.gen_range(0..pool.len())].abs()),
+                            _ => {
+                                let x = rng.gen_range(-0.3..0.6);
+                                (x, x + rng.gen_range(0.0..0.2))
+                            }
+                        };
+                        (lo[i], hi[i]) = (x, y);
+                    }
+                    boxes.push((lo, hi));
+                }
+                // a grid holding nothing but these boxes' MBR table
+                let mut grid = CellGrid::new(GridGeometry::new(dim, 0.1, CELLS, GridVariant::Auto));
+                grid.cell_bounds = mbr_table(&boxes, dim);
+                for run in [0, 5, CELLS - 1] {
+                    // radii at the box distances of a few cells, and one
+                    // ulp either side of them
+                    let mut radii = vec![0.0, rng.gen_range(0.0..0.5)];
+                    for c in [1, 2, 7, 11, 19] {
+                        let ((a_lo, a_hi), (b_lo, b_hi)) = (&boxes[run], &boxes[c]);
+                        for r in [
+                            GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi),
+                            GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, b_lo, b_hi),
+                        ] {
+                            radii.extend([r, r.next_up(), r.next_down()]);
+                        }
+                    }
+                    for (&eps_sq, ranges) in radii.iter().zip(range_sets.iter().cycle()) {
+                        for use_summaries in [true, false] {
+                            let want = scalar_verdicts(&boxes, run, ranges, eps_sq, use_summaries);
+                            for use_avx2 in [false, true] {
+                                let case = format!(
+                                    "dim {dim} round {round} run {run} eps² {eps_sq:e} \
+                                     {ranges:?} summaries={use_summaries} avx2={use_avx2}"
+                                );
+                                let classify = |list: &mut [(u32, bool)]| {
+                                    grid.classify_reach(
+                                        run,
+                                        ranges,
+                                        eps_sq,
+                                        use_summaries,
+                                        list,
+                                        use_avx2,
+                                    )
+                                };
+                                let mut list = [(0, false); CELLS];
+                                let len = classify(&mut list).expect("23 cells fit");
+                                assert_eq!(&list[..len], &want[..], "{case}");
+                                // a list exactly as long fits, one shorter
+                                // overflows
+                                let mut exact = vec![(0, false); want.len()];
+                                assert_eq!(classify(&mut exact), Some(want.len()), "{case}");
+                                if let Some(short) = want.len().checked_sub(1) {
+                                    let mut short = vec![(0, false); short];
+                                    assert_eq!(classify(&mut short), None, "{case}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1843,24 +2212,51 @@ mod tests {
         }
     }
 
+    /// The lane-blocked MBRs hold each cell's tight point bounds in its
+    /// lane, zeros in the pad lanes past the last cell, and the in-place
+    /// distance reads give `GridGeometry`'s box distances bit for bit.
     #[test]
     fn cell_bounds_are_tight_point_mbrs() {
-        let coords = pseudo_cloud(300, 3);
-        let g = GridGeometry::new(3, 0.12, 100, GridVariant::Auto);
+        let dim = 3;
+        let coords = pseudo_cloud(290, dim);
+        let g = GridGeometry::new(dim, 0.12, 100, GridVariant::Auto);
         let grid = CellGrid::build(&Executor::new(Some(4)), g, &coords);
-        assert!(grid.num_cells() > 1);
-        for c in 0..grid.num_cells() {
-            let (lo, hi) = grid.cell_bounds(c);
-            for i in 0..3 {
+        let num_cells = grid.num_cells();
+        assert!(
+            num_cells > 1 && !num_cells.is_multiple_of(LANES),
+            "{num_cells} cells"
+        );
+        assert_eq!(
+            grid.cell_bounds.len(),
+            num_cells.div_ceil(LANES) * 2 * dim * LANES
+        );
+        let probes = [[0.5, 0.5, 0.5], [0.0, 1.0, 0.25], [0.31, 0.07, 0.9]];
+        for c in 0..num_cells {
+            let (lo, hi) = cell_mbr(&grid, c);
+            for i in 0..dim {
                 let mut min = f64::INFINITY;
                 let mut max = f64::NEG_INFINITY;
                 for &p in grid.cell_points(c) {
-                    min = min.min(coords[p as usize * 3 + i]);
-                    max = max.max(coords[p as usize * 3 + i]);
+                    min = min.min(coords[p as usize * dim + i]);
+                    max = max.max(coords[p as usize * dim + i]);
                 }
                 assert_eq!(lo[i].to_bits(), min.to_bits(), "cell {c} dim {i}");
                 assert_eq!(hi[i].to_bits(), max.to_bits(), "cell {c} dim {i}");
             }
+            let first = row(&coords, dim, grid.cell_points(c)[0] as usize);
+            for p in probes.iter().map(|p| &p[..]).chain([first]) {
+                assert_eq!(
+                    grid.min_sq_dist_to_cell(c, p).to_bits(),
+                    GridGeometry::min_sq_dist_to_bounds(p, &lo, &hi).to_bits()
+                );
+                assert_eq!(
+                    grid.max_sq_dist_to_cell(c, p).to_bits(),
+                    GridGeometry::max_sq_dist_to_bounds(p, &lo, &hi).to_bits()
+                );
+            }
+        }
+        for c in num_cells..num_cells.next_multiple_of(LANES) {
+            assert!(grid.mbr(c).all(|(lo, hi)| lo == 0.0 && hi == 0.0));
         }
     }
 

@@ -28,4 +28,4 @@ mod host;
 pub use device::{DeviceGrid, DeviceRefreshStats, GridWorkspace, PreGrid};
 pub use geometry::{GridGeometry, GridVariant, ShardPlan, MAX_OUTER_CELLS, MAX_SURROUND_ENUM};
 pub use host::{CellGrid, GridRefreshStats, HostGrid};
-pub(crate) use host::{ReachMemo, RunVerdict, RUN_LIST};
+pub(crate) use host::{ReachMemo, RUN_LIST};

@@ -92,6 +92,30 @@ impl F64x4 {
         Mask4(out)
     }
 
+    /// Per-lane `self > rhs`.
+    #[inline(always)]
+    pub fn gt(self, rhs: Self) -> Mask4 {
+        let mut out = [false; LANES];
+        for i in 0..LANES {
+            out[i] = self.0[i] > rhs.0[i];
+        }
+        Mask4(out)
+    }
+
+    /// Per-lane `self` where `self > rhs`, else `rhs`: the operand rule of
+    /// x86's `maxpd`, so it matches `_mm256_max_pd(self, rhs)` bit for bit,
+    /// signed zeros and NaNs included.
+    #[inline(always)]
+    pub fn larger(self, rhs: Self) -> Self {
+        let mut out = rhs.0;
+        for i in 0..LANES {
+            if self.0[i] > rhs.0[i] {
+                out[i] = self.0[i];
+            }
+        }
+        Self(out)
+    }
+
     /// Lane-wise choice: `t` where the mask is set, `f` elsewhere.
     #[inline(always)]
     pub fn select(mask: Mask4, t: Self, f: Self) -> Self {
@@ -181,6 +205,17 @@ impl Mask4 {
     #[inline(always)]
     pub fn count(self) -> u32 {
         self.0.iter().map(|&b| b as u32).sum()
+    }
+
+    /// The lanes as bits, lane `j` at bit `j` (`_mm256_movemask_pd`'s
+    /// layout).
+    #[inline(always)]
+    pub fn bits(self) -> u32 {
+        self.0
+            .iter()
+            .enumerate()
+            .map(|(j, &b)| u32::from(b) << j)
+            .sum()
     }
 
     /// Lane `j` set iff grid-sorted slot `base + j` lies in `[lo, hi)` —
@@ -534,6 +569,7 @@ unsafe fn pair_term_cell_avx2(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
+#[inline]
 unsafe fn pair_term_cell_avx2_dim<const D: usize>(
     lane_coords: &[f64],
     lane_sins: &[f64],

@@ -1,0 +1,183 @@
+//! Output bits pinned in-tree: small seeded runs of the engine's main
+//! configurations, each hashed to one digest over its labels, final
+//! coordinate bits, iteration count, convergence verdict, cluster count,
+//! every [`UpdateCounters`] field and, on the simulated device, the
+//! [`KernelSummary`].
+//!
+//! A change that claims "output bits unchanged" must leave every digest as
+//! it is. A change that moves bits on purpose records the new digests here
+//! and says why. The digests depend on the platform's `sin`/`cos`, so the
+//! suite only runs on x86-64 Linux, where they were recorded.
+#![cfg(all(target_arch = "x86_64", target_os = "linux"))]
+
+use egg_sync::core::instrument::{KernelSummary, UpdateCounters};
+use egg_sync::core::Backend;
+use egg_sync::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// 64-bit FNV-1a over little-endian words: stable across toolchains,
+/// unlike `std`'s default hasher.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// The digest of one run. Destructuring the counter structs makes a new
+/// field a compile error here, so it cannot silently escape the pin.
+fn digest(run: &Clustering) -> u64 {
+    let mut h = Fnv::new();
+    h.word(run.labels.len() as u64);
+    for &label in &run.labels {
+        h.word(u64::from(label));
+    }
+    for &x in run.final_coords.coords() {
+        h.word(x.to_bits());
+    }
+    h.word(run.iterations as u64);
+    h.word(u64::from(run.converged));
+    h.word(run.num_clusters as u64);
+    let UpdateCounters {
+        summary_cells,
+        point_pairs,
+        sin_calls_avoided,
+        moved_points,
+        dirty_cells,
+        cells_skipped,
+        simd_lanes,
+        simd_remainder_lanes,
+        shard_count,
+        halo_movers,
+        halo_cells,
+        exec_dispatches,
+    } = run.trace.update_counters;
+    for w in [
+        summary_cells,
+        point_pairs,
+        sin_calls_avoided,
+        moved_points,
+        dirty_cells,
+        cells_skipped,
+        simd_lanes,
+        simd_remainder_lanes,
+        shard_count,
+        halo_movers,
+        halo_cells,
+        exec_dispatches,
+    ] {
+        h.word(w);
+    }
+    if let Some(KernelSummary {
+        launches,
+        mem_words,
+        coalesced_words,
+        atomics,
+    }) = run.trace.kernel_summary
+    {
+        for w in [launches, mem_words, coalesced_words, atomics] {
+            h.word(w);
+        }
+    }
+    h.0
+}
+
+/// The engine under test with every option that an environment override
+/// could flip set explicitly, so CI's env legs run the pinned
+/// configuration too.
+fn engine(epsilon: f64, backend: Backend, threads: usize, num_shards: usize) -> EggSync {
+    let mut algo = EggSync::new(epsilon);
+    algo.backend = backend;
+    algo.threads = Some(threads);
+    algo.options.use_simd = true;
+    algo.options.use_fused_kernels = true;
+    algo.options.num_shards = num_shards;
+    algo
+}
+
+fn blobs(n: usize, dim: usize, seed: u64) -> Dataset {
+    GaussianSpec {
+        n,
+        dim,
+        seed,
+        ..GaussianSpec::default()
+    }
+    .generate_normalized()
+    .0
+}
+
+fn assert_digest(name: &str, run: &Clustering, want: u64) {
+    assert!(run.converged, "{name}: the pinned run must converge");
+    let got = digest(run);
+    assert_eq!(
+        got, want,
+        "{name}: output bits or counters moved (digest {got:#018x}, pinned {want:#018x})"
+    );
+}
+
+#[test]
+fn blobs_2d_bits_are_pinned() {
+    let run = engine(0.05, Backend::Host, 2, 1).cluster(&blobs(2_000, 2, 1));
+    assert_digest("2-d blobs", &run, 0xac67_e086_3fee_7aed);
+}
+
+#[test]
+fn blobs_8d_bits_are_pinned() {
+    let run = engine(0.2, Backend::Host, 2, 1).cluster(&blobs(1_000, 8, 1));
+    assert_digest("8-d blobs", &run, 0xf938_3194_41a8_33a9);
+}
+
+/// A Skin-like bridge in three dimensions: two σ = 0.003 blobs joined by
+/// a small bridge blob between them, all at y = z = 0.5. At ε = 0.05 the
+/// blobs never see each other directly but both see the bridge, so the
+/// exact criterion runs a long merge. The modes sit near x = 1/3, where a
+/// 3-shard plan cuts the leading axis, so the sharded run's shards hold
+/// ghost cells of each other.
+fn skin_bridge(n: usize, seed: u64) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Box–Muller: one standard normal per pair of uniforms
+    let mut normal = |sigma: f64| {
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let v: f64 = rng.gen_range(0.0..1.0);
+        sigma * (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
+    };
+    let bridge = (n / 100).max(1);
+    let blob = (n - bridge) / 2;
+    let mut coords = Vec::with_capacity(n * 3);
+    for (x, count) in [(0.29, blob), (0.33, bridge), (0.37, n - blob - bridge)] {
+        for _ in 0..count {
+            coords.extend([x + normal(0.003), 0.5 + normal(0.003), 0.5 + normal(0.003)]);
+        }
+    }
+    Dataset::from_coords(coords, 3)
+}
+
+#[test]
+fn skin_bridge_bits_are_pinned() {
+    let data = skin_bridge(800, 1);
+    let single = engine(0.05, Backend::Host, 2, 1).cluster(&data);
+    assert_digest("3-d Skin bridge", &single, 0xd92f_8a34_2361_6037);
+    let sharded = engine(0.05, Backend::Host, 2, 3).cluster(&data);
+    assert_digest(
+        "3-d Skin bridge on 3 shards",
+        &sharded,
+        0xffb0_5628_4d9c_c9f8,
+    );
+}
+
+#[test]
+fn device_bits_are_pinned() {
+    // one simulator thread: only then are device bits and kernel counts
+    // reproducible
+    let run = engine(0.05, Backend::SimulatedGpu, 1, 1).cluster(&blobs(1_000, 2, 1));
+    assert_digest("device 2-d blobs", &run, 0xcb8f_7bdb_f53c_bcdf);
+}
