@@ -14,9 +14,7 @@ use egg_sync_core::egg::update::{CandidateWalk, PointSums, UpdateOptions};
 use egg_sync_core::exec::Executor;
 use egg_sync_core::grid::{CellGrid, GridGeometry, GridVariant};
 use egg_sync_core::instrument::UpdateCounters;
-use egg_sync_core::kernels::{
-    avx2_available, distance_sq_lanes, pair_term_block, pair_term_cell, F64x4, Mask4, LANES,
-};
+use egg_sync_core::kernels::{avx2_available, distance_sq_lanes, pair_term_cell, F64x4, LANES};
 
 fn bench_primitives(c: &mut Criterion) {
     let device = Device::new(DeviceConfig::default());
@@ -182,51 +180,17 @@ fn bench_lane_kernels(c: &mut Criterion) {
             (sums, hits)
         })
     });
-    for (label, use_avx2) in [("pair_term_lanes", false), ("pair_term_lanes_avx2", true)] {
-        if use_avx2 && !avx2_available() {
-            continue;
-        }
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut acc = [F64x4::ZERO; DIM];
-                let mut hits = 0u32;
-                for blk in 0..blocks {
-                    let at = blk * DIM * LANES;
-                    hits += pair_term_block(
-                        &coords[at..at + DIM * LANES],
-                        &sins[at..at + DIM * LANES],
-                        &coss[at..at + DIM * LANES],
-                        &p,
-                        &sin_p,
-                        &cos_p,
-                        eps_sq,
-                        Mask4([true; LANES]),
-                        &mut acc,
-                        use_avx2,
-                    );
-                }
-                (acc, hits)
-            })
-        });
-    }
-    // one dispatch per "cell" (all rows at once) — the hot loop's form;
-    // contrast with the per-block cases above, where the `#[target_feature]`
-    // call boundary costs a real function call every 4 rows
-    for (label, use_avx2) in [("pair_term_cell", false), ("pair_term_cell_avx2", true)] {
-        if use_avx2 && !avx2_available() {
-            continue;
-        }
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut acc = [F64x4::ZERO; DIM];
-                let hits = pair_term_cell(
-                    &coords, &sins, &coss, DIM, 0, ROWS, &p, &sin_p, &cos_p, eps_sq, &mut acc,
-                    use_avx2,
-                );
-                (acc, hits)
-            })
-        });
-    }
+    // the walk's kernel, specialized on d and compiled without AVX2; its
+    // AVX2 compilation is timed inside the walk (`candidate_walk_*`)
+    group.bench_function("pair_term_cell", |b| {
+        b.iter(|| {
+            let mut acc = [F64x4::ZERO; DIM];
+            let hits = pair_term_cell::<DIM>(
+                &coords, &sins, &coss, DIM, 0, ROWS, &p, &sin_p, &cos_p, eps_sq, &mut acc,
+            );
+            (acc, hits)
+        })
+    });
     group.bench_function("distance_sq_scalar", |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
@@ -266,21 +230,19 @@ fn larger(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The grid of a `blobs8d`-shaped input: 3 000 points of the paper's
-/// Gaussian blobs in d = 8, at ε = 0.2.
-fn blobs8d_grid() -> (CellGrid, Vec<f64>, f64) {
-    const DIM: usize = 8;
-    let eps = 0.2;
+/// The grid of `n` points of the paper's Gaussian blobs in `dim`
+/// dimensions at radius `eps`, and the points.
+fn blobs_grid(n: usize, dim: usize, eps: f64) -> (CellGrid, Vec<f64>) {
     let (data, _) = GaussianSpec {
-        n: 3_000,
-        dim: DIM,
+        n,
+        dim,
         seed: 1,
         ..GaussianSpec::default()
     }
     .generate_normalized();
-    let geo = GridGeometry::new(DIM, eps, data.len(), GridVariant::Auto);
+    let geo = GridGeometry::new(dim, eps, data.len(), GridVariant::Auto);
     let grid = CellGrid::build(&Executor::sequential(), geo, data.coords());
-    (grid, data.coords().to_vec(), eps)
+    (grid, data.coords().to_vec())
 }
 
 /// A run's reach classification over a `blobs8d`-shaped grid, every cell
@@ -288,7 +250,8 @@ fn blobs8d_grid() -> (CellGrid, Vec<f64>, f64) {
 /// over row-major MBRs (`[lo.., hi..]` per cell) against
 /// `CellGrid::classify_reach`, four cells per step, portable and AVX2.
 fn bench_run_classification(c: &mut Criterion) {
-    let (grid, coords, eps) = blobs8d_grid();
+    let eps = 0.2;
+    let (grid, coords) = blobs_grid(3_000, 8, eps);
     let (dim, cells) = (grid.geometry().dim, grid.num_cells());
     let eps_sq = eps * eps;
     // the same boxes row-major, for the scalar loop
@@ -344,23 +307,94 @@ fn bench_run_classification(c: &mut Criterion) {
     group.finish();
 }
 
-/// One point's candidate walk over ~275 covered cells of a `blobs8d`-shaped
-/// grid (its per-point summary count): the portable walk against the walk
-/// compiled for AVX2, which keeps the Σ accumulators in registers.
+/// One point's candidate walk, the portable walk against the walk compiled
+/// for AVX2, over two grids:
+///
+/// * ~275 covered cells of a `blobs8d`-shaped grid (its per-point summary
+///   count), where the AVX2 walk keeps the Σ accumulators in registers;
+/// * the reach of the densest cell's first point in a `blobs2d`-shaped
+///   grid (25 000 points in d = 2, ε = 0.05), classified without summaries
+///   so every reachable cell goes through the pair term, which each walk
+///   compiles inside itself.
 fn bench_candidate_walk(c: &mut Criterion) {
     const COVERED: u32 = 275;
-    let (grid, coords, eps) = blobs8d_grid();
-    let dim = grid.geometry().dim;
+    let eps = 0.2;
+    let (grid, coords) = blobs_grid(3_000, 8, eps);
     assert!(grid.num_cells() >= COVERED as usize);
     let candidates: Vec<(u32, bool)> = (0..COVERED).map(|cell| (cell, true)).collect();
     let options = UpdateOptions {
         use_simd: true,
         ..UpdateOptions::default()
     };
-    let walk = CandidateWalk::new(&grid, &coords, eps * eps, options);
-    let mut acc = PointSums::new();
+    bench_walks(
+        c,
+        "candidate_walk_275_covered_d8",
+        &CandidateWalk::new(&grid, &coords, eps * eps, options),
+        8,
+        0,
+        &candidates,
+    );
 
-    let mut group = c.benchmark_group("candidate_walk_275_covered_d8");
+    let eps = 0.05;
+    let (grid, coords) = blobs_grid(25_000, 2, eps);
+    let run = (0..grid.num_cells())
+        .max_by_key(|&cell| grid.cell_len(cell))
+        .expect("a non-empty grid");
+    // the run's reach as ranges of consecutive cells, classified as the
+    // update classifies them with summaries off: nothing is covered
+    let mut ranges: Vec<(u32, u32)> = Vec::new();
+    let oid = grid.geometry().outer_id_of_coords(grid.cell_key(run));
+    grid.for_each_cell_in_reach(oid, |cell| match ranges.last_mut() {
+        Some((_, hi)) if *hi == cell as u32 => *hi += 1,
+        _ => ranges.push((cell as u32, cell as u32 + 1)),
+    });
+    let mut candidates = vec![(0u32, false); grid.num_cells()];
+    let len = grid
+        .classify_reach(run, &ranges, eps * eps, false, &mut candidates, true)
+        .expect("the list holds every cell");
+    candidates.truncate(len);
+    let options = UpdateOptions {
+        use_summaries: false,
+        use_simd: true,
+        ..UpdateOptions::default()
+    };
+    let walk = CandidateWalk::new(&grid, &coords, eps * eps, options);
+    let slot = grid.cell_range(run).start;
+    let mut counters = UpdateCounters::default();
+    walk.visit(
+        slot,
+        &candidates,
+        &mut PointSums::new(),
+        &mut counters,
+        false,
+    );
+    println!(
+        "candidate_walk_pair_term_d2: {len} candidates, {} point pairs",
+        counters.point_pairs
+    );
+    bench_walks(
+        c,
+        "candidate_walk_pair_term_d2",
+        &walk,
+        2,
+        slot,
+        &candidates,
+    );
+}
+
+/// Time `walk` (over a `dim`-dimensional grid) over `candidates` for the
+/// point in grid-sorted `slot`, portable and, where the CPU has it,
+/// compiled for AVX2.
+fn bench_walks(
+    c: &mut Criterion,
+    group: &str,
+    walk: &CandidateWalk,
+    dim: usize,
+    slot: usize,
+    candidates: &[(u32, bool)],
+) {
+    let mut acc = PointSums::new();
+    let mut group = c.benchmark_group(group);
     group.sample_size(20);
     for (label, use_avx2) in [("walk_scalar", false), ("walk_avx2", true)] {
         if use_avx2 && !avx2_available() {
@@ -370,7 +404,7 @@ fn bench_candidate_walk(c: &mut Criterion) {
             b.iter(|| {
                 acc.reset(dim);
                 let mut counters = UpdateCounters::default();
-                walk.visit(0, &candidates, &mut acc, &mut counters, use_avx2);
+                walk.visit(slot, candidates, &mut acc, &mut counters, use_avx2);
                 black_box(&acc);
                 counters
             })

@@ -346,12 +346,29 @@ pub fn default_synthetic(n: usize) -> Dataset {
 
 /// Scale factor for quick runs: set `EGG_BENCH_SCALE` (e.g. `0.25`) to
 /// shrink every harness's dataset sizes.
+///
+/// # Panics
+/// If `EGG_BENCH_SCALE` is set to anything but a finite number above 0:
+/// a mistyped scale would otherwise run a harness at some other size.
 pub fn scaled(n: usize) -> usize {
-    let factor: f64 = std::env::var("EGG_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    static FACTOR: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
+    let factor = *FACTOR.get_or_init(|| match std::env::var_os("EGG_BENCH_SCALE") {
+        None => 1.0,
+        Some(value) => value
+            .to_str()
+            .and_then(parse_scale)
+            .unwrap_or_else(|| panic!("EGG_BENCH_SCALE={value:?}: want a finite number above 0")),
+    });
     ((n as f64 * factor) as usize).max(64)
+}
+
+/// Parse an `EGG_BENCH_SCALE` value: a finite number above 0, or `None`.
+fn parse_scale(value: &str) -> Option<f64> {
+    value
+        .trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|f| f.is_finite() && *f > 0.0)
 }
 
 #[cfg(test)]
@@ -382,6 +399,19 @@ mod tests {
     #[test]
     fn scaled_respects_floor() {
         assert!(scaled(10) >= 64);
+    }
+
+    #[test]
+    fn scale_env_parse() {
+        assert_eq!(parse_scale("0.25"), Some(0.25));
+        assert_eq!(parse_scale(" 2 "), Some(2.0));
+        assert_eq!(parse_scale("1e-3"), Some(1e-3));
+        assert_eq!(parse_scale("0,25"), None);
+        assert_eq!(parse_scale("0"), None);
+        assert_eq!(parse_scale("-0.5"), None);
+        assert_eq!(parse_scale("nan"), None);
+        assert_eq!(parse_scale("inf"), None);
+        assert_eq!(parse_scale(""), None);
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub struct UpdateOptions {
     /// **exact** (lane distances accumulate dimension-major, matching the
     /// scalar chain bitwise); only the pair-term sum is reassociated
     /// across lanes, so results agree with the scalar oracle to ~1e-9.
-    /// Output is still bitwise identical across worker counts. For
-    /// `dim` ≤ 8 it also selects the AVX2 candidate walk
-    /// ([`CandidateWalk::visit`]), bitwise identical to the scalar walk.
+    /// Output is still bitwise identical across worker counts. It also
+    /// selects the candidate walk compiled for AVX2 where the CPU has it
+    /// ([`CandidateWalk::visit`]), bitwise identical to the portable walk.
     /// Defaults to on unless the `EGG_FORCE_SCALAR` environment variable
     /// is set.
     pub use_simd: bool,
@@ -912,10 +912,11 @@ impl<'a> CandidateWalk<'a> {
     /// Under `use_simd`, `use_avx2` requests the walk compiled for AVX2,
     /// taken where the CPU has it, and specialized on `dim` for 1–8: the
     /// running sums stay in registers across the whole list, the summary
-    /// update vectorizes across dimensions, and the pair-term body inlines.
-    /// Both editions run the same source, so every sum sees the same
-    /// operations in the same order and they give the same bits. `false`
-    /// runs portable code throughout, down to [`pair_term_cell`].
+    /// update vectorizes across dimensions, and [`pair_term_cell`] is
+    /// compiled inside it, with its lane accumulators in registers for a
+    /// whole cell. Both editions run the same source, so every sum sees the
+    /// same operations in the same order and they give the same bits.
+    /// `false` runs the portable compilation of the same walk.
     pub fn visit(
         &self,
         slot: usize,
@@ -938,8 +939,9 @@ impl<'a> CandidateWalk<'a> {
             // `D = dim` or `D = 0`
             return unsafe { by_dim!(1 2 3 4 5 6 7 8) };
         }
-        let lanes = self.options.use_simd.then_some(use_avx2);
-        self.walk::<0>(slot, candidates, acc, counters, lanes);
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = use_avx2;
+        self.walk::<0>(slot, candidates, acc, counters, self.options.use_simd);
     }
 
     /// [`CandidateWalk::walk`] compiled with AVX2 enabled.
@@ -955,15 +957,15 @@ impl<'a> CandidateWalk<'a> {
         acc: &mut PointSums,
         counters: &mut UpdateCounters,
     ) {
-        self.walk::<D>(slot, candidates, acc, counters, Some(true));
+        self.walk::<D>(slot, candidates, acc, counters, true);
     }
 
     /// The walk behind [`CandidateWalk::visit`], for `D` = `dim`, or
     /// `D = 0` to read `dim` at run time; the portable edition is the
-    /// oracle. `lanes` is `Some(use_avx2)` to run straddling cells through
-    /// [`pair_term_cell`], `None` for the scalar pair loop. The sums and
-    /// the hot counts are carried in locals and stored back once at the
-    /// end, so split calls (the per-point walk's one cell each) chain.
+    /// oracle. `lanes` runs straddling cells through [`pair_term_cell`],
+    /// else through the scalar pair loop. The sums and the hot counts are
+    /// carried in locals and stored back once at the end, so split calls
+    /// (the per-point walk's one cell each) chain.
     #[inline(always)]
     fn walk<const D: usize>(
         &self,
@@ -971,7 +973,7 @@ impl<'a> CandidateWalk<'a> {
         candidates: &[(u32, bool)],
         acc: &mut PointSums,
         counters: &mut UpdateCounters,
-        lanes: Option<bool>,
+        lanes: bool,
     ) {
         let Self {
             grid,
@@ -1014,7 +1016,7 @@ impl<'a> CandidateWalk<'a> {
                 continue;
             }
             not_summaries += 1;
-            if let Some(use_avx2) = lanes {
+            if lanes {
                 let slots = grid.cell_range(c);
                 counters.point_pairs += slots.len() as u64;
                 // stripe the cell's slot range in whole lane blocks of the
@@ -1032,7 +1034,7 @@ impl<'a> CandidateWalk<'a> {
                 // sets the phase so lane-block boundaries match the single
                 // grid's (see CellGrid::set_lane_phase)
                 let lane_phase = grid.lane_phase();
-                let hits = pair_term_cell(
+                let hits = pair_term_cell::<D>(
                     grid.lane_coords(),
                     grid.lane_sin(),
                     grid.lane_cos(),
@@ -1044,7 +1046,6 @@ impl<'a> CandidateWalk<'a> {
                     cos_p,
                     eps_sq,
                     &mut acc.lanes[..dim],
-                    use_avx2,
                 );
                 neighbors += u64::from(hits);
             } else {
@@ -1594,20 +1595,21 @@ mod tests {
     /// for `dim` 9, which reads `dim` at run time: the summary sums, the
     /// pair term's lanes, the neighbor count and every counter, from
     /// seeded starting sums (the per-point walk chains one call per cell),
-    /// with summaries on and off.
+    /// with summaries on and off. Grids are built at every lane phase, so
+    /// the pair term's first- and last-block masks of both compilations
+    /// meet every lane offset.
     #[test]
     fn avx2_walk_is_bitwise_identical_to_the_scalar_walk() {
-        for dim in 1..=9 {
+        for (dim, phase) in (1..=9).flat_map(|dim| (0..LANES).map(move |phase| (dim, phase))) {
             let n = 300;
             let coords = blobs(n, dim, 0.3);
             let eps = 0.06 * (dim as f64).sqrt();
             let eps_sq = eps * eps;
             let exec = Executor::sequential();
-            let grid = CellGrid::build(
-                &exec,
-                GridGeometry::new(dim, eps, n, GridVariant::Auto),
-                &coords,
-            );
+            let mut grid = CellGrid::new(GridGeometry::new(dim, eps, n, GridVariant::Auto));
+            grid.set_lane_phase(phase);
+            grid.rebuild(&exec, &coords);
+            assert_eq!(grid.lane_phase(), phase);
             let mut seen = UpdateCounters::default();
             for use_summaries in [true, false] {
                 let options = UpdateOptions {
@@ -1631,7 +1633,9 @@ mod tests {
                             (UpdateCounters::default(), UpdateCounters::default());
                         walk.visit(slot, candidates, &mut fast, &mut fast_c, true);
                         walk.visit(slot, candidates, &mut oracle, &mut oracle_c, false);
-                        let case = format!("dim {dim} slot {slot} summaries={use_summaries}");
+                        let case = format!(
+                            "dim {dim} phase {phase} slot {slot} summaries={use_summaries}"
+                        );
                         for i in 0..dim {
                             assert_eq!(
                                 fast.sums[i].to_bits(),
@@ -1655,7 +1659,7 @@ mod tests {
             // both paths of the walk ran
             assert!(
                 seen.summary_cells > 0 && seen.point_pairs > 0,
-                "dim {dim}: {seen:?}"
+                "dim {dim} phase {phase}: {seen:?}"
             );
         }
     }

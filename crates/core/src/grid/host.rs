@@ -1782,7 +1782,7 @@ mod tests {
                 let sub_slots = sub.cell_range(c);
                 assert_eq!(full_slots.len(), sub_slots.len());
                 let mut acc_full = vec![F64x4::splat(0.0); dim];
-                let hits_full = pair_term_cell(
+                let hits_full = pair_term_cell::<0>(
                     full.lane_coords(),
                     full.lane_sin(),
                     full.lane_cos(),
@@ -1794,11 +1794,10 @@ mod tests {
                     &cos_p,
                     eps_sq,
                     &mut acc_full,
-                    false,
                 );
                 let mut acc_sub = vec![F64x4::splat(0.0); dim];
                 let phase = sub.lane_phase();
-                let hits_sub = pair_term_cell(
+                let hits_sub = pair_term_cell::<0>(
                     sub.lane_coords(),
                     sub.lane_sin(),
                     sub.lane_cos(),
@@ -1810,7 +1809,6 @@ mod tests {
                     &cos_p,
                     eps_sq,
                     &mut acc_sub,
-                    false,
                 );
                 assert_eq!(hits_full, hits_sub, "split {k} cell {c}");
                 for i in 0..dim {
