@@ -1,12 +1,31 @@
 //! Micro — index-structure construction and query costs: the simulated-GPU
 //! grid (Algorithm 2) vs the R-Tree (FSynC's index), both of which are
-//! rebuilt every iteration by their algorithms.
+//! rebuilt every iteration by their algorithms, and the host grid's three
+//! maintenance paths: full build, in-place refresh and re-binning refresh.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use egg_bench::default_synthetic;
 use egg_gpu_sim::{Device, DeviceConfig};
 use egg_spatial::RTree;
-use egg_sync_core::grid::{GridGeometry, GridVariant, GridWorkspace};
+use egg_sync_core::exec::Executor;
+use egg_sync_core::grid::{CellGrid, GridGeometry, GridRefreshStats, GridVariant, GridWorkspace};
+
+/// A grid built at `from` whose buffers a refresh to `to` and one back
+/// have sized, each flagging `moved`: the timed refresh to `to` then runs
+/// in the steady state. Returns the grid and the last refresh's stats.
+fn warmed(
+    exec: &Executor,
+    geo: GridGeometry,
+    from: &[f64],
+    to: &[f64],
+    moved: &[bool],
+) -> (CellGrid, GridRefreshStats) {
+    let mut grid = CellGrid::build(exec, geo, from);
+    grid.refresh(exec, to, Some(moved));
+    let stats = grid.refresh(exec, from, Some(moved));
+    assert!(!stats.full_rebuild, "the refresh must be incremental");
+    (grid, stats)
+}
 
 fn bench_structures(c: &mut Criterion) {
     let data = default_synthetic(10_000);
@@ -34,6 +53,49 @@ fn bench_structures(c: &mut Criterion) {
             let grid = ws.construct(&buf);
             ws.build_pregrid(&grid)
         })
+    });
+
+    // the host grid on one worker
+    let exec = Executor::sequential();
+    let geo = GridGeometry::new(2, eps, n, GridVariant::Auto);
+    group.bench_function("cell_grid_build_10k", |b| {
+        let mut grid = CellGrid::build(&exec, geo, coords);
+        b.iter(|| grid.rebuild(&exec, coords))
+    });
+
+    // every point halfway to its cell's center: new bits, same cells
+    let mut nudged = coords.to_vec();
+    let mut key = [0u64; 2];
+    for p in nudged.chunks_exact_mut(2) {
+        geo.cell_coords_of(p, &mut key);
+        for (x, &k) in p.iter_mut().zip(&key) {
+            *x = (*x + (k as f64 + 0.5) * geo.cell_width) / 2.0;
+        }
+    }
+    let all = vec![true; n];
+    group.bench_function("cell_grid_refresh_in_place_10k", |b| {
+        let (mut grid, stats) = warmed(&exec, geo, coords, &nudged, &all);
+        assert_eq!(stats.rebinned_points, 0, "every point keeps its cell");
+        b.iter(|| grid.refresh(&exec, &nudged, Some(&all)))
+    });
+
+    // every fourth point one cell width along x, across a cell border;
+    // the rest unmoved
+    let mut shifted = coords.to_vec();
+    let mut quarter = vec![false; n];
+    for (p, flag) in quarter.iter_mut().enumerate().step_by(4) {
+        let x = &mut shifted[2 * p];
+        *x += if *x + geo.cell_width < 1.0 {
+            geo.cell_width
+        } else {
+            -geo.cell_width
+        };
+        *flag = true;
+    }
+    group.bench_function("cell_grid_refresh_rebin_10k", |b| {
+        let (mut grid, stats) = warmed(&exec, geo, coords, &shifted, &quarter);
+        assert!(stats.rebinned_points > 0, "points cross cell borders");
+        b.iter(|| grid.refresh(&exec, &shifted, Some(&quarter)))
     });
 
     group.bench_function("rtree_bulk_load_10k", |b| {

@@ -124,7 +124,7 @@ impl EggSync {
         }
 
         // --- allocate the iteration workspace once: ping-pong coordinate
-        // buffers, the reusable grid (CSR arrays, summaries, trig tables)
+        // buffers, the reusable grid (CSR arrays, summaries, lane tables)
         // and the per-chunk update scratch. The loop below only ever
         // *reuses* these, so steady-state iterations are allocation-free.
         let use_inc = self.options.use_incremental;
@@ -145,7 +145,7 @@ impl EggSync {
         while iterations < self.max_iterations {
             let iter_start = std::time::Instant::now();
 
-            // bring grid + summaries + trig tables up to date with state t,
+            // bring grid + summaries + lane tables up to date with state t,
             // in place; the incremental path touches only what moved
             let (stats, build_secs) = timed(|| {
                 grid.refresh(

@@ -28,7 +28,7 @@ use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo, RUN_LI
 use crate::instrument::UpdateCounters;
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::avx2_available;
-use crate::kernels::{lane_pad, pair_term_cell, F64x4, LANES};
+use crate::kernels::{pair_term_cell, F64x4, LANES};
 
 use super::super::grid::device::{seg_start, LaneTables};
 
@@ -68,16 +68,17 @@ pub struct UpdateOptions {
     /// inline.
     pub use_pregrid: bool,
     /// Maintain the grid incrementally across iterations (re-bin only
-    /// cell-changing movers, refresh summaries/trig rows only for dirty
-    /// cells, patch the preGrid only on emptiness flips) and skip the
-    /// update of cells whose whole ε-reach saw zero movers, reusing their
-    /// cached positions and first-term confinement flags. Results are
+    /// cell-changing movers, recompute lane rows only for movers and
+    /// summaries only for dirty cells, patch the preGrid only on
+    /// emptiness flips) and skip the update of cells whose whole ε-reach
+    /// saw zero movers, reusing their cached positions and first-term
+    /// confinement flags. Results are
     /// bitwise identical to the full-rebuild path; toggling this only
     /// changes how much work each iteration performs.
     pub use_incremental: bool,
     /// Drive the partial-cell pair term through the 4-lane SIMD kernels
     /// ([`crate::kernels`]) on the host path, striping four grid-sorted
-    /// trig-table rows per step. Neighbor predicates and counts stay
+    /// lane-table rows per step. Neighbor predicates and counts stay
     /// **exact** (lane distances accumulate dimension-major, matching the
     /// scalar chain bitwise); only the pair-term sum is reassociated
     /// across lanes, so results agree with the scalar oracle to ~1e-9.
@@ -96,7 +97,8 @@ pub struct UpdateOptions {
     /// like the worker count — and only bounds the largest resident
     /// grid by ~1/S. Clamped to the grid width; ignored by the device
     /// backend. Defaults to the `EGG_NUM_SHARDS` environment variable
-    /// when set (the CI leg that exercises sharding end to end).
+    /// when set (the CI leg that exercises sharding end to end); a value
+    /// that is not a positive integer panics.
     pub num_shards: usize,
     /// Run the device backend's fused kernel pipeline: grid construction
     /// computes trig tables, lane-blocked slot-major tables, Σsin/Σcos
@@ -129,18 +131,15 @@ fn simd_default() -> bool {
     *ON.get_or_init(|| std::env::var_os("EGG_FORCE_SCALAR").is_none())
 }
 
-/// Process-wide default for [`UpdateOptions::num_shards`]: 1, unless the
-/// `EGG_NUM_SHARDS` environment variable holds a positive integer.
-/// Cached like [`simd_default`] so defaults stay allocation-free.
+/// Process-wide default for [`UpdateOptions::num_shards`]: the
+/// `EGG_NUM_SHARDS` environment variable when set, else 1. Cached like
+/// [`simd_default`] so defaults stay allocation-free.
+///
+/// # Panics
+/// If `EGG_NUM_SHARDS` is set to anything but a positive integer.
 fn shards_default() -> usize {
     static COUNT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *COUNT.get_or_init(|| {
-        std::env::var("EGG_NUM_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&s| s >= 1)
-            .unwrap_or(1)
-    })
+    *COUNT.get_or_init(|| crate::exec::env_count("EGG_NUM_SHARDS").unwrap_or(1))
 }
 
 /// Process-wide default for [`UpdateOptions::use_fused_kernels`] — and for
@@ -986,14 +985,17 @@ impl<'a> CandidateWalk<'a> {
         let order = grid.point_order();
         let p_idx = order[slot] as usize;
         let p = &coords[p_idx * dim..(p_idx + 1) * dim];
-        // the point's trig row and its sums as locals, which the compiler
-        // can keep in registers across the list
+        // the point's sin/cos, gathered from its lane, and its sums as
+        // locals, which the compiler can keep in registers across the list
         let (mut sin_p, mut cos_p, mut sums) = ([0.0; MAX_DIM], [0.0; MAX_DIM], [0.0; MAX_DIM]);
         let (sin_p, cos_p, sums) = (&mut sin_p[..dim], &mut cos_p[..dim], &mut sums[..dim]);
-        sin_p.copy_from_slice(grid.slot_sin(slot));
-        cos_p.copy_from_slice(grid.slot_cos(slot));
+        let (lane_sin, lane_cos) = (grid.lane_sin(), grid.lane_cos());
+        let at = grid.slot_lane(slot);
+        for i in 0..dim {
+            sin_p[i] = lane_sin[at + i * LANES];
+            cos_p[i] = lane_cos[at + i * LANES];
+        }
         sums.copy_from_slice(&acc.sums[..dim]);
-        let ts = lane_pad(2 * dim);
         // the neighbor count in a local; every candidate the walk neither
         // skips nor pairs is a summary cell, so only those are counted
         let (mut neighbors, mut not_summaries) = (acc.neighbors, 0);
@@ -1008,7 +1010,7 @@ impl<'a> CandidateWalk<'a> {
                 options.use_summaries && grid.max_sq_dist_to_cell(c, p) <= eps_sq
             };
             if fully_within {
-                let (sin_c, cos_c) = grid.summary_rows()[c * ts..][..2 * dim].split_at(dim);
+                let (sin_c, cos_c) = grid.summary_rows()[2 * c * dim..][..2 * dim].split_at(dim);
                 for i in 0..dim {
                     sums[i] += cos_p[i] * sin_c[i] - sin_p[i] * cos_c[i];
                 }
@@ -1036,8 +1038,8 @@ impl<'a> CandidateWalk<'a> {
                 let lane_phase = grid.lane_phase();
                 let hits = pair_term_cell::<D>(
                     grid.lane_coords(),
-                    grid.lane_sin(),
-                    grid.lane_cos(),
+                    lane_sin,
+                    lane_cos,
                     dim,
                     lane_phase + slots.start,
                     lane_phase + slots.end,
@@ -1052,8 +1054,7 @@ impl<'a> CandidateWalk<'a> {
                 let slots = grid.cell_range(c);
                 counters.point_pairs += slots.len() as u64;
                 // walk the cell by slot: q's coordinates are looked up
-                // through the order permutation, but the trig rows are the
-                // contiguous block `slots` of the table
+                // through the order permutation, its sin/cos in its lane
                 for slot in slots {
                     let q_idx = order[slot] as usize;
                     let q = &coords[q_idx * dim..(q_idx + 1) * dim];
@@ -1064,10 +1065,11 @@ impl<'a> CandidateWalk<'a> {
                     }
                     if dist_sq <= eps_sq {
                         neighbors += 1;
-                        let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
+                        let at = grid.slot_lane(slot);
                         // sin(q−p) = sin q · cos p − cos q · sin p
                         for i in 0..dim {
-                            sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
+                            let k = at + i * LANES;
+                            sums[i] += lane_sin[k] * cos_p[i] - lane_cos[k] * sin_p[i];
                         }
                     }
                 }
@@ -1092,6 +1094,19 @@ mod tests {
         (0..n * dim)
             .map(|i| ((i as u64).wrapping_mul(2654435761) % 1000) as f64 / 1000.0)
             .collect()
+    }
+
+    /// `EGG_NUM_SHARDS` takes a positive integer after trimming and
+    /// refuses anything else, naming the variable and its value.
+    #[test]
+    fn shards_env_parse() {
+        let parse = |value: &str| crate::exec::parse_count("EGG_NUM_SHARDS", value.as_ref());
+        assert_eq!(parse("4"), Ok(4));
+        assert_eq!(parse(" 12 "), Ok(12));
+        for value in ["0", "-3", "many", ""] {
+            let refusal = format!("EGG_NUM_SHARDS={value:?}: want a positive integer");
+            assert_eq!(parse(value), Err(refusal));
+        }
     }
 
     fn run_update(

@@ -42,6 +42,7 @@
 //! sequential loop with no dispatch at all, so `threads: Some(1)` is the
 //! zero-overhead reference execution.
 
+use std::ffi::OsStr;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -117,9 +118,25 @@ pub fn pooled_default() -> bool {
     *ON.get_or_init(|| std::env::var_os("EGG_FORCE_SCOPED").is_none())
 }
 
-/// Parse an `EGG_THREADS`-style override: a positive integer, or `None`.
-fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+/// Parse the value of the positive-integer environment override `var`,
+/// trimmed. The error names the variable and its value.
+pub(crate) fn parse_count(var: &str, value: &OsStr) -> Result<usize, String> {
+    value
+        .to_str()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{var}={value:?}: want a positive integer"))
+}
+
+/// The positive-integer environment override `var`, or `None` when it is
+/// unset (`EGG_THREADS`, `EGG_NUM_SHARDS`).
+///
+/// # Panics
+/// If `var` is set to anything but a positive integer: a mistyped value
+/// would otherwise run the default configuration.
+pub(crate) fn env_count(var: &str) -> Option<usize> {
+    let value = std::env::var_os(var)?;
+    Some(parse_count(var, &value).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Process-wide `EGG_THREADS` override consumed by `Executor::new(None)`
@@ -127,12 +144,7 @@ fn parse_threads(value: &str) -> Option<usize> {
 /// touching call sites. Explicit `Some(n)` requests always win.
 fn threads_default() -> Option<usize> {
     static N: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("EGG_THREADS")
-            .ok()
-            .as_deref()
-            .and_then(parse_threads)
-    })
+    *N.get_or_init(|| env_count("EGG_THREADS"))
 }
 
 /// Lock a mutex, recovering the guard if another thread panicked while
@@ -751,14 +763,17 @@ mod tests {
         assert!(!Executor::with_mode(Some(1), true).is_pooled());
     }
 
+    /// `EGG_THREADS` takes a positive integer after trimming and refuses
+    /// anything else, naming the variable and its value.
     #[test]
     fn threads_env_parse() {
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads(" 12 "), Some(12));
-        assert_eq!(parse_threads("0"), None);
-        assert_eq!(parse_threads("-3"), None);
-        assert_eq!(parse_threads("many"), None);
-        assert_eq!(parse_threads(""), None);
+        let parse = |value: &str| parse_count("EGG_THREADS", value.as_ref());
+        assert_eq!(parse("4"), Ok(4));
+        assert_eq!(parse(" 12 "), Ok(12));
+        for value in ["0", "-3", "many", ""] {
+            let refusal = format!("EGG_THREADS={value:?}: want a positive integer");
+            assert_eq!(parse(value), Err(refusal));
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub(crate) fn seg_start(ends: &DeviceBuffer<u64>, i: usize) -> u64 {
 }
 
 /// Lane-blocked device tables mirroring [`super::CellGrid`]'s host lane
-/// layout (`rebuild_lane_tables`): for grid-sorted slot `s = 4b + j`,
+/// layout ([`super::CellGrid::lane_sin`]): for grid-sorted slot `s = 4b + j`,
 /// dimension `i` lives at `(b·dim + i)·LANES + j`. Four consecutive slots
 /// of one cell therefore occupy four *adjacent* words per dimension — the
 /// warp-contiguous pattern the simulator's coalesced access path models at

@@ -20,7 +20,7 @@ use crate::algorithms::gpu_sync::MAX_DIM;
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::avx2_available;
-use crate::kernels::{accumulate_row, lane_pad, F64x4, LANES};
+use crate::kernels::{F64x4, LANES};
 
 use super::geometry::{max_sq_dist_to_box, min_sq_dist_to_box, GridGeometry, MAX_SURROUND_ENUM};
 
@@ -134,19 +134,19 @@ impl<'a> HostGrid<'a> {
     }
 }
 
-/// Flattened host grid with per-cell trigonometric summaries and a
-/// per-point trig table — the host execution engine's counterpart of the
-/// device grid (§4.2 + §4.3.1).
+/// Flattened host grid with per-cell trigonometric summaries and
+/// lane-blocked per-point tables — the host execution engine's
+/// counterpart of the device grid (§4.2 + §4.3.1).
 ///
 /// The structure is **rebuilt in place** every iteration via
 /// [`CellGrid::rebuild`]: all arrays retain their capacity across
 /// rebuilds, so the steady-state iteration loop performs no heap
 /// allocations. Construction is parallel over an [`Executor`] yet
 /// **deterministic for any worker count**: the per-point cell keys and
-/// trig rows are computed independently, the grid-sorted point order is a
+/// lane rows are computed independently, the grid-sorted point order is a
 /// sequential in-place sort under the total order
 /// `(outer id, cell coordinates, point index)`, and each cell's summary is
-/// accumulated sequentially in point order.
+/// accumulated sequentially in slot order.
 #[derive(Debug)]
 pub struct CellGrid {
     geometry: GridGeometry,
@@ -159,29 +159,18 @@ pub struct CellGrid {
     cell_points: Vec<u32>,
     /// Compacted cell index of every point.
     point_cell: Vec<u32>,
-    /// Per-cell `[Σsin_0.. Σsin_{d-1}, Σcos_0.. Σcos_{d-1}]`, rows padded
-    /// to [`CellGrid::trig_stride`] with zeros so the accumulation runs in
-    /// whole [`LANES`]-wide steps.
+    /// Per-cell `[Σsin_0.. Σsin_{d-1}, Σcos_0.. Σcos_{d-1}]`, `2·dim` per
+    /// row, each summed from the cell's lane rows one slot after another.
     trig_sums: Vec<f64>,
-    /// `[sin_0.. sin_{d-1}, cos_0.. cos_{d-1}]` of the raw coordinates,
-    /// **in grid-sorted slot order** (row `s` belongs to point
-    /// `cell_points[s]`) — the iteration's trig table, shared by the
-    /// summary construction and the update kernel's angle-addition fast
-    /// path. Slot order makes both consumers stream it sequentially: a
-    /// cell's rows are one contiguous block. Rows are padded to
-    /// [`CellGrid::trig_stride`]; the pad elements are never written, so
-    /// they stay zero from the initial sizing.
-    point_trig: Vec<f64>,
-    /// Lane-blocked sin table for the SIMD pair-term kernel: block `b`
-    /// covers **lane indices** `4b..4b+4`, where slot `s` lives at lane
-    /// index `lane_phase + s`, and `lane_sin[(b·dim + i)·4 + j]` is `sin`
-    /// of dimension `i` of the point at lane index `4b + j` (zero in the
-    /// `lane_phase` leading pad lanes and the padding lanes past the last
-    /// point). A pure relayout of `point_trig`, refreshed by copy — never
-    /// by recomputing transcendentals — so it is bitwise consistent with
-    /// the trig table by construction.
+    /// Lane-blocked `sin` of the raw coordinates, the grid's only copy:
+    /// block `b` covers **lane indices** `4b..4b+4`, where slot `s` lives
+    /// at lane index `lane_phase + s`, and `lane_sin[(b·dim + i)·4 + j]` is
+    /// `sin` of dimension `i` of the point at lane index `4b + j` (zero in
+    /// the `lane_phase` leading pad lanes and the padding lanes past the
+    /// last point). Read by the summaries, the update's pair term and its
+    /// own point's angle-addition terms.
     lane_sin: Vec<f64>,
-    /// Lane-blocked cos table, same layout as `lane_sin`.
+    /// Lane-blocked `cos` table, same layout as `lane_sin`.
     lane_cos: Vec<f64>,
     /// Lane-blocked raw coordinates in grid-sorted slot order, same layout
     /// as `lane_sin` — the distance side of the SIMD kernels reads four
@@ -219,8 +208,8 @@ pub struct CellGrid {
     /// Scratch: per-point dense outer id.
     point_outer: Vec<u64>,
     /// Grid-sorted slot of every point (the inverse of `cell_points`) —
-    /// lets the incremental refresh relocate a stayer's trig row without
-    /// recomputing its transcendentals.
+    /// lets the re-binning refresh find a stayer's previous lane and copy
+    /// its `sin`/`cos` instead of recomputing them.
     point_slot: Vec<u32>,
     /// Whether the arrays describe a previously built grid, making
     /// [`CellGrid::refresh`] eligible for the incremental path.
@@ -234,12 +223,14 @@ pub struct CellGrid {
     cell_dirty: Vec<bool>,
     /// Per (new) clean cell: the old compacted cell id to copy sums from.
     clean_src: Vec<u32>,
-    /// Double buffers swapped against the live arrays by the refresh.
+    /// Double buffers swapped against the live arrays by the re-binning
+    /// refresh, which reads the previous layout while writing the next.
     merge_scratch: Vec<u32>,
     starts_scratch: Vec<u32>,
     point_cell_scratch: Vec<u32>,
     point_slot_scratch: Vec<u32>,
-    trig_scratch: Vec<f64>,
+    lane_sin_prev: Vec<f64>,
+    lane_cos_prev: Vec<f64>,
     sums_scratch: Vec<f64>,
 }
 
@@ -251,11 +242,47 @@ pub struct GridRefreshStats {
     pub moved_points: u64,
     /// Movers whose cell key changed, i.e. points actually re-binned.
     pub rebinned_points: u64,
-    /// Cells whose summaries/trig rows were recomputed (every cell on a
-    /// full rebuild).
+    /// Cells whose summaries were recomputed (every cell on a full
+    /// rebuild).
     pub dirty_cells: u64,
     /// Whether the refresh fell back to a full rebuild.
     pub full_rebuild: bool,
+}
+
+/// The rows one maintenance path rewrites, shared by the lane writer
+/// ([`CellGrid::write_lanes`]) and the summary pass
+/// ([`CellGrid::write_sums`]).
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    /// The full build: every lane row and every summary.
+    All,
+    /// The in-place refresh (no cell key changed, so no slot moved): the
+    /// rows of the points flagged in `moved` and the summaries of dirty
+    /// cells, in place; the rest is untouched.
+    InPlace(&'a [bool]),
+    /// The re-binning refresh: every lane row, computed for the points
+    /// flagged in `moved` and copied from the previous tables for the
+    /// rest; dirty summaries are recomputed, clean ones copied.
+    Rebinned(&'a [bool]),
+}
+
+/// The grid's total point order: outer id, then cell key, then point
+/// index, over the per-point `outer` ids and `dim`-wide `keys`.
+fn grid_order(outer: &[u64], keys: &[u64], dim: usize, a: u32, b: u32) -> std::cmp::Ordering {
+    let (a, b) = (a as usize, b as usize);
+    outer[a]
+        .cmp(&outer[b])
+        .then_with(|| keys[a * dim..(a + 1) * dim].cmp(&keys[b * dim..(b + 1) * dim]))
+        .then(a.cmp(&b))
+}
+
+/// Index of dimension 0 of grid-sorted slot `slot` in lane tables of
+/// dimension `dim` at lane phase `phase`; dimension `i` lies `i·LANES`
+/// further.
+#[inline(always)]
+fn lane_index(phase: usize, dim: usize, slot: usize) -> usize {
+    let lane = phase + slot;
+    lane / LANES * dim * LANES + lane % LANES
 }
 
 impl CellGrid {
@@ -268,7 +295,6 @@ impl CellGrid {
             cell_points: Vec::new(),
             point_cell: Vec::new(),
             trig_sums: Vec::new(),
-            point_trig: Vec::new(),
             lane_sin: Vec::new(),
             lane_cos: Vec::new(),
             lane_coords: Vec::new(),
@@ -287,14 +313,15 @@ impl CellGrid {
             starts_scratch: Vec::new(),
             point_cell_scratch: Vec::new(),
             point_slot_scratch: Vec::new(),
-            trig_scratch: Vec::new(),
+            lane_sin_prev: Vec::new(),
+            lane_cos_prev: Vec::new(),
             sums_scratch: Vec::new(),
         }
     }
 
     /// Bucket every point of `coords` (row-major, `geometry.dim` columns)
-    /// and compute the per-point trig table and per-cell summaries, fanning
-    /// the per-point passes over `exec`'s workers. Convenience wrapper over
+    /// and compute the lane tables and per-cell summaries, fanning the
+    /// per-point passes over `exec`'s workers. Convenience wrapper over
     /// [`CellGrid::new`] + [`CellGrid::rebuild`].
     pub fn build(exec: &Executor, geometry: GridGeometry, coords: &[f64]) -> Self {
         let mut grid = Self::new(geometry);
@@ -342,42 +369,12 @@ impl CellGrid {
         self.cell_points.clear();
         self.cell_points.extend(0..n as u32);
         {
-            let keys = &self.point_keys;
-            let outer = &self.point_outer;
-            self.cell_points.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                outer[a]
-                    .cmp(&outer[b])
-                    .then_with(|| keys[a * dim..(a + 1) * dim].cmp(&keys[b * dim..(b + 1) * dim]))
-                    .then(a.cmp(&b))
-            });
+            let (keys, outer) = (&self.point_keys, &self.point_outer);
+            self.cell_points
+                .sort_unstable_by(|&a, &b| grid_order(outer, keys, dim, a, b));
         }
 
-        // Pass 3 — trig rows in grid-sorted slot order: slot `s` holds
-        // sin/cos of point `cell_points[s]`, so a cell's rows form one
-        // contiguous block that the summary pass and the update's pair
-        // loop stream sequentially. Rows are lane-padded; only the live
-        // `2·dim` prefix is ever written, so the pad stays zero.
-        let ts = self.trig_stride();
-        self.point_trig.resize(n * ts, 0.0);
-        {
-            let order = &self.cell_points;
-            let trig = ScatterWriter::new(&mut self.point_trig);
-            let trig = &trig;
-            exec.map_ranges(n, POINT_CHUNK, |range| {
-                for slot in range {
-                    let p = row(coords, dim, order[slot] as usize);
-                    // each slot occurs in exactly one chunk
-                    let t = unsafe { trig.row_mut(slot * ts, ts) };
-                    for i in 0..dim {
-                        t[i] = p[i].sin();
-                        t[dim + i] = p[i].cos();
-                    }
-                }
-            });
-        }
-
-        // Pass 4 — walk the sorted order once to cut cell boundaries and
+        // Pass 3 — walk the sorted order once to cut cell boundaries and
         // outer ranges, and invert into the per-point cell index.
         // No eager `reserve` here: pre-reserving the worst case (n cells)
         // allocates n·dim u64 keys up front — a 160 MB spike at the paper
@@ -417,31 +414,10 @@ impl CellGrid {
         if n > 0 {
             self.cell_starts.push(n as u32);
         }
-        let num_cells = self.cell_starts.len().saturating_sub(1);
 
-        // Pass 5 — per-cell Σsin/Σcos from the trig table, parallel over
-        // cells; each cell's contiguous slot rows are accumulated
-        // sequentially in slot order, so the sums are bitwise-reproducible
-        // (the lane-wide `accumulate_row` keeps every element's addition
-        // chain identical to the scalar loop).
-        self.trig_sums.clear();
-        self.trig_sums.resize(num_cells * ts, 0.0);
-        {
-            let cell_starts = &self.cell_starts;
-            let point_trig = &self.point_trig;
-            exec.map_chunks_mut(&mut self.trig_sums, CELL_CHUNK * ts, |offset, chunk| {
-                let first = offset / ts;
-                for (r, sums) in chunk.chunks_exact_mut(ts).enumerate() {
-                    let c = first + r;
-                    let lo = cell_starts[c] as usize;
-                    let hi = cell_starts[c + 1] as usize;
-                    for t in point_trig[lo * ts..hi * ts].chunks_exact(ts) {
-                        accumulate_row(sums, t);
-                    }
-                }
-            });
-        }
-        self.rebuild_lane_tables(exec, coords);
+        // Pass 4 — lane rows, summaries and MBRs of the new layout.
+        self.write_lanes(exec, coords, Rows::All);
+        self.write_sums(exec, Rows::All);
         self.rebuild_cell_bounds(exec, coords);
         self.has_state = true;
     }
@@ -449,20 +425,22 @@ impl CellGrid {
     /// Bring the grid up to date with `coords`, rebuilding **only what
     /// moved**. `moved[p]` must be `true` iff point `p`'s coordinates
     /// changed (bitwise) since the grid was last built; passing `None`
-    /// (or calling on a grid with no prior state) falls back to
+    /// (or calling on a grid with no prior state, or after
+    /// [`CellGrid::set_lane_phase`] changed the phase) falls back to
     /// [`CellGrid::rebuild`].
     ///
     /// The incremental path re-derives cell keys only for movers,
     /// partitions them into *stayers* (same cell key) and *changers*,
     /// splices the sorted changers back into the grid-sorted order with a
-    /// sequential merge, and recomputes trig rows and Σsin/Σcos summaries
-    /// only for dirty cells — cells that gained or lost a member or
-    /// contain a mover. Summaries of dirty cells are recomputed from the
-    /// cell's full membership (never subtract/add-adjusted) in slot order,
-    /// so **every array is bitwise identical to a fresh
-    /// [`CellGrid::rebuild`]** on the same coordinates: the merge
-    /// reproduces the total order `(outer, key, point index)` exactly, and
-    /// clean cells copy rows whose inputs did not change. The layout is a
+    /// sequential merge, recomputes the lane rows of movers only, and
+    /// recomputes Σsin/Σcos summaries only for dirty cells — cells that
+    /// gained or lost a member or contain a mover. Summaries of dirty
+    /// cells are recomputed from the cell's full membership (never
+    /// subtract/add-adjusted) in slot order, so **every array is bitwise
+    /// identical to a fresh [`CellGrid::rebuild`]** on the same
+    /// coordinates: the merge reproduces the total order
+    /// `(outer, key, point index)` exactly, and unmoved points and clean
+    /// cells copy values whose inputs did not change. The layout is a
     /// pure function of the membership — never of worker count or of which
     /// iteration the points moved in.
     ///
@@ -519,29 +497,36 @@ impl CellGrid {
         }
 
         // Pass 2 — partition: collect the changer work-list (ascending
-        // point index) and count movers.
+        // point index), count movers and flag the cells they sit in.
         self.changers.clear();
         self.changers.reserve(n);
-        let mut moved_points = 0u64;
+        self.cell_dirty.clear();
+        self.cell_dirty.resize(self.num_cells(), false);
+        let (mut moved_points, mut mover_cells) = (0u64, 0u64);
         for p in 0..n {
             if moved[p] {
                 moved_points += 1;
                 if self.is_changer[p] {
                     self.changers.push(p as u32);
                 }
+                let c = self.point_cell[p] as usize;
+                mover_cells += u64::from(!self.cell_dirty[c]);
+                self.cell_dirty[c] = true;
             }
         }
 
-        if self.changers.is_empty() {
-            let dirty_cells = self.refresh_in_place(exec, coords, moved);
-            return GridRefreshStats {
-                moved_points,
-                rebinned_points: 0,
-                dirty_cells,
-                full_rebuild: false,
-            };
-        }
-        let dirty_cells = self.refresh_rebin(exec, coords, moved);
+        // Pass 3 — the layout: kept in place when no cell key changed, its
+        // dirty cells those holding a mover; else the changers spliced back
+        // in. Then the lane rows of movers, the summaries of dirty cells
+        // and every MBR.
+        let (rows, dirty_cells) = if self.changers.is_empty() {
+            (Rows::InPlace(moved), mover_cells)
+        } else {
+            (Rows::Rebinned(moved), self.rebin(moved))
+        };
+        self.write_lanes(exec, coords, rows);
+        self.write_sums(exec, rows);
+        self.rebuild_cell_bounds(exec, coords);
         GridRefreshStats {
             moved_points,
             rebinned_points: self.changers.len() as u64,
@@ -550,119 +535,31 @@ impl CellGrid {
         }
     }
 
-    /// Incremental refresh when **no cell key changed**: the CSR layout is
-    /// already correct, so only the trig rows of movers and the summaries
-    /// of cells containing movers are recomputed, in place.
-    fn refresh_in_place(&mut self, exec: &Executor, coords: &[f64], moved: &[bool]) -> u64 {
-        let dim = self.geometry.dim;
-        let ts = self.trig_stride();
-        let n = moved.len();
-        let num_cells = self.num_cells();
-
-        // trig rows of movers, at their (unchanged) grid-sorted slots
-        {
-            let order = &self.cell_points;
-            let trig = ScatterWriter::new(&mut self.point_trig);
-            let trig = &trig;
-            exec.map_ranges(n, POINT_CHUNK, |range| {
-                for slot in range {
-                    let p_idx = order[slot] as usize;
-                    if !moved[p_idx] {
-                        continue;
-                    }
-                    let p = row(coords, dim, p_idx);
-                    // each slot occurs in exactly one chunk
-                    let t = unsafe { trig.row_mut(slot * ts, ts) };
-                    for i in 0..dim {
-                        t[i] = p[i].sin();
-                        t[dim + i] = p[i].cos();
-                    }
-                }
-            });
-        }
-
-        // dirty set: cells containing at least one mover
-        self.cell_dirty.clear();
-        self.cell_dirty.resize(num_cells, false);
-        let mut dirty_cells = 0u64;
-        for p in 0..n {
-            if moved[p] {
-                let c = self.point_cell[p] as usize;
-                if !self.cell_dirty[c] {
-                    self.cell_dirty[c] = true;
-                    dirty_cells += 1;
-                }
-            }
-        }
-
-        // recompute dirty summaries from full membership, in slot order —
-        // bitwise identical to the fresh-build accumulation
-        {
-            let cell_starts = &self.cell_starts;
-            let point_trig = &self.point_trig;
-            let cell_dirty = &self.cell_dirty;
-            exec.map_chunks_mut(&mut self.trig_sums, CELL_CHUNK * ts, |offset, chunk| {
-                let first = offset / ts;
-                for (r, sums) in chunk.chunks_exact_mut(ts).enumerate() {
-                    let c = first + r;
-                    if !cell_dirty[c] {
-                        continue;
-                    }
-                    sums.fill(0.0);
-                    let lo = cell_starts[c] as usize;
-                    let hi = cell_starts[c + 1] as usize;
-                    for t in point_trig[lo * ts..hi * ts].chunks_exact(ts) {
-                        accumulate_row(sums, t);
-                    }
-                }
-            });
-        }
-        self.rebuild_lane_tables(exec, coords);
-        self.rebuild_cell_bounds(exec, coords);
-        dirty_cells
-    }
-
-    /// Incremental refresh with changers: splice the re-binned points back
-    /// into the grid-sorted order and recompute only dirty cells.
-    fn refresh_rebin(&mut self, exec: &Executor, coords: &[f64], moved: &[bool]) -> u64 {
+    /// The layout with changers: splice the re-binned points back into the
+    /// grid-sorted order and classify the new cells dirty or clean,
+    /// replacing the mover-cell flags. Returns the dirty count.
+    fn rebin(&mut self, moved: &[bool]) -> u64 {
         let dim = self.geometry.dim;
         let n = moved.len();
 
-        // sort the changers under the grid total order (their new keys)
-        {
-            let keys = &self.point_keys;
-            let outer = &self.point_outer;
-            self.changers.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                outer[a]
-                    .cmp(&outer[b])
-                    .then_with(|| keys[a * dim..(a + 1) * dim].cmp(&keys[b * dim..(b + 1) * dim]))
-                    .then(a.cmp(&b))
-            });
-        }
-
-        // merge stayers (already sorted: their keys are unchanged) with the
-        // sorted changers — reproduces the fresh sort's permutation exactly,
+        // sort the changers under the grid total order (their new keys),
+        // then merge stayers (already sorted: their keys are unchanged)
+        // with them — reproduces the fresh sort's permutation exactly,
         // because the order (outer, key, index) is total and strict
+        let (keys, outer) = (&self.point_keys, &self.point_outer);
+        self.changers
+            .sort_unstable_by(|&a, &b| grid_order(outer, keys, dim, a, b));
         self.merge_scratch.clear();
         self.merge_scratch.reserve(n);
         {
-            let keys = &self.point_keys;
-            let outer = &self.point_outer;
-            let less = |a: u32, b: u32| {
-                let (a, b) = (a as usize, b as usize);
-                outer[a]
-                    .cmp(&outer[b])
-                    .then_with(|| keys[a * dim..(a + 1) * dim].cmp(&keys[b * dim..(b + 1) * dim]))
-                    .then(a.cmp(&b))
-                    .is_lt()
-            };
             let mut ci = 0usize;
             for &pt in &self.cell_points {
                 if self.is_changer[pt as usize] {
                     continue; // re-emitted from the changer list instead
                 }
-                while ci < self.changers.len() && less(self.changers[ci], pt) {
+                while ci < self.changers.len()
+                    && grid_order(outer, keys, dim, self.changers[ci], pt).is_lt()
+                {
                     self.merge_scratch.push(self.changers[ci]);
                     ci += 1;
                 }
@@ -676,8 +573,8 @@ impl CellGrid {
         // per-point cell/slot (into scratch — the old inversion is still
         // needed below), and the dirty/clean classification per new cell.
         // A cell is clean iff it contains no changer and no mover and its
-        // membership is unchanged (same old cell, same size) — then both
-        // its trig rows and its summary row are bitwise reusable.
+        // membership is unchanged (same old cell, same size) — then its
+        // summary row is bitwise reusable.
         // The per-point scratch reserves here are u32-sized (a few MB even
         // at the 1M envelope) and guarantee the zero-alloc steady state;
         // only `rebuild`'s n·dim key reserve was a real memory spike.
@@ -765,82 +662,144 @@ impl CellGrid {
                 self.starts_scratch.push(n as u32);
             }
         }
-        let num_cells = self.starts_scratch.len().saturating_sub(1);
 
-        // trig pass into the double buffer: movers are recomputed, stayers'
-        // rows are relocated from their old slots — bitwise the same values
-        // a fresh build would compute from the same coordinates
-        let ts = self.trig_stride();
-        self.trig_scratch.resize(n * ts, 0.0);
-        {
-            let order = &self.merge_scratch;
-            let old_slot = &self.point_slot;
-            let old_trig = &self.point_trig;
-            let trig = ScatterWriter::new(&mut self.trig_scratch);
-            let trig = &trig;
-            exec.map_ranges(n, POINT_CHUNK, |range| {
-                for slot in range {
-                    let p_idx = order[slot] as usize;
-                    // each slot occurs in exactly one chunk
-                    let t = unsafe { trig.row_mut(slot * ts, ts) };
-                    if moved[p_idx] {
-                        let p = row(coords, dim, p_idx);
-                        for i in 0..dim {
-                            t[i] = p[i].sin();
-                            t[dim + i] = p[i].cos();
-                        }
-                    } else {
-                        let s = old_slot[p_idx] as usize;
-                        t.copy_from_slice(&old_trig[s * ts..(s + 1) * ts]);
-                    }
-                }
-            });
-        }
-
-        // summary pass into the double buffer: dirty cells re-accumulate
-        // their full membership in slot order, clean cells copy their old
-        // row (identical membership, identical rows ⇒ identical bits)
-        self.sums_scratch.clear();
-        self.sums_scratch.resize(num_cells * ts, 0.0);
-        {
-            let cell_starts = &self.starts_scratch;
-            let point_trig = &self.trig_scratch;
-            let cell_dirty = &self.cell_dirty;
-            let clean_src = &self.clean_src;
-            let old_sums = &self.trig_sums;
-            exec.map_chunks_mut(&mut self.sums_scratch, CELL_CHUNK * ts, |offset, chunk| {
-                let first = offset / ts;
-                for (r, sums) in chunk.chunks_exact_mut(ts).enumerate() {
-                    let c = first + r;
-                    if cell_dirty[c] {
-                        let lo = cell_starts[c] as usize;
-                        let hi = cell_starts[c + 1] as usize;
-                        for t in point_trig[lo * ts..hi * ts].chunks_exact(ts) {
-                            accumulate_row(sums, t);
-                        }
-                    } else {
-                        let src = clean_src[c] as usize;
-                        sums.copy_from_slice(&old_sums[src * ts..(src + 1) * ts]);
-                    }
-                }
-            });
-        }
-
-        // promote the double buffers
+        // promote the new layout; the scratch buffers keep the previous
+        // one (`point_slot_scratch`: each point's old slot), which the lane
+        // writer reads for the stayers' rows
         std::mem::swap(&mut self.cell_points, &mut self.merge_scratch);
         std::mem::swap(&mut self.cell_starts, &mut self.starts_scratch);
         std::mem::swap(&mut self.point_cell, &mut self.point_cell_scratch);
         std::mem::swap(&mut self.point_slot, &mut self.point_slot_scratch);
-        std::mem::swap(&mut self.point_trig, &mut self.trig_scratch);
-        std::mem::swap(&mut self.trig_sums, &mut self.sums_scratch);
-        self.rebuild_lane_tables(exec, coords);
-        self.rebuild_cell_bounds(exec, coords);
         dirty_cells
+    }
+
+    /// The grid's one lane writer: rewrite the rows `rows` selects of the
+    /// lane tables from the current layout, in parallel over lane blocks
+    /// (block `b` covers lane indices `4b..4b+4`, slot `s` lives at lane
+    /// `lane_phase + s`), each block by exactly one chunk, so the tables
+    /// are the same for any worker count.
+    ///
+    /// A computed row takes `sin`/`cos` of the point's raw coordinates. A
+    /// stayer of the re-binning refresh copies them from its old lane in
+    /// the previous tables, swapped into `lane_sin_prev`/`lane_cos_prev`:
+    /// its coordinates did not change, so neither did their values. The
+    /// full build and the re-binning refresh start from zeroed tables, so
+    /// the `lane_phase` leading pad lanes and those past the last point
+    /// stay zero; the in-place refresh moves no slot and keeps them.
+    fn write_lanes(&mut self, exec: &Executor, coords: &[f64], rows: Rows) {
+        let (dim, phase) = (self.geometry.dim, self.lane_phase);
+        let n = self.cell_points.len();
+        let n_blocks = (phase + n).div_ceil(LANES);
+        let bs = dim * LANES;
+        if let Rows::Rebinned(_) = rows {
+            std::mem::swap(&mut self.lane_sin, &mut self.lane_sin_prev);
+            std::mem::swap(&mut self.lane_cos, &mut self.lane_cos_prev);
+        }
+        if !matches!(rows, Rows::InPlace(_)) {
+            for table in [
+                &mut self.lane_sin,
+                &mut self.lane_cos,
+                &mut self.lane_coords,
+            ] {
+                table.clear();
+                table.resize(n_blocks * bs, 0.0);
+            }
+        }
+        let (order, old_slot) = (&self.cell_points, &self.point_slot_scratch);
+        let (sin_prev, cos_prev) = (&self.lane_sin_prev, &self.lane_cos_prev);
+        let sin_w = ScatterWriter::new(&mut self.lane_sin);
+        let cos_w = ScatterWriter::new(&mut self.lane_cos);
+        let xyz_w = ScatterWriter::new(&mut self.lane_coords);
+        let (sin_w, cos_w, xyz_w) = (&sin_w, &cos_w, &xyz_w);
+        exec.map_ranges(n_blocks, CELL_CHUNK, |range| {
+            for b in range {
+                // each block occurs in exactly one chunk
+                let (sins, coss, xyzs) = unsafe {
+                    (
+                        sin_w.row_mut(b * bs, bs),
+                        cos_w.row_mut(b * bs, bs),
+                        xyz_w.row_mut(b * bs, bs),
+                    )
+                };
+                for j in 0..LANES {
+                    let Some(slot) = (b * LANES + j).checked_sub(phase).filter(|&s| s < n) else {
+                        continue; // a pad lane
+                    };
+                    let p_idx = order[slot] as usize;
+                    let p = row(coords, dim, p_idx);
+                    match rows {
+                        Rows::InPlace(moved) if !moved[p_idx] => continue,
+                        Rows::Rebinned(moved) if !moved[p_idx] => {
+                            let at = lane_index(phase, dim, old_slot[p_idx] as usize);
+                            for i in 0..dim {
+                                sins[i * LANES + j] = sin_prev[at + i * LANES];
+                                coss[i * LANES + j] = cos_prev[at + i * LANES];
+                            }
+                        }
+                        _ => {
+                            for i in 0..dim {
+                                sins[i * LANES + j] = p[i].sin();
+                                coss[i * LANES + j] = p[i].cos();
+                            }
+                        }
+                    }
+                    for i in 0..dim {
+                        xyzs[i * LANES + j] = p[i];
+                    }
+                }
+            }
+        });
+    }
+
+    /// The summary pass, parallel over cells: recompute the Σsin/Σcos row
+    /// of every cell (`Rows::All`) or of each dirty cell from the current
+    /// lane tables. A clean cell keeps its row in place, or, after a
+    /// re-binning refresh, copies its old cell's row: identical membership
+    /// and identical lane values give identical bits.
+    fn write_sums(&mut self, exec: &Executor, rows: Rows) {
+        let (dim, phase) = (self.geometry.dim, self.lane_phase);
+        let w = 2 * dim;
+        if let Rows::Rebinned(_) = rows {
+            std::mem::swap(&mut self.trig_sums, &mut self.sums_scratch);
+        }
+        if !matches!(rows, Rows::InPlace(_)) {
+            self.trig_sums.clear();
+            self.trig_sums.resize(self.num_cells() * w, 0.0);
+        }
+        let (cell_starts, dirty, clean_src) =
+            (&self.cell_starts, &self.cell_dirty, &self.clean_src);
+        let (lane_sin, lane_cos, old_sums) = (&self.lane_sin, &self.lane_cos, &self.sums_scratch);
+        exec.map_chunks_mut(&mut self.trig_sums, CELL_CHUNK * w, |offset, chunk| {
+            for (r, sums) in chunk.chunks_exact_mut(w).enumerate() {
+                let c = offset / w + r;
+                match rows {
+                    Rows::InPlace(_) if !dirty[c] => {}
+                    Rows::Rebinned(_) if !dirty[c] => {
+                        let src = clean_src[c] as usize;
+                        sums.copy_from_slice(&old_sums[src * w..(src + 1) * w]);
+                    }
+                    _ => {
+                        // each slot's values added one slot after another:
+                        // every element's addition chain is the fresh
+                        // build's, so the sums are bitwise reproducible
+                        sums.fill(0.0);
+                        let (sin_sum, cos_sum) = sums.split_at_mut(dim);
+                        for slot in cell_starts[c] as usize..cell_starts[c + 1] as usize {
+                            let at = lane_index(phase, dim, slot);
+                            for i in 0..dim {
+                                sin_sum[i] += lane_sin[at + i * LANES];
+                                cos_sum[i] += lane_cos[at + i * LANES];
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// Recompute the per-cell point MBRs from the final grid-sorted order
     /// — an O(n·d) pass, within the same per-iteration envelope as the
-    /// lane-table relayout that precedes it. Each cell scans its own
+    /// lane writer that precedes it. Each cell scans its own
     /// contiguous slot range once, sequentially, into its lane of its
     /// block, so the table is a pure function of the CSR layout and the
     /// coordinates: bitwise identical for any worker count and for either
@@ -887,83 +846,25 @@ impl CellGrid {
         );
     }
 
-    /// Rebuild the lane-blocked SoA tables (`lane_sin`, `lane_cos`,
-    /// `lane_coords`) from the freshly maintained trig table and the
-    /// grid-sorted order. A pure relayout — block `b` copies the rows of
-    /// lane indices `4b..4b+4` (slot `s` lives at lane `lane_phase + s`)
-    /// into dimension-major lane groups, the leading `lane_phase` pad
-    /// lanes and the padding lanes past `n` stay zero — so the tables are
-    /// bitwise consistent with `point_trig`/`coords` whether the grid was
-    /// rebuilt or refreshed, and the pass is deterministic for any worker
-    /// count.
-    fn rebuild_lane_tables(&mut self, exec: &Executor, coords: &[f64]) {
-        let dim = self.geometry.dim;
-        let ts = self.trig_stride();
-        let n = self.cell_points.len();
-        let phase = self.lane_phase;
-        let n_blocks = (phase + n).div_ceil(LANES);
-        let len = n_blocks * dim * LANES;
-        self.lane_sin.clear();
-        self.lane_sin.resize(len, 0.0);
-        self.lane_cos.clear();
-        self.lane_cos.resize(len, 0.0);
-        self.lane_coords.clear();
-        self.lane_coords.resize(len, 0.0);
-        let order = &self.cell_points;
-        let trig = &self.point_trig;
-        let sin_w = ScatterWriter::new(&mut self.lane_sin);
-        let cos_w = ScatterWriter::new(&mut self.lane_cos);
-        let xyz_w = ScatterWriter::new(&mut self.lane_coords);
-        let (sin_w, cos_w, xyz_w) = (&sin_w, &cos_w, &xyz_w);
-        exec.map_ranges(n_blocks, CELL_CHUNK, |range| {
-            for b in range {
-                // each block occurs in exactly one chunk
-                let (sins, coss, xyzs) = unsafe {
-                    (
-                        sin_w.row_mut(b * dim * LANES, dim * LANES),
-                        cos_w.row_mut(b * dim * LANES, dim * LANES),
-                        xyz_w.row_mut(b * dim * LANES, dim * LANES),
-                    )
-                };
-                for j in 0..LANES {
-                    let lane = b * LANES + j;
-                    if lane < phase {
-                        continue;
-                    }
-                    let slot = lane - phase;
-                    if slot >= n {
-                        break;
-                    }
-                    let t = &trig[slot * ts..(slot + 1) * ts];
-                    let p = row(coords, dim, order[slot] as usize);
-                    for i in 0..dim {
-                        sins[i * LANES + j] = t[i];
-                        coss[i * LANES + j] = t[dim + i];
-                        xyzs[i * LANES + j] = p[i];
-                    }
-                }
-            }
-        });
-    }
-
     /// The geometry the grid was built under.
     pub fn geometry(&self) -> &GridGeometry {
         &self.geometry
     }
 
-    /// Padded length of a trig-table or summary row: `2·dim` live elements
-    /// (`sin` then `cos` per dimension) rounded up to a [`LANES`] multiple,
-    /// so row accumulation runs in whole vector steps.
-    pub fn trig_stride(&self) -> usize {
-        lane_pad(2 * self.geometry.dim)
-    }
-
-    /// Lane-blocked `sin` table: `lane_sin()[(b·dim + i)·LANES + j]` is
-    /// `sin` of dimension `i` of the point at lane index `4b + j`, where
-    /// slot `s` lives at lane index [`CellGrid::lane_phase`]` + s` (zero
-    /// in the pad lanes). The SIMD pair-term kernel's row layout.
+    /// Lane-blocked `sin` table, the grid's only per-point `sin`:
+    /// `lane_sin()[(b·dim + i)·LANES + j]` is `sin` of dimension `i` of the
+    /// point at lane index `4b + j`, where slot `s` lives at lane index
+    /// [`CellGrid::lane_phase`]` + s` (zero in the pad lanes). The SIMD
+    /// pair-term kernel's row layout.
     pub fn lane_sin(&self) -> &[f64] {
         &self.lane_sin
+    }
+
+    /// Index of dimension 0 of grid-sorted slot `slot` in the lane tables;
+    /// dimension `i` lies `i·LANES` further.
+    #[inline(always)]
+    pub(crate) fn slot_lane(&self, slot: usize) -> usize {
+        lane_index(self.lane_phase, self.geometry.dim, slot)
     }
 
     /// Leading pad lanes of the lane-blocked tables: the lane index of
@@ -980,8 +881,14 @@ impl CellGrid {
     /// grid's would for every resident cell, keeping the lane sums
     /// bitwise invariant under sharding. Must be set **before** the
     /// [`CellGrid::rebuild`]/[`CellGrid::refresh`] that should honor it.
+    /// A new phase moves every lane row, so the next refresh is a full
+    /// rebuild.
     pub fn set_lane_phase(&mut self, global_slot_base: usize) {
-        self.lane_phase = global_slot_base % LANES;
+        let phase = global_slot_base % LANES;
+        if phase != self.lane_phase {
+            self.lane_phase = phase;
+            self.has_state = false;
+        }
     }
 
     /// Lane-blocked `cos` table, same layout as [`CellGrid::lane_sin`].
@@ -1027,15 +934,13 @@ impl CellGrid {
     /// Per-dimension Σsin over the points of cell `c`.
     pub fn sin_sums(&self, c: usize) -> &[f64] {
         let dim = self.geometry.dim;
-        let ts = self.trig_stride();
-        &self.trig_sums[c * ts..c * ts + dim]
+        &self.trig_sums[2 * c * dim..(2 * c + 1) * dim]
     }
 
     /// Per-dimension Σcos over the points of cell `c`.
     pub fn cos_sums(&self, c: usize) -> &[f64] {
         let dim = self.geometry.dim;
-        let ts = self.trig_stride();
-        &self.trig_sums[c * ts + dim..c * ts + 2 * dim]
+        &self.trig_sums[(2 * c + 1) * dim..(2 * c + 2) * dim]
     }
 
     /// `(lo_i, hi_i)` of compacted cell `c`'s point MBR, per dimension,
@@ -1117,9 +1022,9 @@ impl CellGrid {
         classify_blocks::<0>(bounds, dim, run, ranges, eps_sq, covered_mask, list)
     }
 
-    /// Every cell's Σsin/Σcos row, [`CellGrid::trig_stride`] apart: cell
-    /// `c`'s [`CellGrid::sin_sums`] then [`CellGrid::cos_sums`] start at
-    /// `c · trig_stride()`.
+    /// Every cell's Σsin/Σcos row, `2·dim` apart: cell `c`'s
+    /// [`CellGrid::sin_sums`] then [`CellGrid::cos_sums`] start at
+    /// `c · 2·dim`.
     pub(crate) fn summary_rows(&self) -> &[f64] {
         &self.trig_sums
     }
@@ -1133,8 +1038,8 @@ impl CellGrid {
     }
 
     /// Slot range of compacted cell `c` in the grid-sorted order — the
-    /// indices into [`CellGrid::point_order`] (and the trig-table rows)
-    /// occupied by the cell's points.
+    /// indices into [`CellGrid::point_order`] occupied by the cell's
+    /// points.
     pub fn cell_range(&self, c: usize) -> std::ops::Range<usize> {
         self.cell_starts[c] as usize..self.cell_starts[c + 1] as usize
     }
@@ -1172,23 +1077,6 @@ impl CellGrid {
     /// range — the owned-slot window the sharded update pass iterates.
     pub fn slots_of_cells(&self, cells: std::ops::Range<usize>) -> std::ops::Range<usize> {
         self.cell_starts[cells.start] as usize..self.cell_starts[cells.end] as usize
-    }
-
-    /// Per-dimension `sin` of the raw coordinates of the point in
-    /// grid-sorted slot `s` (i.e. of point `point_order()[s]`), from the
-    /// iteration's trig table.
-    pub fn slot_sin(&self, s: usize) -> &[f64] {
-        let dim = self.geometry.dim;
-        let ts = self.trig_stride();
-        &self.point_trig[s * ts..s * ts + dim]
-    }
-
-    /// Per-dimension `cos` of the raw coordinates of the point in
-    /// grid-sorted slot `s`, from the iteration's trig table.
-    pub fn slot_cos(&self, s: usize) -> &[f64] {
-        let dim = self.geometry.dim;
-        let ts = self.trig_stride();
-        &self.point_trig[s * ts + dim..s * ts + 2 * dim]
     }
 
     /// Invoke `f` with the compacted index of every non-empty cell in the
@@ -1270,7 +1158,6 @@ impl CellGrid {
             + self.cell_points.len() * 4
             + self.point_cell.len() * 4
             + self.trig_sums.len() * 8
-            + self.point_trig.len() * 8
             + self.lane_sin.len() * 8
             + self.lane_cos.len() * 8
             + self.lane_coords.len() * 8
@@ -1287,7 +1174,8 @@ impl CellGrid {
             + self.starts_scratch.len() * 4
             + self.point_cell_scratch.len() * 4
             + self.point_slot_scratch.len() * 4
-            + self.trig_scratch.len() * 8
+            + self.lane_sin_prev.len() * 8
+            + self.lane_cos_prev.len() * 8
             + self.sums_scratch.len() * 8
     }
 }
@@ -1549,6 +1437,10 @@ mod tests {
     use super::*;
     use egg_spatial::distance::squared_euclidean;
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn grid_fixture(coords: &[f64], dim: usize, eps: f64) -> (GridGeometry, Vec<f64>) {
         let g = GridGeometry::new(dim, eps, coords.len() / dim, GridVariant::Auto);
         (g, coords.to_vec())
@@ -1688,53 +1580,79 @@ mod tests {
             assert_eq!(grid.cell_points, reference.cell_points);
             assert_eq!(grid.point_cell, reference.point_cell);
             // summaries must be bitwise identical, not just close
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&grid.trig_sums), bits(&reference.trig_sums));
         }
     }
 
-    /// The lane-blocked tables must be an exact relayout of the trig table
-    /// and the grid-sorted coordinates — including after incremental
-    /// refreshes, whose lane pass copies rather than recomputes — with
-    /// zeroed padding lanes.
+    /// Each slot's lanes hold `sin`, `cos` and the coordinates of its own
+    /// point, and every pad lane zero, after a full build, an in-place
+    /// refresh and a re-binning refresh, at every lane phase. A new phase
+    /// on a built grid makes the next refresh a full build, equal to a
+    /// fresh build at that phase.
     #[test]
-    fn lane_tables_mirror_trig_table_and_coords() {
+    fn lane_tables_hold_each_slots_trig_and_coords() {
         let (n, dim) = (519, 3); // deliberately not a lane multiple
         let g = GridGeometry::new(dim, 0.12, n, GridVariant::Auto);
         let exec = Executor::new(Some(3));
-        let mut coords = pseudo_cloud(n, dim);
-        let mut grid = CellGrid::new(g);
-        grid.refresh(&exec, &coords, None);
-        fn check(grid: &CellGrid, coords: &[f64], n: usize, dim: usize) {
-            let n_blocks = n.div_ceil(LANES);
-            assert_eq!(grid.lane_sin().len(), n_blocks * dim * LANES);
-            for b in 0..n_blocks {
-                for j in 0..LANES {
-                    let slot = b * LANES + j;
-                    for i in 0..dim {
-                        let at = (b * dim + i) * LANES + j;
-                        let (s, c, x) = if slot < n {
-                            let p = grid.point_order()[slot] as usize;
-                            (
-                                grid.slot_sin(slot)[i],
-                                grid.slot_cos(slot)[i],
-                                coords[p * dim + i],
-                            )
-                        } else {
-                            (0.0, 0.0, 0.0) // padding lanes
-                        };
-                        assert_eq!(grid.lane_sin()[at].to_bits(), s.to_bits());
-                        assert_eq!(grid.lane_cos()[at].to_bits(), c.to_bits());
-                        assert_eq!(grid.lane_coords()[at].to_bits(), x.to_bits());
-                    }
+        fn check(grid: &CellGrid, coords: &[f64], tag: &str) {
+            let (dim, phase) = (grid.geometry().dim, grid.lane_phase());
+            let lanes = (phase + coords.len() / dim).next_multiple_of(LANES);
+            // `[sin, cos, x]` of each table entry, zero in the pad lanes
+            let mut want = vec![[0.0f64; 3]; lanes * dim];
+            for (s, &p) in grid.point_order().iter().enumerate() {
+                let lane = phase + s;
+                for i in 0..dim {
+                    let at = (lane / LANES * dim + i) * LANES + lane % LANES;
+                    assert_eq!(grid.slot_lane(s) + i * LANES, at, "{tag}");
+                    let x = coords[p as usize * dim + i];
+                    want[at] = [x.sin(), x.cos(), x];
                 }
             }
+            let tables = [grid.lane_sin(), grid.lane_cos(), grid.lane_coords()];
+            for (t, table) in tables.into_iter().enumerate() {
+                let want: Vec<u64> = want.iter().map(|w| w[t].to_bits()).collect();
+                assert_eq!(bits(table), want, "{tag}: table {t}");
+            }
         }
-        for round in 0..3u64 {
-            check(&grid, &coords, n, dim);
-            let moved = perturb(&mut coords, dim, round);
-            grid.refresh(&exec, &coords, Some(&moved));
-            check(&grid, &coords, n, dim);
+        for phase in 0..LANES {
+            let mut coords = pseudo_cloud(n, dim);
+            let mut grid = CellGrid::new(g);
+            grid.set_lane_phase(phase);
+            assert!(grid.refresh(&exec, &coords, None).full_rebuild);
+            check(&grid, &coords, &format!("phase {phase} build"));
+            for round in 0..3 {
+                let tag = format!("phase {phase} round {round}");
+                let moved = nudge(&grid, &mut coords, round);
+                let stats = grid.refresh(&exec, &coords, Some(&moved));
+                assert!(
+                    stats.moved_points > 0 && stats.rebinned_points == 0,
+                    "{tag}"
+                );
+                assert!(!stats.full_rebuild, "{tag}");
+                check(&grid, &coords, &format!("{tag} in place"));
+                let moved = perturb(&mut coords, dim, round as u64);
+                let stats = grid.refresh(&exec, &coords, Some(&moved));
+                assert!(stats.rebinned_points > 0 && !stats.full_rebuild, "{tag}");
+                check(&grid, &coords, &format!("{tag} re-binned"));
+            }
+            let phase = (phase + 1) % LANES;
+            grid.set_lane_phase(phase);
+            let moved = perturb(&mut coords, dim, 3);
+            assert!(grid.refresh(&exec, &coords, Some(&moved)).full_rebuild);
+            let mut fresh = CellGrid::new(g);
+            fresh.set_lane_phase(phase);
+            fresh.rebuild(&Executor::sequential(), &coords);
+            for (got, want) in [
+                (&grid.lane_sin, &fresh.lane_sin),
+                (&grid.lane_cos, &fresh.lane_cos),
+                (&grid.lane_coords, &fresh.lane_coords),
+            ] {
+                assert_eq!(bits(got), bits(want), "to phase {phase}");
+            }
+            // the previous tables were written at the old phase
+            let moved = perturb(&mut coords, dim, 4);
+            assert!(grid.refresh(&exec, &coords, Some(&moved)).rebinned_points > 0);
+            check(&grid, &coords, &format!("phase {phase} re-binned"));
         }
     }
 
@@ -2175,11 +2093,28 @@ mod tests {
         moved
     }
 
+    /// Move every third point, from point `round`, halfway to the first
+    /// point of its cell, returning the flags. Each coordinate stays
+    /// between the two points', and the cell coordinate is monotone in it,
+    /// so no point leaves its cell.
+    fn nudge(grid: &CellGrid, coords: &mut [f64], round: usize) -> Vec<bool> {
+        let dim = grid.geometry().dim;
+        let old = coords.to_vec();
+        let mut moved = vec![false; old.len() / dim];
+        for p in (round..moved.len()).step_by(3) {
+            let q = grid.cell_points(grid.point_cell()[p] as usize)[0] as usize;
+            for i in 0..dim {
+                coords[p * dim + i] = (old[p * dim + i] + old[q * dim + i]) / 2.0;
+            }
+            moved[p] = (p * dim..(p + 1) * dim).any(|k| coords[k] != old[k]);
+        }
+        moved
+    }
+
     #[test]
     fn incremental_refresh_is_bitwise_identical_to_rebuild() {
         let (n, dim) = (800, 3);
         let g = GridGeometry::new(dim, 0.12, n, GridVariant::Auto);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for workers in [1usize, 2, 3, 8] {
             let exec = Executor::new(Some(workers));
             let mut coords = pseudo_cloud(n, dim);
@@ -2202,9 +2137,11 @@ mod tests {
                 assert_eq!(grid.point_cell, fresh.point_cell, "{tag}");
                 assert_eq!(grid.point_slot, fresh.point_slot, "{tag}");
                 assert_eq!(grid.outer_index, fresh.outer_index, "{tag}");
-                // summaries and trig tables bitwise, not merely close
+                // summaries and lane tables bitwise, not merely close
                 assert_eq!(bits(&grid.trig_sums), bits(&fresh.trig_sums), "{tag}");
-                assert_eq!(bits(&grid.point_trig), bits(&fresh.point_trig), "{tag}");
+                assert_eq!(bits(&grid.lane_sin), bits(&fresh.lane_sin), "{tag}");
+                assert_eq!(bits(&grid.lane_cos), bits(&fresh.lane_cos), "{tag}");
+                assert_eq!(bits(&grid.lane_coords), bits(&fresh.lane_coords), "{tag}");
                 assert_eq!(bits(&grid.cell_bounds), bits(&fresh.cell_bounds), "{tag}");
             }
         }

@@ -12,10 +12,7 @@
 //! * [`distance_sq_lanes`] — four point-to-point squared distances at once,
 //!   accumulated **dimension-major without fused multiply-add**, so each
 //!   lane reproduces the scalar `d² += d·d` sequence bit for bit and every
-//!   neighborhood predicate (`d² ≤ ε²`) is *exact*, not merely close;
-//! * [`accumulate_row`] — element-wise row accumulation for the lane-padded
-//!   per-cell Σsin/Σcos summary rows (bitwise identical to the scalar loop,
-//!   since each element's addition chain is unchanged).
+//!   neighborhood predicate (`d² ≤ ε²`) is *exact*, not merely close.
 //!
 //! Each kernel has one source and no dispatch of its own: it is
 //! `#[inline(always)]` portable code, compiled by its caller. The host
@@ -38,8 +35,8 @@ use crate::algorithms::gpu_sync::MAX_DIM;
 /// Fixed vector width of the kernel layer, in f64 lanes.
 pub const LANES: usize = 4;
 
-/// Round `len` up to the next multiple of [`LANES`] — the padded row
-/// length of the lane-aligned trig-table and summary rows.
+/// Round `len` up to the next multiple of [`LANES`] — the padded length
+/// of the device grid's lane-aligned allocations.
 #[inline]
 pub const fn lane_pad(len: usize) -> usize {
     len.div_ceil(LANES) * LANES
@@ -347,19 +344,6 @@ fn and_lanes(a: [u64; LANES], b: [u64; LANES]) -> [u64; LANES] {
     out
 }
 
-/// Element-wise `sums[i] += row[i]` over lane-padded rows, four lanes per
-/// step. Each element's addition chain is identical to the scalar loop, so
-/// the result is bitwise identical — the summary rows stay exact.
-#[inline(always)]
-pub fn accumulate_row(sums: &mut [f64], row: &[f64]) {
-    debug_assert_eq!(sums.len(), row.len());
-    debug_assert_eq!(sums.len() % LANES, 0);
-    for (s, r) in sums.chunks_exact_mut(LANES).zip(row.chunks_exact(LANES)) {
-        let v = F64x4::load(s) + F64x4::load(r);
-        s.copy_from_slice(&v.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,20 +492,6 @@ mod tests {
         each_dim!(1 2 3 4 5 6 7 8);
         for dim in 1..=9 {
             check_pair_term_cell::<0>(dim);
-        }
-    }
-
-    #[test]
-    fn accumulate_row_is_bitwise_elementwise_addition() {
-        let mut sums = vec![0.1, 1e16, -3.0, 0.0, 2.0, 4.0, 8.0, 16.0];
-        let row = vec![0.2, 1.0, 3.0, 0.0, -2.0, 0.5, 0.25, 0.125];
-        let mut expected = sums.clone();
-        for (s, r) in expected.iter_mut().zip(&row) {
-            *s += r;
-        }
-        accumulate_row(&mut sums, &row);
-        for (s, e) in sums.iter().zip(&expected) {
-            assert_eq!(s.to_bits(), e.to_bits());
         }
     }
 }

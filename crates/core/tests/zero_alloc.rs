@@ -137,8 +137,10 @@ fn incremental_steady_state_does_not_allocate() {
     let mut chunk_stats: Vec<(bool, UpdateCounters)> = Vec::new();
     let mut state = IncrementalState::new();
 
+    // returns whether the refresh re-binned points incrementally: only
+    // that path swaps the lane tables with their previous copies
     let mut iterate = |coords_cur: &mut Vec<f64>, coords_next: &mut Vec<f64>| {
-        grid.refresh(&exec, coords_cur, state.moved_flags());
+        let stats = grid.refresh(&exec, coords_cur, state.moved_flags());
         let (first_term, _) = egg_update_host(
             &exec,
             &grid,
@@ -155,20 +157,24 @@ fn incremental_steady_state_does_not_allocate() {
         }
         state.finish_pass(&geometry, coords_cur, coords_next);
         std::mem::swap(coords_cur, coords_next);
+        stats.rebinned_points > 0 && !stats.full_rebuild
     };
 
     // warm-up: size every reusable buffer, including the incremental
-    // scratch (changer lists, merge buffers, flag vectors)
-    for _ in 0..3 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
+    // scratch (changer lists, merge buffers, flag vectors, previous lane
+    // tables)
+    let rebins = (0..3)
+        .filter(|_| iterate(&mut coords_cur, &mut coords_next))
+        .count();
+    assert!(rebins > 0, "the warm-up must run a re-binning refresh");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
+    let rebins = (0..5)
+        .filter(|_| iterate(&mut coords_cur, &mut coords_next))
+        .count();
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
+    assert!(rebins > 0, "the window must run a re-binning refresh");
     assert_eq!(
         after - before,
         0,

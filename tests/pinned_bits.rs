@@ -124,10 +124,15 @@ fn assert_digest(name: &str, run: &Clustering, want: u64) {
     );
 }
 
+/// Re-pinned from `0xac67_e086_3fee_7aed` when the host grid's trig table
+/// and lane-table relayout became one lane writer: each refresh spanning
+/// more than one chunk issues one parallel dispatch fewer, so
+/// `exec_dispatches` fell from 34 to 27. With `exec_dispatches` left out,
+/// the digest is `0xf953_033b_9d75_4f6f` before and after.
 #[test]
 fn blobs_2d_bits_are_pinned() {
     let run = engine(0.05, Backend::Host, 2, 1).cluster(&blobs(2_000, 2, 1));
-    assert_digest("2-d blobs", &run, 0xac67_e086_3fee_7aed);
+    assert_digest("2-d blobs", &run, 0x649c_32e6_ea62_c5f4);
 }
 
 #[test]

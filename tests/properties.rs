@@ -478,7 +478,7 @@ proptest! {
         steps in 1usize..=4,
     ) {
         // after k real EGG-update steps the incrementally maintained grid
-        // — CSR layout, Σsin/Σcos summaries, trig tables — must be bitwise
+        // — CSR layout, Σsin/Σcos summaries, lane tables — must be bitwise
         // identical to a from-scratch rebuild on the same coordinates, for
         // every grid variant and worker count
         use egg_sync::core::egg::update::{egg_update_host, IncrementalState, UpdateOptions};
@@ -540,16 +540,9 @@ proptest! {
                         "{} cell {} cos", tag, c
                     );
                 }
-                for s in 0..n {
-                    prop_assert_eq!(
-                        bits(grid.slot_sin(s)), bits(fresh.slot_sin(s)),
-                        "{} slot {}", tag, s
-                    );
-                    prop_assert_eq!(
-                        bits(grid.slot_cos(s)), bits(fresh.slot_cos(s)),
-                        "{} slot {}", tag, s
-                    );
-                }
+                prop_assert_eq!(bits(grid.lane_sin()), bits(fresh.lane_sin()), "{}", tag);
+                prop_assert_eq!(bits(grid.lane_cos()), bits(fresh.lane_cos()), "{}", tag);
+                prop_assert_eq!(bits(grid.lane_coords()), bits(fresh.lane_coords()), "{}", tag);
             }
         }
     }
