@@ -12,11 +12,13 @@
 //! BENCH_egg.json ledger.
 //!
 //! A fused-pipeline evidence cell (n = 100 000, d = 4) runs the device
-//! backend with `use_fused_kernels` on and off: the fused, lane-blocked
-//! pipeline must launch fewer kernels, move fewer memory words and spend
-//! less simulated time in build+update per iteration, while producing the
-//! same clustering. Its per-stage simulated times and kernel totals are
-//! appended to the ledger as d = 4 rows.
+//! backend with `use_fused_kernels` on and off, which chooses how the
+//! lane tables, summaries and cell MBRs are written: the fused per-cell
+//! writer must launch fewer kernels, move fewer memory words, issue fewer
+//! atomics (it has no f64 summary scatter) and spend less simulated time
+//! in build+update per iteration, while producing the same clustering.
+//! Its per-stage simulated times and kernel totals are appended to the
+//! ledger as d = 4 rows.
 
 use egg_bench::{
     append_bench_ledger, bench_ledger_row_for, default_synthetic, measure, scaled, Experiment,
@@ -153,19 +155,23 @@ fn main() {
             k.launches as f64 / iters,
             k.mem_words as f64 / iters,
             k.coalesced_fraction(),
+            k.atomics as f64 / iters,
             (sim.get(Stage::BuildStructure) + sim.get(Stage::Update)) / iters,
         )
     };
-    let (fl, fw, ff, ft) = per_iter(&fused);
-    let (ul, uw, uf, ut) = per_iter(&unfused);
+    let (fl, fw, ff, fa, ft) = per_iter(&fused);
+    let (ul, uw, uf, ua, ut) = per_iter(&unfused);
     println!("\nFused vs unfused device pipeline (n={n4}, d=4, per iteration):");
     println!(
-        "{:>10} {:>10} {:>14} {:>10} {:>16}",
-        "", "launches", "mem words", "coalesced", "sim build+upd"
+        "{:>10} {:>10} {:>14} {:>10} {:>12} {:>16}",
+        "", "launches", "mem words", "coalesced", "atomics", "sim build+upd"
     );
-    for (name, l, w, f, t) in [("fused", fl, fw, ff, ft), ("unfused", ul, uw, uf, ut)] {
+    for (name, l, w, f, a, t) in [
+        ("fused", fl, fw, ff, fa, ft),
+        ("unfused", ul, uw, uf, ua, ut),
+    ] {
         println!(
-            "{name:>10} {l:>10.1} {w:>14.0} {f:>9.1}% {t:>15.6}s",
+            "{name:>10} {l:>10.1} {w:>14.0} {f:>9.1}% {a:>12.0} {t:>15.6}s",
             f = f * 100.0
         );
     }
@@ -181,7 +187,10 @@ fn main() {
         fw < uw,
         "fused pipeline must move fewer words ({fw} vs {uw})"
     );
-    assert!(ff > uf, "lane-blocking must raise the coalesced fraction");
+    assert!(
+        fa < ua,
+        "fused pipeline must issue fewer atomics ({fa} vs {ua})"
+    );
     assert!(
         ft < ut,
         "fused build+update must be cheaper in simulated time ({ft} vs {ut})"

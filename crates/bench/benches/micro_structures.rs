@@ -1,7 +1,9 @@
 //! Micro — index-structure construction and query costs: the simulated-GPU
 //! grid (Algorithm 2) vs the R-Tree (FSynC's index), both of which are
-//! rebuilt every iteration by their algorithms, and the host grid's three
-//! maintenance paths: full build, in-place refresh and re-binning refresh.
+//! rebuilt every iteration by their algorithms, the host grid's three
+//! maintenance paths (full build, in-place refresh and re-binning
+//! refresh), and the device grid's in-place refresh with the tables
+//! written by either pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use egg_bench::default_synthetic;
@@ -78,6 +80,24 @@ fn bench_structures(c: &mut Criterion) {
         assert_eq!(stats.rebinned_points, 0, "every point keeps its cell");
         b.iter(|| grid.refresh(&exec, &nudged, Some(&all)))
     });
+
+    // the same moves on the device grid, on one simulator thread
+    for (pipeline, fused) in [("fused", true), ("unfused", false)] {
+        group.bench_function(&format!("grid_refresh_in_place_10k/{pipeline}"), |b| {
+            let device = Device::new(DeviceConfig {
+                host_threads: Some(1),
+                ..DeviceConfig::default()
+            });
+            let mut ws = GridWorkspace::new(&device, geo, n);
+            ws.set_fused(fused);
+            let to = device.alloc_from_slice(&nudged);
+            let moved = device.alloc_from_slice(&vec![1u64; n]);
+            ws.refresh(&device.alloc_from_slice(coords), None);
+            let (_, _, stats) = ws.refresh(&to, Some(&moved));
+            assert!(!stats.layout_rebuilt, "every point keeps its cell");
+            b.iter(|| ws.refresh(&to, Some(&moved)))
+        });
+    }
 
     // every fourth point one cell width along x, across a cell border;
     // the rest unmoved

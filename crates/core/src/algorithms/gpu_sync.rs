@@ -15,6 +15,7 @@
 use egg_data::Dataset;
 use egg_gpu_sim::{grid_for, Device, DeviceConfig};
 
+use crate::exec::threads_default;
 use crate::instrument::{timed, IterationRecord, RunTrace, Stage};
 use crate::model::SyncParams;
 use crate::result::{ClusterAlgorithm, Clustering};
@@ -30,7 +31,9 @@ pub(crate) const MAX_DIM: usize = 64;
 pub struct GpuSync {
     /// Hyper-parameters (ε, λ, γ, iteration cap).
     pub params: SyncParams,
-    /// Simulated-device configuration.
+    /// Simulated-device configuration. With `host_threads` unset, the
+    /// simulator runs the `EGG_THREADS` override's thread count when it is
+    /// set, else the host's available parallelism.
     pub device_config: DeviceConfig,
 }
 
@@ -69,7 +72,12 @@ impl ClusterAlgorithm for GpuSync {
             return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
         }
         let eps_sq = self.params.epsilon * self.params.epsilon;
-        let device = Device::new(self.device_config.clone());
+        let device = Device::new(DeviceConfig {
+            // with neither, `Device::new` takes the host's available
+            // parallelism
+            host_threads: self.device_config.host_threads.or_else(threads_default),
+            ..self.device_config.clone()
+        });
 
         // --- allocate & upload -------------------------------------------
         let ((coords, next, rc_buf, sin_t, cos_t), alloc_secs) = timed(|| {

@@ -15,7 +15,7 @@
 use egg_data::Dataset;
 use egg_gpu_sim::{Device, DeviceConfig};
 
-use crate::exec::Executor;
+use crate::exec::{threads_default, Executor};
 use crate::grid::{CellGrid, GridGeometry, GridVariant, GridWorkspace, ShardPlan};
 use crate::instrument::{timed, IterationRecord, RunTrace, Stage, StageTimings};
 use crate::result::{ClusterAlgorithm, Clustering};
@@ -58,9 +58,11 @@ pub struct EggSync {
     pub device_config: DeviceConfig,
     /// Where the pipeline executes.
     pub backend: Backend,
-    /// Worker threads for the execution engine (`None` = the host's
-    /// available parallelism). On the [`Backend::SimulatedGpu`] backend
-    /// this overrides [`DeviceConfig::host_threads`] when set.
+    /// Worker threads for the execution engine (`None` = the
+    /// `EGG_THREADS` override when set, else the host's available
+    /// parallelism). On the [`Backend::SimulatedGpu`] backend it sizes the
+    /// simulator: it overrides [`DeviceConfig::host_threads`] when set, and
+    /// `EGG_THREADS` applies only when neither is set.
     pub threads: Option<usize>,
 }
 
@@ -242,11 +244,15 @@ impl EggSync {
         if n == 0 {
             return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
         }
-        let mut device_config = self.device_config.clone();
-        if self.threads.is_some() {
-            device_config.host_threads = self.threads;
-        }
-        let device = Device::new(device_config);
+        let device = Device::new(DeviceConfig {
+            // with none of the three, `Device::new` takes the host's
+            // available parallelism
+            host_threads: self
+                .threads
+                .or(self.device_config.host_threads)
+                .or_else(threads_default),
+            ..self.device_config.clone()
+        });
         trace.engine_threads = Some(device.workers());
         let mut sim_stages = StageTimings::default();
         let mut sim_mark = 0u64;
@@ -569,6 +575,60 @@ mod tests {
             (k.launches, k.mem_words, k.coalesced_words, k.atomics)
         };
         assert_eq!(kernels(4), kernels(1));
+    }
+
+    #[test]
+    fn device_threads_follow_the_env_override() {
+        // no count on the engine or its device configuration
+        let run = EggSync::new(0.05).cluster(&Dataset::from_coords(vec![0.4, 0.6], 2));
+        let want = threads_default()
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        assert_eq!(run.trace.engine_threads, Some(want));
+    }
+
+    /// Fusion's cost claims, on one simulator thread: the fused tables
+    /// writer launches fewer kernels, moves fewer words, issues fewer
+    /// atomics (it has no f64 summary scatter) and takes less simulated
+    /// build+update time than the unfused oracle, for the same run.
+    #[test]
+    fn fused_pipeline_costs_less_than_the_unfused_oracle() {
+        let data = GaussianSpec {
+            n: 600,
+            dim: 4,
+            ..GaussianSpec::default()
+        }
+        .generate_normalized()
+        .0;
+        let run = |fused: bool| {
+            let mut algo = EggSync {
+                threads: Some(1),
+                ..EggSync::new(0.25)
+            };
+            algo.options.use_fused_kernels = fused;
+            algo.cluster(&data)
+        };
+        let (fused, unfused) = (run(true), run(false));
+        let bits = |r: &Clustering| {
+            r.final_coords
+                .coords()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fused.labels, unfused.labels);
+        assert_eq!(fused.iterations, unfused.iterations);
+        assert_eq!(bits(&fused), bits(&unfused));
+        let cost = |r: &Clustering| {
+            let k = r.trace.kernel_summary.expect("device run records kernels");
+            let sim = r.trace.sim_stages.as_ref().expect("simulated stages");
+            let build_update = sim.get(Stage::BuildStructure) + sim.get(Stage::Update);
+            (k.launches, k.mem_words, k.atomics, build_update)
+        };
+        let (f, u) = (cost(&fused), cost(&unfused));
+        assert!(f.0 < u.0, "launches: fused {} vs unfused {}", f.0, u.0);
+        assert!(f.1 < u.1, "words: fused {} vs unfused {}", f.1, u.1);
+        assert!(f.2 < u.2, "atomics: fused {} vs unfused {}", f.2, u.2);
+        assert!(f.3 < u.3, "sim time: fused {} vs unfused {}", f.3, u.3);
     }
 
     #[test]

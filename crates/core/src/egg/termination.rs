@@ -82,26 +82,11 @@ pub fn second_term_holds(
                     let pts_hi = grid.i_ends.load(c) as usize;
                     for e in pts_lo..pts_hi {
                         let q1_idx = grid.i_points.load(e) as usize;
-                        let mut q1 = [0.0f64; MAX_DIM];
+                        let q1 = lane_point(grid, e, dim);
                         let mut d_sq = 0.0;
-                        // fused pipeline: shell candidates through the
-                        // coalesced lane-blocked coordinate table (bitwise
-                        // copies of the point-major rows)
-                        match &grid.lanes {
-                            Some(l) => {
-                                for i in 0..dim {
-                                    q1[i] = l.coords.load_coalesced(LaneTables::at(e, dim, i));
-                                    let d = q1[i] - p[i];
-                                    d_sq += d * d;
-                                }
-                            }
-                            None => {
-                                for i in 0..dim {
-                                    q1[i] = coords.load(q1_idx * dim + i);
-                                    let d = q1[i] - p[i];
-                                    d_sq += d * d;
-                                }
-                            }
+                        for i in 0..dim {
+                            let d = q1[i] - p[i];
+                            d_sq += d * d;
                         }
                         if d_sq <= eps_sq || d_sq > shell_sq {
                             continue;
@@ -116,29 +101,13 @@ pub fn second_term_holds(
                                 let lo1 = grid.cell_start(c1) as usize;
                                 let hi1 = grid.i_ends.load(c1) as usize;
                                 (lo1..hi1).any(|e2| {
-                                    let mut q2 = [0.0f64; MAX_DIM];
-                                    match &grid.lanes {
-                                        Some(l) => {
-                                            for i in 0..dim {
-                                                q2[i] = l
-                                                    .coords
-                                                    .load_coalesced(LaneTables::at(e2, dim, i));
-                                            }
-                                        }
-                                        None => {
-                                            let q2_idx = grid.i_points.load(e2) as usize;
-                                            for i in 0..dim {
-                                                q2[i] = coords.load(q2_idx * dim + i);
-                                            }
-                                        }
-                                    }
+                                    let q2 = lane_point(grid, e2, dim);
                                     pair_drags(&p[..dim], &q1[..dim], &q2[..dim], eps_sq, half_sq)
                                 })
                             }
                             _ => shell_pair_reaches(
                                 grid,
                                 pre,
-                                coords,
                                 &geo,
                                 &p[..dim],
                                 &q1[..dim],
@@ -157,6 +126,17 @@ pub fn second_term_holds(
         });
     }
     flag.load(0) == 1
+}
+
+/// The coordinates of grid-sorted slot `s`, read through the coalesced
+/// lane-blocked table.
+#[inline]
+fn lane_point(grid: &DeviceGrid, s: usize, dim: usize) -> [f64; MAX_DIM] {
+    let mut q = [0.0f64; MAX_DIM];
+    for i in 0..dim {
+        q[i] = grid.lanes.coords.load_coalesced(LaneTables::at(s, dim, i));
+    }
+    q
 }
 
 /// Squared distance from `p` to the point MBR of compacted cell `c` of a
@@ -218,7 +198,6 @@ fn pair_drags(p: &[f64], q1: &[f64], q2: &[f64], eps_sq: f64, half_sq: f64) -> b
 fn shell_pair_reaches(
     grid: &DeviceGrid,
     pre: &PreGrid,
-    coords: &DeviceBuffer<f64>,
     geo: &crate::grid::GridGeometry,
     p: &[f64],
     q1: &[f64],
@@ -241,20 +220,7 @@ fn shell_pair_reaches(
             let pts_lo = grid.cell_start(c) as usize;
             let pts_hi = grid.i_ends.load(c) as usize;
             for e in pts_lo..pts_hi {
-                let mut q2 = [0.0f64; MAX_DIM];
-                match &grid.lanes {
-                    Some(l) => {
-                        for i in 0..dim {
-                            q2[i] = l.coords.load_coalesced(LaneTables::at(e, dim, i));
-                        }
-                    }
-                    None => {
-                        let q2_idx = grid.i_points.load(e) as usize;
-                        for i in 0..dim {
-                            q2[i] = coords.load(q2_idx * dim + i);
-                        }
-                    }
-                }
+                let q2 = lane_point(grid, e, dim);
                 if pair_drags(p, q1, &q2[..dim], eps_sq, half_sq) {
                     return true;
                 }

@@ -9,7 +9,7 @@
 //!   the cell's precomputed Σsin/Σcos via the angle-addition identity — no
 //!   point access at all (§4.3.1);
 //! * **partially overlapping** (nearest corner within ε): fall back to the
-//!   points of that cell — through the per-point trig table and the same
+//!   points of that cell — through the lane-blocked trig table and the same
 //!   angle-addition identity, so the inner loop is pure multiply-add with
 //!   no transcendentals;
 //! * **disjoint**: skip.
@@ -100,17 +100,15 @@ pub struct UpdateOptions {
     /// when set (the CI leg that exercises sharding end to end); a value
     /// that is not a positive integer panics.
     pub num_shards: usize,
-    /// Run the device backend's fused kernel pipeline: grid construction
-    /// computes trig tables, lane-blocked slot-major tables, Σsin/Σcos
-    /// summaries and cell MBRs in ONE per-cell launch (and refreshes them
-    /// in one per-dirty-cell launch), and the update/termination kernels
-    /// consume the lane tables through the simulator's coalesced access
-    /// path. Every lane entry is a bitwise copy of the point-major value
-    /// and every accumulation chain is preserved, so results are bitwise
-    /// identical to the unfused multi-pass oracle; only kernel launches,
-    /// memory traffic and simulated time change. Ignored by the host
-    /// engine (whose lane tables are always on). Defaults to on unless
-    /// the `EGG_FORCE_UNFUSED` environment variable is set.
+    /// Choose how the device backend writes its grid tables — the
+    /// lane-blocked `sin`/`cos`/coordinate tables, the Σsin/Σcos summaries
+    /// and the cell MBRs — on construct and on in-place refresh: in ONE
+    /// per-cell launch with no atomic, or by the unfused multi-pass oracle
+    /// (per-slot lane rows and an atomic summary scatter). Both write the
+    /// same tables in the same summation order, so results are bitwise
+    /// identical; only kernel launches, memory traffic, atomics and
+    /// simulated time change. Ignored by the host engine. Defaults to on
+    /// unless the `EGG_FORCE_UNFUSED` environment variable is set.
     pub use_fused_kernels: bool,
     /// Dispatch the host engine's parallel stages through the persistent
     /// worker pool instead of spawning fresh scoped threads per call.
@@ -143,10 +141,10 @@ fn shards_default() -> usize {
 }
 
 /// Process-wide default for [`UpdateOptions::use_fused_kernels`] — and for
-/// [`crate::grid::GridWorkspace`]'s pipeline selection: on, unless the
-/// `EGG_FORCE_UNFUSED` environment variable is set (the CI leg that
-/// exercises the unfused oracle end to end). Cached like `simd_default`
-/// so defaults stay allocation-free.
+/// how a [`crate::grid::GridWorkspace`] writes its tables: fused, unless
+/// the `EGG_FORCE_UNFUSED` environment variable is set (the CI leg that
+/// exercises the unfused table writer end to end). Cached like
+/// `simd_default` so defaults stay allocation-free.
 pub fn fused_default() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("EGG_FORCE_UNFUSED").is_none())
@@ -373,11 +371,6 @@ pub fn egg_update(
     let geo = grid.geometry;
     let dim = geo.dim;
     let eps_sq = epsilon * epsilon;
-    // fused pipeline: read trig/coordinates through the lane-blocked
-    // slot-major tables (coalesced — warp-contiguous by construction of the
-    // grid-sorted order); every entry is a bitwise copy of the point-major
-    // value, so the arithmetic is unchanged
-    let lanes = grid.lanes.as_ref();
     device.launch("egg_update", grid_for(n, BLOCK), BLOCK, |t| {
         let entry = t.global_id();
         if entry >= n {
@@ -386,25 +379,12 @@ pub fn egg_update(
         // grid-sorted execution order: warps handle co-located points
         let p_idx = grid.i_points.load(entry) as usize;
         let c_cell = grid.point_cell.load(p_idx) as usize;
-        let mut p = [0.0f64; MAX_DIM];
-        match lanes {
-            Some(l) => {
-                for i in 0..dim {
-                    p[i] = l.coords.load_coalesced(LaneTables::at(entry, dim, i));
-                }
-            }
-            None => {
-                for i in 0..dim {
-                    p[i] = coords.load(p_idx * dim + i);
-                }
-            }
-        }
         if let Some(s) = inc {
             if s.active && s.cell_skip.load(c_cell) == 1 {
                 // zero movers in this cell's whole ε-reach: the pass would
                 // recompute exactly the cached position and verdict
                 for i in 0..dim {
-                    next.store(p_idx * dim + i, p[i]);
+                    next.store(p_idx * dim + i, coords.load(p_idx * dim + i));
                 }
                 s.moved.store(p_idx, 0);
                 if s.confined.load(p_idx) == 0 {
@@ -416,22 +396,15 @@ pub fn egg_update(
                 return;
             }
         }
-        // same coordinates the table was built from — identical bits
-        let (mut sin_p, mut cos_p) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
-        match lanes {
-            Some(l) => {
-                for i in 0..dim {
-                    let at = LaneTables::at(entry, dim, i);
-                    sin_p[i] = l.sin.load_coalesced(at);
-                    cos_p[i] = l.cos.load_coalesced(at);
-                }
-            }
-            None => {
-                for i in 0..dim {
-                    sin_p[i] = grid.trig_sin.load(p_idx * dim + i);
-                    cos_p[i] = grid.trig_cos.load(p_idx * dim + i);
-                }
-            }
+        // the point and its partners are read through the lane-blocked
+        // slot-major tables: coalesced, since the grid-sorted order makes
+        // them warp-contiguous
+        let (mut p, mut sin_p, mut cos_p) = ([0.0f64; MAX_DIM], [0.0; MAX_DIM], [0.0; MAX_DIM]);
+        for i in 0..dim {
+            let at = LaneTables::at(entry, dim, i);
+            p[i] = grid.lanes.coords.load_coalesced(at);
+            sin_p[i] = grid.lanes.sin.load_coalesced(at);
+            cos_p[i] = grid.lanes.cos.load_coalesced(at);
         }
         let c_oid = geo.outer_id_of_point(&p[..dim]);
 
@@ -481,44 +454,24 @@ pub fn egg_update(
                         local.simd_lanes += lanes;
                         local.simd_remainder_lanes += lanes - len as u64;
                     }
-                    if let Some(l) = lanes {
-                        // fused path: partners are addressed by grid-sorted
-                        // slot through the lane-blocked tables — coalesced,
-                        // and with no `i_points` indirection at all
-                        for e in pts_lo..pts_hi {
-                            let mut dist_sq = 0.0;
-                            for i in 0..dim {
-                                let d = l.coords.load_coalesced(LaneTables::at(e, dim, i)) - p[i];
-                                dist_sq += d * d;
-                            }
-                            if dist_sq <= eps_sq {
-                                neighbors += 1;
-                                // sin(q−p) = sin q · cos p − cos q · sin p
-                                for i in 0..dim {
-                                    let at = LaneTables::at(e, dim, i);
-                                    sums[i] += l.sin.load_coalesced(at) * cos_p[i]
-                                        - l.cos.load_coalesced(at) * sin_p[i];
-                                }
-                                local.sin_calls_avoided += dim as u64;
-                            }
+                    // partners are addressed by grid-sorted slot, with no
+                    // `i_points` indirection
+                    for e in pts_lo..pts_hi {
+                        let mut dist_sq = 0.0;
+                        for i in 0..dim {
+                            let q = grid.lanes.coords.load_coalesced(LaneTables::at(e, dim, i));
+                            let d = q - p[i];
+                            dist_sq += d * d;
                         }
-                    } else {
-                        for e in pts_lo..pts_hi {
-                            let q_idx = grid.i_points.load(e) as usize;
-                            let mut dist_sq = 0.0;
+                        if dist_sq <= eps_sq {
+                            neighbors += 1;
+                            // sin(q−p) = sin q · cos p − cos q · sin p
                             for i in 0..dim {
-                                let d = coords.load(q_idx * dim + i) - p[i];
-                                dist_sq += d * d;
+                                let at = LaneTables::at(e, dim, i);
+                                sums[i] += grid.lanes.sin.load_coalesced(at) * cos_p[i]
+                                    - grid.lanes.cos.load_coalesced(at) * sin_p[i];
                             }
-                            if dist_sq <= eps_sq {
-                                neighbors += 1;
-                                // sin(q−p) = sin q · cos p − cos q · sin p
-                                for i in 0..dim {
-                                    sums[i] += grid.trig_sin.load(q_idx * dim + i) * cos_p[i]
-                                        - grid.trig_cos.load(q_idx * dim + i) * sin_p[i];
-                                }
-                                local.sin_calls_avoided += dim as u64;
-                            }
+                            local.sin_calls_avoided += dim as u64;
                         }
                     }
                 }

@@ -140,9 +140,10 @@ pub(crate) fn env_count(var: &str) -> Option<usize> {
 }
 
 /// Process-wide `EGG_THREADS` override consumed by `Executor::new(None)`
-/// (paralleling `EGG_NUM_SHARDS`): pins the default worker count without
-/// touching call sites. Explicit `Some(n)` requests always win.
-fn threads_default() -> Option<usize> {
+/// and by the simulated GPU's thread count (paralleling `EGG_NUM_SHARDS`):
+/// pins the default worker count without touching call sites. Explicit
+/// `Some(n)` requests always win.
+pub(crate) fn threads_default() -> Option<usize> {
     static N: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
     *N.get_or_init(|| env_count("EGG_THREADS"))
 }

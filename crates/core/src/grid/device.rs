@@ -19,6 +19,14 @@
 //!    also yields the grid-sorted execution order of §4.2.6;
 //! 8. repack cell ids and end-offsets into the compacted layout;
 //! 9. rewrite the outer end-offsets against the compacted cell array.
+//!
+//! One writer then fills the per-point lane tables ([`LaneTables`]: `sin`,
+//! `cos` and the coordinates of every grid-sorted slot, the device's only
+//! copy of them), the per-cell Σsin/Σcos summaries and the cell MBRs. It
+//! serves both the construct and the in-place refresh, in either of two
+//! compositions: one per-cell kernel (the fused default), or the unfused
+//! oracle's per-slot lane rows and atomic summary scatter. Both write the
+//! same bits.
 
 use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
@@ -36,15 +44,17 @@ pub(crate) fn seg_start(ends: &DeviceBuffer<u64>, i: usize) -> u64 {
     }
 }
 
-/// Lane-blocked device tables mirroring [`super::CellGrid`]'s host lane
-/// layout ([`super::CellGrid::lane_sin`]): for grid-sorted slot `s = 4b + j`,
-/// dimension `i` lives at `(b·dim + i)·LANES + j`. Four consecutive slots
-/// of one cell therefore occupy four *adjacent* words per dimension — the
-/// warp-contiguous pattern the simulator's coalesced access path models at
-/// full bandwidth. Every entry is a bitwise copy of the point-major
-/// trig/coordinate value, so consumers may read either layout and produce
-/// identical results. Padding lanes past `n` are never written and stay
-/// zero, exactly like the host tables.
+/// The device grid's per-point tables, lane-blocked like
+/// [`super::CellGrid`]'s host lane layout ([`super::CellGrid::lane_sin`]):
+/// for grid-sorted slot `s = 4b + j`, dimension `i` lives at
+/// `(b·dim + i)·LANES + j`. Four consecutive slots of one cell therefore
+/// occupy four *adjacent* words per dimension — the warp-contiguous
+/// pattern the simulator's coalesced access path models at full
+/// bandwidth. They are the device's only copy of each point's `sin` and
+/// `cos` and of its slot-ordered coordinates: both pipelines write them,
+/// and the update and termination kernels read every partner through
+/// them. Padding lanes past `n` are never written and stay zero, exactly
+/// like the host tables.
 #[derive(Clone)]
 pub struct LaneTables {
     /// Lane-blocked `sin(pᵢ)` per grid-sorted slot.
@@ -65,7 +75,7 @@ impl LaneTables {
 
 /// A constructed grid: cheap buffer handles into the workspace, plus the
 /// number of compacted non-empty cells. Valid until the workspace's next
-/// `construct` call.
+/// `construct` or `refresh` call.
 #[derive(Clone)]
 pub struct DeviceGrid {
     /// Cell geometry used for construction.
@@ -86,20 +96,14 @@ pub struct DeviceGrid {
     pub sin_sums: DeviceBuffer<f64>,
     /// Per-cell Σ cos(qᵢ) (`num_inner × dim`).
     pub cos_sums: DeviceBuffer<f64>,
-    /// Per-point sin(pᵢ) (`n × dim`) — the iteration's trig table, shared
-    /// by the summaries and the update kernel's angle-addition fast path.
-    pub trig_sin: DeviceBuffer<f64>,
-    /// Per-point cos(pᵢ) (`n × dim`).
-    pub trig_cos: DeviceBuffer<f64>,
     /// Per-cell point MBR, `2·dim` words per compacted inner cell
     /// (`[lo_0.. lo_{d-1}, hi_0.. hi_{d-1}]`) — the tight bounds the
     /// update kernel classifies cells with (exact: points ⊆ MBR ⊆ box).
     pub c_bounds: DeviceBuffer<f64>,
-    /// Lane-blocked trig/coordinate tables, populated by the fused kernel
-    /// pipeline (`None` on the unfused oracle path). Consumers switch to
-    /// coalesced lane reads when present; values are bitwise copies of the
-    /// point-major tables, so the results are identical either way.
-    pub lanes: Option<LaneTables>,
+    /// Per-slot `sin`, `cos` and coordinates — the iteration's trig table,
+    /// shared by the summaries and the update kernel's angle-addition
+    /// identity, read through the coalesced path.
+    pub lanes: LaneTables,
     /// Number of compacted non-empty inner cells.
     pub num_inner: usize,
 }
@@ -157,8 +161,6 @@ pub struct GridWorkspace {
     cell_fill: DeviceBuffer<u64>,
     sin_sums: DeviceBuffer<f64>,
     cos_sums: DeviceBuffer<f64>,
-    trig_sin: DeviceBuffer<f64>,
-    trig_cos: DeviceBuffer<f64>,
     lane_sin: DeviceBuffer<f64>,
     lane_cos: DeviceBuffer<f64>,
     lane_coords: DeviceBuffer<f64>,
@@ -182,9 +184,9 @@ pub struct GridWorkspace {
     scan_scratch: primitives::ScanScratch,
     /// Scanned-flag positions for the occupied-list compaction.
     compact_pos: DeviceBuffer<u64>,
-    /// Whether construction runs the fused kernel pipeline (one per-cell
-    /// launch for trig/lane tables, summaries and MBRs) or the multi-pass
-    /// unfused oracle. Toggled via [`Self::set_fused`].
+    /// Whether the tables are written by one per-cell launch (lane rows,
+    /// summaries and MBRs) or by the multi-pass unfused oracle. Toggled
+    /// via [`Self::set_fused`].
     fused: bool,
     /// Whether the snapshots describe a previously constructed grid.
     state_valid: bool,
@@ -237,17 +239,12 @@ impl GridWorkspace {
             point_slot: device.alloc(n),
             point_cell: device.alloc(n),
             cell_fill: device.alloc(n),
-            // lane-padded to a LANES multiple like the host grid's trig
-            // and summary storage; the padding is zero-initialized and
-            // never written, so kernels and bitwise comparisons see the
-            // same `dim`-stride rows as before
+            // lane-padded to a LANES multiple; the padding is
+            // zero-initialized and never written
             sin_sums: device.alloc(lane_pad(nd)),
             cos_sums: device.alloc(lane_pad(nd)),
-            trig_sin: device.alloc(lane_pad(nd)),
-            trig_cos: device.alloc(lane_pad(nd)),
             // lane-blocked slot-major tables, sized like the host grid's
-            // lane tables (`lane_pad(n)` slots × dim); allocated
-            // unconditionally so toggling the fused path never allocates
+            // lane tables (`lane_pad(n)` slots × dim)
             lane_sin: device.alloc(lane_pad(n) * geometry.dim),
             lane_cos: device.alloc(lane_pad(n) * geometry.dim),
             lane_coords: device.alloc(lane_pad(n) * geometry.dim),
@@ -289,8 +286,6 @@ impl GridWorkspace {
             self.cell_fill.len(),
             self.sin_sums.len(),
             self.cos_sums.len(),
-            self.trig_sin.len(),
-            self.trig_cos.len(),
             self.lane_sin.len(),
             self.lane_cos.len(),
             self.lane_coords.len(),
@@ -311,25 +306,19 @@ impl GridWorkspace {
             * 8
     }
 
-    /// Select the fused kernel pipeline (default per
-    /// [`crate::egg::update::fused_default`], i.e. on unless
-    /// `EGG_FORCE_UNFUSED` is set). Changing the setting invalidates the
-    /// incremental snapshots: the two pipelines populate different table
-    /// sets, so the next refresh must rebuild from scratch.
+    /// Choose how the tables are written (default per
+    /// [`crate::egg::update::fused_default`], i.e. fused unless
+    /// `EGG_FORCE_UNFUSED` is set): by one per-cell kernel, or by the
+    /// unfused oracle's per-slot lane rows and atomic summary scatter.
+    /// Both write the same tables bit for bit, so switching keeps the
+    /// incremental snapshots.
     pub fn set_fused(&mut self, fused: bool) {
-        if self.fused != fused {
-            self.fused = fused;
-            self.state_valid = false;
-        }
-    }
-
-    /// Whether construction runs the fused kernel pipeline.
-    pub fn fused(&self) -> bool {
-        self.fused
+        self.fused = fused;
     }
 
     /// Run Algorithm 2 over `coords` (`n × dim`, device-resident), then
-    /// compute the per-cell sin/cos summaries. Returns handle views.
+    /// write the lane tables, the per-cell sin/cos summaries and the cell
+    /// MBRs. Returns handle views.
     pub fn construct(&mut self, coords: &DeviceBuffer<f64>) -> DeviceGrid {
         let geo = self.geometry;
         let dim = geo.dim;
@@ -496,36 +485,66 @@ impl GridWorkspace {
         std::mem::swap(&mut self.i_ends, &mut self.i_ends2);
         std::mem::swap(&mut self.o_ends, &mut self.o_ends2);
 
+        self.write_tables(coords, num_inner, None);
+        self.last_num_inner = num_inner;
+        self.current_grid()
+    }
+
+    /// Write the lane tables, the Σsin/Σcos summaries and the cell MBRs
+    /// of the current layout's `num_inner` cells from `coords`.
+    ///
+    /// Without `moved` (a construct) every cell and every lane row is
+    /// written. With `moved` (an in-place refresh, in which no mover left
+    /// its cell) only the cells flagged in `cell_fill` are, each counted
+    /// into `chg_flag`: movers' lane rows are recomputed and stayers' read
+    /// back. Each cell sums its slots in slot order, which on one
+    /// simulator thread is ascending point id (`grid_populate` claims
+    /// slots in thread order), so either pipeline and either caller writes
+    /// the bits of a fresh construct.
+    fn write_tables(
+        &self,
+        coords: &DeviceBuffer<f64>,
+        num_inner: usize,
+        moved: Option<&DeviceBuffer<u64>>,
+    ) {
+        let dim = self.geometry.dim;
+        let n = self.n;
+        let dev = &self.device;
+        let (i_ends, i_points, point_cell, cell_fill, chg_flag) = (
+            &self.i_ends,
+            &self.i_points,
+            &self.point_cell,
+            &self.cell_fill,
+            &self.chg_flag,
+        );
+        let (sin_sums, cos_sums, c_bounds) = (&self.sin_sums, &self.cos_sums, &self.c_bounds);
+        let (lane_sin, lane_cos, lane_coords) = (&self.lane_sin, &self.lane_cos, &self.lane_coords);
+        // is cell `c` rewritten, and is point `p`'s lane row recomputed?
+        let rewritten = |c: usize| moved.is_none() || cell_fill.load(c) == 1;
+        let recomputed = |p: usize| moved.is_none_or(|m| m.load(p) == 1);
+        // lane `at` from coordinate `x`: the grid's only sin/cos calls
+        let write_lane = |at: usize, x: f64| {
+            let (sn, cs) = (x.sin(), x.cos());
+            lane_sin.store_coalesced(at, sn);
+            lane_cos.store_coalesced(at, cs);
+            lane_coords.store_coalesced(at, x);
+            (x, sn, cs)
+        };
+
         if self.fused {
-            // -- fused tail: ONE per-cell launch computes the point-major
-            // trig tables, the lane-blocked slot-major tables, the Σsin/Σcos
-            // summaries and the point MBRs — replacing five launches (trig
-            // tables, two summary zero-fills, the atomic summary scatter and
-            // the MBR pass) with zero atomics and a single coordinate read
-            // per point. The per-cell slot walk visits points in the same
-            // order as the unfused atomic chain under a single-threaded
-            // simulator (grid_populate claims slots in ascending point id),
-            // so every summary, trig entry and MBR row is bitwise identical
-            // to the unfused oracle.
-            let (i_ends, i_points, sin_sums, cos_sums, trig_sin, trig_cos, c_bounds) = (
-                &self.i_ends,
-                &self.i_points,
-                &self.sin_sums,
-                &self.cos_sums,
-                &self.trig_sin,
-                &self.trig_cos,
-                &self.c_bounds,
-            );
-            let (lane_sin, lane_cos, lane_coords) =
-                (&self.lane_sin, &self.lane_cos, &self.lane_coords);
+            // one thread per cell walks its slots once, writing their lane
+            // rows, the cell's summaries and its MBR with no f64 atomic
             dev.launch(
                 "fused_cell_tables",
                 grid_for(num_inner, BLOCK),
                 BLOCK,
                 |t| {
                     let c = t.global_id();
-                    if c >= num_inner {
+                    if c >= num_inner || !rewritten(c) {
                         return;
+                    }
+                    if moved.is_some() {
+                        chg_flag.atomic_add(0, 1);
                     }
                     let lo = seg_start(i_ends, c) as usize;
                     let hi = i_ends.load(c) as usize;
@@ -535,15 +554,18 @@ impl GridWorkspace {
                     let mut b_hi = [f64::NEG_INFINITY; MAX_DIM];
                     for s in lo..hi {
                         let p = i_points.load(s) as usize;
+                        let fresh = recomputed(p);
                         for i in 0..dim {
-                            let x = coords.load(p * dim + i);
-                            let (sn, cs) = (x.sin(), x.cos());
-                            trig_sin.store(p * dim + i, sn);
-                            trig_cos.store(p * dim + i, cs);
                             let at = LaneTables::at(s, dim, i);
-                            lane_sin.store_coalesced(at, sn);
-                            lane_cos.store_coalesced(at, cs);
-                            lane_coords.store_coalesced(at, x);
+                            let (x, sn, cs) = if fresh {
+                                write_lane(at, coords.load(p * dim + i))
+                            } else {
+                                (
+                                    lane_coords.load_coalesced(at),
+                                    lane_sin.load_coalesced(at),
+                                    lane_cos.load_coalesced(at),
+                                )
+                            };
                             acc_sin[i] += sn;
                             acc_cos[i] += cs;
                             b_lo[i] = b_lo[i].min(x);
@@ -558,122 +580,68 @@ impl GridWorkspace {
                     }
                 },
             );
-        } else {
-            // -- trig tables: per-point sin/cos of every coordinate, computed
-            // once per iteration and reused by the summaries below and by the
-            // update kernel's angle-addition fast path
-            {
-                let (trig_sin, trig_cos) = (&self.trig_sin, &self.trig_cos);
-                dev.launch("trig_tables", grid_for(n, BLOCK), BLOCK, |t| {
-                    let p = t.global_id();
-                    if p >= n {
-                        return;
-                    }
-                    for i in 0..dim {
-                        let x = coords.load(p * dim + i);
-                        trig_sin.store(p * dim + i, x.sin());
-                        trig_cos.store(p * dim + i, x.cos());
-                    }
-                });
-            }
-
-            // -- summaries (§4.3.1), accumulated from the trig tables -----
-            primitives::fill(&dev, &self.sin_sums, 0.0f64);
-            primitives::fill(&dev, &self.cos_sums, 0.0f64);
-            {
-                let (point_cell, sin_sums, cos_sums, trig_sin, trig_cos) = (
-                    &self.point_cell,
-                    &self.sin_sums,
-                    &self.cos_sums,
-                    &self.trig_sin,
-                    &self.trig_cos,
-                );
-                dev.launch("grid_summaries", grid_for(n, BLOCK), BLOCK, |t| {
-                    let p = t.global_id();
-                    if p >= n {
-                        return;
-                    }
-                    let c = point_cell.load(p) as usize;
-                    for i in 0..dim {
-                        sin_sums.atomic_add(c * dim + i, trig_sin.load(p * dim + i));
-                        cos_sums.atomic_add(c * dim + i, trig_cos.load(p * dim + i));
-                    }
-                });
-            }
-
-            // -- per-cell point MBRs, for the update kernel's tight cell
-            // classification: one thread per compacted cell walks its own
-            // contiguous grid-sorted slot range — a pure function of the CSR
-            // layout and the coordinates
-            self.compute_cell_bounds(coords, num_inner, None);
+            return;
         }
 
-        DeviceGrid {
-            geometry: geo,
-            o_sizes: self.o_sizes.clone(),
-            o_ends: self.o_ends.clone(),
-            i_ids: self.i_ids.clone(),
-            i_ends: self.i_ends.clone(),
-            i_points: self.i_points.clone(),
-            point_cell: self.point_cell.clone(),
-            sin_sums: self.sin_sums.clone(),
-            cos_sums: self.cos_sums.clone(),
-            trig_sin: self.trig_sin.clone(),
-            trig_cos: self.trig_cos.clone(),
-            c_bounds: self.c_bounds.clone(),
-            lanes: self.lane_views(),
-            num_inner,
-        }
-    }
-
-    /// Handle views of the lane tables when the fused pipeline maintains
-    /// them, `None` on the unfused oracle path.
-    fn lane_views(&self) -> Option<LaneTables> {
-        self.fused.then(|| LaneTables {
-            sin: self.lane_sin.clone(),
-            cos: self.lane_cos.clone(),
-            coords: self.lane_coords.clone(),
-        })
-    }
-
-    /// Recompute the per-cell point MBRs (`c_bounds`) for every cell — or,
-    /// with `dirty` set, only for cells flagged in it (clean cells hold no
-    /// mover, so their rows are already current). Each cell reduces its own
-    /// slot range sequentially, so the rows are bitwise identical for
-    /// either maintenance path.
-    fn compute_cell_bounds(
-        &self,
-        coords: &DeviceBuffer<f64>,
-        num_inner: usize,
-        dirty: Option<&DeviceBuffer<u64>>,
-    ) {
-        let dim = self.geometry.dim;
-        let (i_ends, i_points, c_bounds) = (&self.i_ends, &self.i_points, &self.c_bounds);
-        self.device
-            .launch("grid_cell_bounds", grid_for(num_inner, BLOCK), BLOCK, |t| {
-                let c = t.global_id();
-                if c >= num_inner {
-                    return;
-                }
-                if let Some(d) = dirty {
-                    if d.load(c) == 0 {
-                        return;
-                    }
-                }
-                let lo = seg_start(i_ends, c) as usize;
-                let hi = i_ends.load(c) as usize;
+        // -- unfused oracle. 1: the recomputed lane rows, one thread per slot
+        dev.launch("grid_lane_rows", grid_for(n, BLOCK), BLOCK, |t| {
+            let s = t.global_id();
+            if s >= n {
+                return;
+            }
+            let p = i_points.load(s) as usize;
+            if recomputed(p) {
                 for i in 0..dim {
-                    let mut min = f64::INFINITY;
-                    let mut max = f64::NEG_INFINITY;
-                    for e in lo..hi {
-                        let x = coords.load(i_points.load(e) as usize * dim + i);
-                        min = min.min(x);
-                        max = max.max(x);
-                    }
-                    c_bounds.store(c * 2 * dim + i, min);
-                    c_bounds.store(c * 2 * dim + dim + i, max);
+                    write_lane(LaneTables::at(s, dim, i), coords.load(p * dim + i));
                 }
-            });
+            }
+        });
+
+        // 2: per rewritten cell, zero its summary rows (counting it) and
+        // recompute its MBR from its slots' lane coordinates
+        dev.launch("grid_cell_rows", grid_for(num_inner, BLOCK), BLOCK, |t| {
+            let c = t.global_id();
+            if c >= num_inner || !rewritten(c) {
+                return;
+            }
+            if moved.is_some() {
+                chg_flag.atomic_add(0, 1);
+            }
+            let lo = seg_start(i_ends, c) as usize;
+            let hi = i_ends.load(c) as usize;
+            for i in 0..dim {
+                sin_sums.store(c * dim + i, 0.0);
+                cos_sums.store(c * dim + i, 0.0);
+                let mut min = f64::INFINITY;
+                let mut max = f64::NEG_INFINITY;
+                for s in lo..hi {
+                    let x = lane_coords.load_coalesced(LaneTables::at(s, dim, i));
+                    min = min.min(x);
+                    max = max.max(x);
+                }
+                c_bounds.store(c * 2 * dim + i, min);
+                c_bounds.store(c * 2 * dim + dim + i, max);
+            }
+        });
+
+        // 3: scatter every slot's lanes into its rewritten cell's summaries
+        // (§4.3.1) with f64 atomics — recomputed from the cell's full
+        // membership, never patched, so the sums equal a fresh build's
+        dev.launch("grid_summaries", grid_for(n, BLOCK), BLOCK, |t| {
+            let s = t.global_id();
+            if s >= n {
+                return;
+            }
+            let c = point_cell.load(i_points.load(s) as usize) as usize;
+            if !rewritten(c) {
+                return;
+            }
+            for i in 0..dim {
+                let at = LaneTables::at(s, dim, i);
+                sin_sums.atomic_add(c * dim + i, lane_sin.load_coalesced(at));
+                cos_sums.atomic_add(c * dim + i, lane_cos.load_coalesced(at));
+            }
+        });
     }
 
     /// Precompute the non-empty surrounding outer cells of every non-empty
@@ -811,8 +779,8 @@ impl GridWorkspace {
             });
     }
 
-    /// Hand out views of the buffers as last constructed, without running
-    /// any kernel — the fast path of `refresh`.
+    /// Hand out views of the buffers as last written, without running any
+    /// kernel.
     fn current_grid(&self) -> DeviceGrid {
         DeviceGrid {
             geometry: self.geometry,
@@ -824,10 +792,12 @@ impl GridWorkspace {
             point_cell: self.point_cell.clone(),
             sin_sums: self.sin_sums.clone(),
             cos_sums: self.cos_sums.clone(),
-            trig_sin: self.trig_sin.clone(),
-            trig_cos: self.trig_cos.clone(),
             c_bounds: self.c_bounds.clone(),
-            lanes: self.lane_views(),
+            lanes: LaneTables {
+                sin: self.lane_sin.clone(),
+                cos: self.lane_cos.clone(),
+                coords: self.lane_coords.clone(),
+            },
             num_inner: self.last_num_inner,
         }
     }
@@ -848,7 +818,6 @@ impl GridWorkspace {
         self.snapshot_keys(coords);
         let pre = self.build_pregrid(&grid);
         self.snapshot_emptiness();
-        self.last_num_inner = grid.num_inner;
         self.last_pre_count = pre.count;
         self.state_valid = true;
         (grid, pre)
@@ -862,14 +831,14 @@ impl GridWorkspace {
     /// a full [`construct`](Self::construct) + preGrid build.
     ///
     /// When no mover crossed a cell boundary, the CSR layout, grid-sorted
-    /// order and preGrid are reused as-is; only the movers' trig-table rows
-    /// and the Σsin/Σcos summaries of cells containing movers are
-    /// recomputed — each dirty summary from its full membership in point
-    /// order, so results are bitwise identical to a fresh construct under a
-    /// single-threaded simulator. When a mover does cross a boundary the
-    /// layout is rebuilt by `construct`, but the preGrid is still reused
-    /// unless some outer cell's emptiness flipped (it depends on nothing
-    /// else).
+    /// order and preGrid are reused as-is, and the tables writer that
+    /// `construct` calls rewrites only the cells containing movers: the
+    /// movers' lane rows, and each such cell's summaries and MBR from its
+    /// full membership in slot order. So results are bitwise identical to
+    /// a fresh construct under a single-threaded simulator, on either
+    /// pipeline. When a mover does cross a boundary the layout is rebuilt
+    /// by `construct`, but the preGrid is still reused unless some outer
+    /// cell's emptiness flipped (it depends on nothing else).
     pub fn refresh(
         &mut self,
         coords: &DeviceBuffer<f64>,
@@ -917,7 +886,6 @@ impl GridWorkspace {
             // emptiness pattern flipped somewhere -------------------------
             let grid = self.construct(coords);
             self.snapshot_keys(coords);
-            self.last_num_inner = grid.num_inner;
             self.chg_flag.store(0, 0);
             {
                 let (o_sizes, pre_empty, chg_flag) =
@@ -946,8 +914,8 @@ impl GridWorkspace {
             return (grid, pre, stats);
         }
 
-        // -- fast path: layout and preGrid reused as-is ------------------
-        // mark cells containing a mover as dirty
+        // -- in place: layout and preGrid reused as-is; rewrite the cells
+        // containing a mover
         primitives::fill(&dev, &self.cell_fill, 0u64);
         {
             let (point_cell, cell_fill) = (&self.point_cell, &self.cell_fill);
@@ -959,159 +927,8 @@ impl GridWorkspace {
             });
         }
 
-        let num_inner = self.last_num_inner;
         self.chg_flag.store(0, 0);
-        if self.fused {
-            // -- fused fast path: ONE per-dirty-cell launch recomputes the
-            // movers' trig rows, rewrites the lane-blocked tables and
-            // re-derives the cell's summaries and MBR — replacing four
-            // launches (mover trig refresh, dirty zero-fill, the atomic
-            // summary re-scatter, the MBR pass) with zero f64 atomics.
-            // Stayers are re-read through the coalesced lane tables (bitwise
-            // copies of their trig rows), so the accumulation chain matches
-            // the fused construct — and hence the unfused oracle — exactly.
-            let (i_ends, i_points, cell_fill, chg_flag) = (
-                &self.i_ends,
-                &self.i_points,
-                &self.cell_fill,
-                &self.chg_flag,
-            );
-            let (sin_sums, cos_sums, trig_sin, trig_cos, c_bounds) = (
-                &self.sin_sums,
-                &self.cos_sums,
-                &self.trig_sin,
-                &self.trig_cos,
-                &self.c_bounds,
-            );
-            let (lane_sin, lane_cos, lane_coords) =
-                (&self.lane_sin, &self.lane_cos, &self.lane_coords);
-            dev.launch(
-                "fused_refresh_cells",
-                grid_for(num_inner, BLOCK),
-                BLOCK,
-                |t| {
-                    let c = t.global_id();
-                    if c >= num_inner || cell_fill.load(c) == 0 {
-                        return;
-                    }
-                    chg_flag.atomic_add(0, 1);
-                    let lo = seg_start(i_ends, c) as usize;
-                    let hi = i_ends.load(c) as usize;
-                    let mut acc_sin = [0.0f64; MAX_DIM];
-                    let mut acc_cos = [0.0f64; MAX_DIM];
-                    let mut b_lo = [f64::INFINITY; MAX_DIM];
-                    let mut b_hi = [f64::NEG_INFINITY; MAX_DIM];
-                    for s in lo..hi {
-                        let p = i_points.load(s) as usize;
-                        let mover = moved.load(p) == 1;
-                        for i in 0..dim {
-                            let at = LaneTables::at(s, dim, i);
-                            let (x, sn, cs) = if mover {
-                                let x = coords.load(p * dim + i);
-                                let (sn, cs) = (x.sin(), x.cos());
-                                trig_sin.store(p * dim + i, sn);
-                                trig_cos.store(p * dim + i, cs);
-                                lane_sin.store_coalesced(at, sn);
-                                lane_cos.store_coalesced(at, cs);
-                                lane_coords.store_coalesced(at, x);
-                                (x, sn, cs)
-                            } else {
-                                (
-                                    lane_coords.load_coalesced(at),
-                                    lane_sin.load_coalesced(at),
-                                    lane_cos.load_coalesced(at),
-                                )
-                            };
-                            acc_sin[i] += sn;
-                            acc_cos[i] += cs;
-                            b_lo[i] = b_lo[i].min(x);
-                            b_hi[i] = b_hi[i].max(x);
-                        }
-                    }
-                    for i in 0..dim {
-                        sin_sums.store(c * dim + i, acc_sin[i]);
-                        cos_sums.store(c * dim + i, acc_cos[i]);
-                        c_bounds.store(c * 2 * dim + i, b_lo[i]);
-                        c_bounds.store(c * 2 * dim + dim + i, b_hi[i]);
-                    }
-                },
-            );
-        } else {
-            // 1: refresh the movers' trig-table rows
-            {
-                let (trig_sin, trig_cos) = (&self.trig_sin, &self.trig_cos);
-                dev.launch("grid_refresh_trig", grid_for(n, BLOCK), BLOCK, |t| {
-                    let p = t.global_id();
-                    if p >= n || moved.load(p) == 0 {
-                        return;
-                    }
-                    for i in 0..dim {
-                        let x = coords.load(p * dim + i);
-                        trig_sin.store(p * dim + i, x.sin());
-                        trig_cos.store(p * dim + i, x.cos());
-                    }
-                });
-            }
-
-            // 2: zero the dirty cells' summary rows, counting them
-            {
-                let (cell_fill, sin_sums, cos_sums, chg_flag) = (
-                    &self.cell_fill,
-                    &self.sin_sums,
-                    &self.cos_sums,
-                    &self.chg_flag,
-                );
-                dev.launch(
-                    "grid_zero_dirty_sums",
-                    grid_for(num_inner, BLOCK),
-                    BLOCK,
-                    |t| {
-                        let c = t.global_id();
-                        if c >= num_inner || cell_fill.load(c) == 0 {
-                            return;
-                        }
-                        chg_flag.atomic_add(0, 1);
-                        for i in 0..dim {
-                            sin_sums.store(c * dim + i, 0.0);
-                            cos_sums.store(c * dim + i, 0.0);
-                        }
-                    },
-                );
-            }
-
-            // 3: re-accumulate dirty summaries from their *full* membership,
-            // in the same point order as `construct`'s grid_summaries kernel
-            // — recompute, never subtract/add, so the result is bitwise
-            // identical to a fresh build
-            {
-                let (point_cell, cell_fill, sin_sums, cos_sums, trig_sin, trig_cos) = (
-                    &self.point_cell,
-                    &self.cell_fill,
-                    &self.sin_sums,
-                    &self.cos_sums,
-                    &self.trig_sin,
-                    &self.trig_cos,
-                );
-                dev.launch("grid_refresh_sums", grid_for(n, BLOCK), BLOCK, |t| {
-                    let p = t.global_id();
-                    if p >= n {
-                        return;
-                    }
-                    let c = point_cell.load(p) as usize;
-                    if cell_fill.load(c) == 0 {
-                        return;
-                    }
-                    for i in 0..dim {
-                        sin_sums.atomic_add(c * dim + i, trig_sin.load(p * dim + i));
-                        cos_sums.atomic_add(c * dim + i, trig_cos.load(p * dim + i));
-                    }
-                });
-            }
-
-            // 4: refresh the MBRs of the dirty cells (clean cells hold no
-            // mover, so their rows are already current)
-            self.compute_cell_bounds(coords, num_inner, Some(&self.cell_fill));
-        }
+        self.write_tables(coords, self.last_num_inner, Some(moved));
 
         // no mover crossed a boundary, so `point_keys` is already current
         let stats = DeviceRefreshStats {
@@ -1315,8 +1132,50 @@ mod tests {
         }
     }
 
+    fn bits(v: Vec<f64>) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Assert two grids hold the same point order and bitwise the same
+    /// summaries, MBRs and lane tables.
+    fn assert_same_tables(tag: &str, dim: usize, a: &DeviceGrid, b: &DeviceGrid) {
+        let ni = b.num_inner;
+        assert_eq!(a.num_inner, ni, "{tag}: cell count");
+        assert_eq!(a.i_points.to_vec(), b.i_points.to_vec(), "{tag}: order");
+        assert_eq!(
+            bits(a.sin_sums.to_vec())[..ni * dim],
+            bits(b.sin_sums.to_vec())[..ni * dim],
+            "{tag}: sin summaries"
+        );
+        assert_eq!(
+            bits(a.cos_sums.to_vec())[..ni * dim],
+            bits(b.cos_sums.to_vec())[..ni * dim],
+            "{tag}: cos summaries"
+        );
+        assert_eq!(
+            bits(a.c_bounds.to_vec())[..ni * 2 * dim],
+            bits(b.c_bounds.to_vec())[..ni * 2 * dim],
+            "{tag}: cell bounds"
+        );
+        assert_eq!(
+            bits(a.lanes.sin.to_vec()),
+            bits(b.lanes.sin.to_vec()),
+            "{tag}: lane sin"
+        );
+        assert_eq!(
+            bits(a.lanes.cos.to_vec()),
+            bits(b.lanes.cos.to_vec()),
+            "{tag}: lane cos"
+        );
+        assert_eq!(
+            bits(a.lanes.coords.to_vec()),
+            bits(b.lanes.coords.to_vec()),
+            "{tag}: lane coords"
+        );
+    }
+
     /// Assert a refreshed grid + preGrid is bitwise identical to a fresh
-    /// construct + preGrid build on the same coordinates.
+    /// construct + preGrid build on the same coordinates, by each pipeline.
     fn assert_refresh_equals_fresh(
         tag: &str,
         geo: GridGeometry,
@@ -1326,117 +1185,103 @@ mod tests {
     ) {
         let dim = geo.dim;
         let n = coords.len() / dim;
-        let device = Device::new(single_threaded());
-        let mut ws = GridWorkspace::new(&device, geo, n);
-        // mirror the pipeline the grid under test was built with
-        ws.set_fused(grid.lanes.is_some());
-        let buf = device.alloc_from_slice(coords);
-        let fresh = ws.construct(&buf);
-        let fresh_pre = ws.build_pregrid(&fresh);
+        for fused in [true, false] {
+            let tag = format!("{tag} (fresh fused = {fused})");
+            let device = Device::new(single_threaded());
+            let mut ws = GridWorkspace::new(&device, geo, n);
+            ws.set_fused(fused);
+            let buf = device.alloc_from_slice(coords);
+            let fresh = ws.construct(&buf);
+            let fresh_pre = ws.build_pregrid(&fresh);
 
-        let ni = fresh.num_inner;
-        assert_eq!(grid.num_inner, ni, "{tag}: cell count");
-        assert_eq!(
-            grid.i_ids.to_vec()[..ni * dim],
-            fresh.i_ids.to_vec()[..ni * dim],
-            "{tag}: cell ids"
-        );
-        assert_eq!(
-            grid.i_ends.to_vec()[..ni],
-            fresh.i_ends.to_vec()[..ni],
-            "{tag}: cell ends"
-        );
-        assert_eq!(
-            grid.i_points.to_vec(),
-            fresh.i_points.to_vec(),
-            "{tag}: point order"
-        );
-        assert_eq!(
-            grid.point_cell.to_vec(),
-            fresh.point_cell.to_vec(),
-            "{tag}: point cells"
-        );
-        assert_eq!(
-            grid.o_sizes.to_vec(),
-            fresh.o_sizes.to_vec(),
-            "{tag}: outer sizes"
-        );
-        assert_eq!(
-            grid.o_ends.to_vec(),
-            fresh.o_ends.to_vec(),
-            "{tag}: outer ends"
-        );
-        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(grid.sin_sums.to_vec())[..ni * dim],
-            bits(fresh.sin_sums.to_vec())[..ni * dim],
-            "{tag}: sin summaries"
-        );
-        assert_eq!(
-            bits(grid.cos_sums.to_vec())[..ni * dim],
-            bits(fresh.cos_sums.to_vec())[..ni * dim],
-            "{tag}: cos summaries"
-        );
-        assert_eq!(
-            bits(grid.trig_sin.to_vec()),
-            bits(fresh.trig_sin.to_vec()),
-            "{tag}: trig sin table"
-        );
-        assert_eq!(
-            bits(grid.trig_cos.to_vec()),
-            bits(fresh.trig_cos.to_vec()),
-            "{tag}: trig cos table"
-        );
-        assert_eq!(
-            bits(grid.c_bounds.to_vec())[..ni * 2 * dim],
-            bits(fresh.c_bounds.to_vec())[..ni * 2 * dim],
-            "{tag}: cell bounds"
-        );
-        match (&grid.lanes, &fresh.lanes) {
-            (Some(a), Some(b)) => {
-                assert_eq!(
-                    bits(a.sin.to_vec()),
-                    bits(b.sin.to_vec()),
-                    "{tag}: lane sin"
-                );
-                assert_eq!(
-                    bits(a.cos.to_vec()),
-                    bits(b.cos.to_vec()),
-                    "{tag}: lane cos"
-                );
-                assert_eq!(
-                    bits(a.coords.to_vec()),
-                    bits(b.coords.to_vec()),
-                    "{tag}: lane coords"
-                );
-            }
-            (None, None) => {}
-            _ => panic!("{tag}: lane-table presence mismatch"),
+            assert_same_tables(&tag, dim, grid, &fresh);
+            let ni = fresh.num_inner;
+            assert_eq!(
+                grid.i_ids.to_vec()[..ni * dim],
+                fresh.i_ids.to_vec()[..ni * dim],
+                "{tag}: cell ids"
+            );
+            assert_eq!(
+                grid.i_ends.to_vec()[..ni],
+                fresh.i_ends.to_vec()[..ni],
+                "{tag}: cell ends"
+            );
+            assert_eq!(
+                grid.point_cell.to_vec(),
+                fresh.point_cell.to_vec(),
+                "{tag}: point cells"
+            );
+            assert_eq!(
+                grid.o_sizes.to_vec(),
+                fresh.o_sizes.to_vec(),
+                "{tag}: outer sizes"
+            );
+            assert_eq!(
+                grid.o_ends.to_vec(),
+                fresh.o_ends.to_vec(),
+                "{tag}: outer ends"
+            );
+
+            assert_eq!(pre.count, fresh_pre.count, "{tag}: preGrid count");
+            assert_eq!(
+                pre.index_of.to_vec(),
+                fresh_pre.index_of.to_vec(),
+                "{tag}: preGrid index"
+            );
+            let ends = pre.ends.to_vec();
+            let fresh_ends = fresh_pre.ends.to_vec();
+            assert_eq!(
+                ends[..pre.count],
+                fresh_ends[..pre.count],
+                "{tag}: preGrid ends"
+            );
+            let total = if pre.count == 0 {
+                0
+            } else {
+                ends[pre.count - 1] as usize
+            };
+            assert_eq!(
+                pre.cells.to_vec()[..total],
+                fresh_pre.cells.to_vec()[..total],
+                "{tag}: preGrid lists"
+            );
         }
+    }
 
-        assert_eq!(pre.count, fresh_pre.count, "{tag}: preGrid count");
-        assert_eq!(
-            pre.index_of.to_vec(),
-            fresh_pre.index_of.to_vec(),
-            "{tag}: preGrid index"
-        );
-        let ends = pre.ends.to_vec();
-        let fresh_ends = fresh_pre.ends.to_vec();
-        assert_eq!(
-            ends[..pre.count],
-            fresh_ends[..pre.count],
-            "{tag}: preGrid ends"
-        );
-        let total = if pre.count == 0 {
-            0
-        } else {
-            ends[pre.count - 1] as usize
-        };
-        assert_eq!(
-            pre.cells.to_vec()[..total],
-            fresh_pre.cells.to_vec()[..total],
-            "{tag}: preGrid lists"
-        );
+    /// Move about a quarter of the points (chosen by `round`) by `step`
+    /// per coordinate, wrapping into [0, 1). With `stay_in_cell`, a move
+    /// that would cross a cell boundary is reverted, so the refresh stays
+    /// in place. Returns the movers' flags.
+    fn nudge(
+        geo: &GridGeometry,
+        coords: &mut [f64],
+        round: u64,
+        step: f64,
+        stay_in_cell: bool,
+    ) -> Vec<u64> {
+        let dim = geo.dim;
+        let n = coords.len() / dim;
+        let mut moved = vec![0u64; n];
+        for p in 0..n {
+            let h = (p as u64 ^ round.wrapping_mul(0x9e3779b97f4a7c15)).wrapping_mul(2654435761);
+            if !h.is_multiple_of(4) {
+                continue;
+            }
+            let old: Vec<f64> = coords[p * dim..(p + 1) * dim].to_vec();
+            let mut crossed = false;
+            for i in 0..dim {
+                let x = &mut coords[p * dim + i];
+                let next = (*x + step).fract();
+                crossed |= geo.cell_coord(next) != geo.cell_coord(*x);
+                *x = next;
+            }
+            if crossed && stay_in_cell {
+                coords[p * dim..(p + 1) * dim].copy_from_slice(&old);
+            } else {
+                moved[p] = 1;
+            }
+        }
+        moved
     }
 
     #[test]
@@ -1452,31 +1297,9 @@ mod tests {
         assert!(stats.layout_rebuilt && stats.pregrid_rebuilt);
 
         for round in 0..4u64 {
-            // nudge a quarter of the points, reverting any nudge that
-            // would cross a cell boundary so the fast path must engage
-            let mut moved = vec![0u64; n];
-            for p in 0..n {
-                let h =
-                    (p as u64 ^ round.wrapping_mul(0x9e3779b97f4a7c15)).wrapping_mul(2654435761);
-                if !h.is_multiple_of(4) {
-                    continue;
-                }
-                let old: Vec<f64> = coords[p * dim..(p + 1) * dim].to_vec();
-                let mut crossed = false;
-                for i in 0..dim {
-                    let x = &mut coords[p * dim + i];
-                    let next = (*x + 2e-4).fract();
-                    if geo.cell_coord(next) != geo.cell_coord(*x) {
-                        crossed = true;
-                    }
-                    *x = next;
-                }
-                if crossed {
-                    coords[p * dim..(p + 1) * dim].copy_from_slice(&old);
-                } else {
-                    moved[p] = 1;
-                }
-            }
+            // nudge a quarter of the points, none across a cell boundary,
+            // so the fast path must engage
+            let moved = nudge(&geo, &mut coords, round, 2e-4, true);
             buf.copy_from_slice(&coords);
             moved_buf.copy_from_slice(&moved);
             let (grid, pre, stats) = ws.refresh(&buf, Some(&moved_buf));
@@ -1490,9 +1313,9 @@ mod tests {
         }
     }
 
-    /// Fused construct must reproduce the unfused oracle bit for bit —
-    /// summaries, trig tables and MBRs — and additionally populate the
-    /// lane-blocked tables as bitwise copies of the point-major values.
+    /// Both pipelines must write each slot's lanes as `sin`, `cos` and the
+    /// coordinates of its own point, leave the pad lanes zero, and agree
+    /// bit for bit on the summaries and MBRs.
     #[test]
     fn fused_construct_is_bitwise_identical_to_unfused() {
         for &(n, dim, eps, variant) in &[
@@ -1506,70 +1329,37 @@ mod tests {
             let device = Device::new(single_threaded());
             let geo = GridGeometry::new(dim, eps, n, variant);
             let buf = device.alloc_from_slice(&coords);
-            let mut ws_f = GridWorkspace::new(&device, geo, n);
-            ws_f.set_fused(true);
-            let mut ws_u = GridWorkspace::new(&device, geo, n);
-            ws_u.set_fused(false);
-            let gf = ws_f.construct(&buf);
-            let gu = ws_u.construct(&buf);
-            assert!(gu.lanes.is_none(), "unfused grid must not carry lanes");
-            let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let ni = gu.num_inner;
+            let grids = [true, false].map(|fused| {
+                let mut ws = GridWorkspace::new(&device, geo, n);
+                ws.set_fused(fused);
+                (fused, ws.construct(&buf))
+            });
             let tag = format!("n={n} dim={dim} {variant:?}");
-            assert_eq!(gf.num_inner, ni, "{tag}: cell count");
-            assert_eq!(gf.i_points.to_vec(), gu.i_points.to_vec(), "{tag}: order");
-            assert_eq!(
-                bits(gf.sin_sums.to_vec())[..ni * dim],
-                bits(gu.sin_sums.to_vec())[..ni * dim],
-                "{tag}: sin summaries"
-            );
-            assert_eq!(
-                bits(gf.cos_sums.to_vec())[..ni * dim],
-                bits(gu.cos_sums.to_vec())[..ni * dim],
-                "{tag}: cos summaries"
-            );
-            assert_eq!(
-                bits(gf.trig_sin.to_vec()),
-                bits(gu.trig_sin.to_vec()),
-                "{tag}: trig sin"
-            );
-            assert_eq!(
-                bits(gf.trig_cos.to_vec()),
-                bits(gu.trig_cos.to_vec()),
-                "{tag}: trig cos"
-            );
-            assert_eq!(
-                bits(gf.c_bounds.to_vec())[..ni * 2 * dim],
-                bits(gu.c_bounds.to_vec())[..ni * 2 * dim],
-                "{tag}: cell bounds"
-            );
-            // lane entries are bitwise copies of the point-major tables,
-            // addressed by grid-sorted slot
-            let lanes = gf.lanes.as_ref().expect("fused grid carries lanes");
-            let i_points = gf.i_points.to_vec();
-            let (ls, lc, lx) = (
-                lanes.sin.to_vec(),
-                lanes.cos.to_vec(),
-                lanes.coords.to_vec(),
-            );
-            let (ts, tc) = (gf.trig_sin.to_vec(), gf.trig_cos.to_vec());
-            for s in 0..n {
-                let p = i_points[s] as usize;
-                for i in 0..dim {
-                    let at = LaneTables::at(s, dim, i);
-                    assert_eq!(ls[at].to_bits(), ts[p * dim + i].to_bits(), "{tag}: sin");
-                    assert_eq!(lc[at].to_bits(), tc[p * dim + i].to_bits(), "{tag}: cos");
-                    assert_eq!(
-                        lx[at].to_bits(),
-                        coords[p * dim + i].to_bits(),
-                        "{tag}: coords"
-                    );
+            assert_same_tables(&tag, dim, &grids[0].1, &grids[1].1);
+            for (fused, grid) in &grids {
+                let tag = format!("{tag} fused={fused}");
+                let i_points = grid.i_points.to_vec();
+                let (ls, lc, lx) = (
+                    grid.lanes.sin.to_vec(),
+                    grid.lanes.cos.to_vec(),
+                    grid.lanes.coords.to_vec(),
+                );
+                for s in 0..n {
+                    let p = i_points[s] as usize;
+                    for i in 0..dim {
+                        let at = LaneTables::at(s, dim, i);
+                        let x = coords[p * dim + i];
+                        assert_eq!(ls[at].to_bits(), x.sin().to_bits(), "{tag}: sin");
+                        assert_eq!(lc[at].to_bits(), x.cos().to_bits(), "{tag}: cos");
+                        assert_eq!(lx[at].to_bits(), x.to_bits(), "{tag}: coords");
+                    }
                 }
-            }
-            // padding lanes past n are never written and stay zero
-            for s in n..lane_pad(n) {
-                for i in 0..dim {
-                    assert_eq!(ls[LaneTables::at(s, dim, i)], 0.0, "{tag}: padding");
+                // padding lanes past n are never written and stay zero
+                for s in n..lane_pad(n) {
+                    for i in 0..dim {
+                        let at = LaneTables::at(s, dim, i);
+                        assert_eq!([ls[at], lc[at], lx[at]], [0.0; 3], "{tag}: padding");
+                    }
                 }
             }
         }
@@ -1594,71 +1384,17 @@ mod tests {
         ws_u.refresh(&buf, None);
 
         for round in 0..6u64 {
-            let mut moved = vec![0u64; n];
-            let big = round % 2 == 1; // odd rounds force a layout rebuild
-            for p in 0..n {
-                let h =
-                    (p as u64 ^ round.wrapping_mul(0x9e3779b97f4a7c15)).wrapping_mul(2654435761);
-                if !h.is_multiple_of(4) {
-                    continue;
-                }
-                let old: Vec<f64> = coords[p * dim..(p + 1) * dim].to_vec();
-                let mut crossed = false;
-                for i in 0..dim {
-                    let x = &mut coords[p * dim + i];
-                    let next = (*x + if big { 0.13 } else { 2e-4 }).fract();
-                    if geo.cell_coord(next) != geo.cell_coord(*x) {
-                        crossed = true;
-                    }
-                    *x = next;
-                }
-                if crossed && !big {
-                    coords[p * dim..(p + 1) * dim].copy_from_slice(&old);
-                } else {
-                    moved[p] = 1;
-                }
-            }
+            // odd rounds force a layout rebuild
+            let big = round % 2 == 1;
+            let step = if big { 0.13 } else { 2e-4 };
+            let moved = nudge(&geo, &mut coords, round, step, !big);
             buf.copy_from_slice(&coords);
             moved_buf.copy_from_slice(&moved);
             let (gf, _, sf) = ws_f.refresh(&buf, Some(&moved_buf));
             let (gu, _, su) = ws_u.refresh(&buf, Some(&moved_buf));
             assert_eq!(sf.dirty_cells, su.dirty_cells, "round {round}: dirty");
             assert_eq!(sf.layout_rebuilt, su.layout_rebuilt, "round {round}");
-            let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let ni = gu.num_inner;
-            assert_eq!(gf.num_inner, ni, "round {round}: cell count");
-            assert_eq!(
-                gf.i_points.to_vec(),
-                gu.i_points.to_vec(),
-                "round {round}: order"
-            );
-            assert_eq!(
-                bits(gf.sin_sums.to_vec())[..ni * dim],
-                bits(gu.sin_sums.to_vec())[..ni * dim],
-                "round {round}: sin summaries"
-            );
-            assert_eq!(
-                bits(gf.cos_sums.to_vec())[..ni * dim],
-                bits(gu.cos_sums.to_vec())[..ni * dim],
-                "round {round}: cos summaries"
-            );
-            assert_eq!(
-                bits(gf.trig_sin.to_vec()),
-                bits(gu.trig_sin.to_vec()),
-                "round {round}: trig sin"
-            );
-            assert_eq!(
-                bits(gf.trig_cos.to_vec()),
-                bits(gu.trig_cos.to_vec()),
-                "round {round}: trig cos"
-            );
-            assert_eq!(
-                bits(gf.c_bounds.to_vec())[..ni * 2 * dim],
-                bits(gu.c_bounds.to_vec())[..ni * 2 * dim],
-                "round {round}: cell bounds"
-            );
-            // the refreshed lane tables must match what a fresh fused
-            // construct of the same coordinates would produce
+            assert_same_tables(&format!("round {round}"), dim, &gf, &gu);
             assert_refresh_equals_fresh(
                 &format!("fused round {round}"),
                 geo,
@@ -1666,6 +1402,32 @@ mod tests {
                 &gf,
                 &ws_f.build_pregrid(&gf),
             );
+        }
+    }
+
+    /// Both pipelines write the same tables, so switching a workspace's
+    /// pipeline keeps its incremental state: the next in-place refresh
+    /// still matches a fresh construct.
+    #[test]
+    fn switching_pipelines_between_in_place_refreshes_matches_construct() {
+        let (n, dim, eps) = (300, 2, 0.07);
+        let mut coords = cloud(n, dim);
+        let device = Device::new(single_threaded());
+        let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+        let mut ws = GridWorkspace::new(&device, geo, n);
+        let buf = device.alloc_from_slice(&coords);
+        let moved_buf = device.alloc::<u64>(n);
+        ws.refresh(&buf, None);
+        for (round, fused) in [true, false, true].into_iter().enumerate() {
+            ws.set_fused(fused);
+            let moved = nudge(&geo, &mut coords, round as u64, 2e-4, true);
+            buf.copy_from_slice(&coords);
+            moved_buf.copy_from_slice(&moved);
+            let (grid, pre, stats) = ws.refresh(&buf, Some(&moved_buf));
+            assert!(!stats.layout_rebuilt, "round {round}: in place expected");
+            assert!(stats.dirty_cells > 0, "round {round}");
+            let tag = format!("switched to fused = {fused}");
+            assert_refresh_equals_fresh(&tag, geo, &coords, &grid, &pre);
         }
     }
 

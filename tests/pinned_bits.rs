@@ -179,10 +179,15 @@ fn skin_bridge_bits_are_pinned() {
     );
 }
 
+/// Re-pinned from `0xcb8f_7bdb_f53c_bcdf` when the device grid's
+/// point-major `sin`/`cos` tables, which nothing read, were deleted: their
+/// stores left the kernel word count, so `mem_words` fell from 2 464 999
+/// to 2 436 999. With the kernel summary left out, the digest is
+/// `0xc3a3_8103_76f6_259c` before and after.
 #[test]
 fn device_bits_are_pinned() {
     // one simulator thread: only then are device bits and kernel counts
     // reproducible
     let run = engine(0.05, Backend::SimulatedGpu, 1, 1).cluster(&blobs(1_000, 2, 1));
-    assert_digest("device 2-d blobs", &run, 0xcb8f_7bdb_f53c_bcdf);
+    assert_digest("device 2-d blobs", &run, 0xc96f_1732_7fea_c13e);
 }
