@@ -2,8 +2,9 @@
 //! grid (Algorithm 2) vs the R-Tree (FSynC's index), both of which are
 //! rebuilt every iteration by their algorithms, the host grid's three
 //! maintenance paths (full build, in-place refresh and re-binning
-//! refresh), and the device grid's in-place refresh with the tables
-//! written by either pipeline.
+//! refresh), the in-place refresh of a collapsed input whose points sit at
+//! three distinct positions, and the device grid's in-place refresh with
+//! the tables written by either pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use egg_bench::default_synthetic;
@@ -79,6 +80,29 @@ fn bench_structures(c: &mut Criterion) {
         let (mut grid, stats) = warmed(&exec, geo, coords, &nudged, &all);
         assert_eq!(stats.rebinned_points, 0, "every point keeps its cell");
         b.iter(|| grid.refresh(&exec, &nudged, Some(&all)))
+    });
+
+    // the converged regime: every point snapped onto the nearest of three
+    // cell centers, then all moved by the same step inside their cells,
+    // so each refresh re-derives 10 000 movers at three distinct positions
+    let center = |x: f64| ((x / geo.cell_width).floor() + 0.5) * geo.cell_width;
+    let anchors = [[0.25, 0.25], [0.5, 0.75], [0.75, 0.25]].map(|a| a.map(center));
+    let snapped: Vec<f64> = coords
+        .chunks_exact(2)
+        .flat_map(|p| {
+            let dist = |a: &[f64; 2]| (a[0] - p[0]).powi(2) + (a[1] - p[1]).powi(2);
+            *anchors
+                .iter()
+                .min_by(|a, b| dist(a).total_cmp(&dist(b)))
+                .expect("three anchors")
+        })
+        .collect();
+    let stepped: Vec<f64> = snapped.iter().map(|x| x + geo.cell_width / 8.0).collect();
+    group.bench_function("cell_grid_refresh_collapsed_10k", |b| {
+        let (mut grid, stats) = warmed(&exec, geo, &snapped, &stepped, &all);
+        assert_eq!(stats.rebinned_points, 0, "every point keeps its cell");
+        assert_eq!(grid.num_cells(), 3, "three positions, three cells");
+        b.iter(|| grid.refresh(&exec, &stepped, Some(&all)))
     });
 
     // the same moves on the device grid, on one simulator thread

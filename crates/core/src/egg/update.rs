@@ -24,7 +24,7 @@ use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
 use crate::algorithms::gpu_sync::{BLOCK, MAX_DIM};
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
-use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo, RUN_LIST};
+use crate::grid::{same_bits, CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachMemo, RUN_LIST};
 use crate::instrument::UpdateCounters;
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::avx2_available;
@@ -222,7 +222,9 @@ impl IncrementalState {
 
 /// Reset `outer_dirty` to one clear flag per outer cell of `geo`, then set
 /// the flags of the outer cells holding the old (`cur`) and the new
-/// (`next`) position of every point flagged in `moved`.
+/// (`next`) position of every point flagged in `moved`, in point-index
+/// order. A mover whose old (new) row repeats the bits of the last old
+/// (new) row marked has its outer cell flagged already, and skips it.
 pub(crate) fn mark_moved_outers(
     outer_dirty: &mut Vec<bool>,
     geo: &GridGeometry,
@@ -233,10 +235,17 @@ pub(crate) fn mark_moved_outers(
     let dim = geo.dim;
     outer_dirty.clear();
     outer_dirty.resize(geo.outer_cells, false);
+    let (mut last_cur, mut last_next) = (None, None);
     for (p, &m) in moved.iter().enumerate() {
-        if m {
-            outer_dirty[geo.outer_id_of_point(&cur[p * dim..(p + 1) * dim])] = true;
-            outer_dirty[geo.outer_id_of_point(&next[p * dim..(p + 1) * dim])] = true;
+        if !m {
+            continue;
+        }
+        for (rows, last) in [(cur, &mut last_cur), (next, &mut last_next)] {
+            let row = &rows[p * dim..(p + 1) * dim];
+            if !last.is_some_and(|q: usize| same_bits(&rows[q * dim..(q + 1) * dim], row)) {
+                outer_dirty[geo.outer_id_of_point(row)] = true;
+                *last = Some(p);
+            }
         }
     }
 }
@@ -580,6 +589,18 @@ pub struct ShardPass<'a> {
 /// the list holds takes that per-point walk. Each point then consumes its
 /// candidates in one [`CandidateWalk::visit`] call.
 ///
+/// Coincident points walk once per chunk. A point's walk is a pure
+/// function of its row's bits: they fix its cell, and with it the
+/// candidate list, and its `sin`/`cos`. So a point whose row repeats the
+/// bits of the last point its chunk walked takes that point's next row,
+/// first-term verdict, `moved` flag and counter deltas instead of walking
+/// again. Rows compare by `f64::to_bits`: `-0.0` and `0.0` differ there,
+/// and a `-0.0` point can move (to `0.0`) while its `0.0` twin does not.
+/// The memo holds one row on the chunk's stack, after the cell-skip
+/// branch, so the results and the counters stay those of a per-point walk
+/// for any worker count, chunk layout or shard count. A collapsed cluster,
+/// whose points share their bits, costs one walk per chunk.
+///
 /// `chunk_stats` is reusable per-chunk scratch (`(first-term, counters)`
 /// slots): it is resized to the chunk count and keeps its capacity, so a
 /// caller looping over iterations allocates nothing after the first call.
@@ -721,6 +742,8 @@ fn update_host<const LIST: usize>(
         let mut reach = ReachMemo::<LIST>::new(grid, eps_sq, options.use_summaries);
         // per-point sums, sized once per chunk: a point uses `[..dim]`
         let mut acc = PointSums::new();
+        // the last point walked, whose results a coincident point takes
+        let mut last = Walked::new();
         for off in range {
             // chunking is over the processed window, so the chunk layout
             // (hence the reduction order) matches an unsharded pass over
@@ -746,37 +769,51 @@ fn update_host<const LIST: usize>(
                     continue;
                 }
             }
-            acc.reset(dim);
-            reach.for_each_candidate(c_cell, |candidates| {
-                // the AVX2 walk wherever the CPU has it
-                walk.visit(entry, candidates, &mut acc, &mut counters, true);
-            });
-            let sums = &mut acc.sums[..dim];
-            if options.use_simd {
-                // one ordered cross-lane fold per dimension — the sole
-                // reassociation relative to the scalar oracle
-                for (s, lanes) in sums.iter_mut().zip(&acc.lanes) {
-                    *s += lanes.reduce_sum();
+            // the walk is a pure function of the row's bits, which also fix
+            // its cell: a row repeating the last walked one's takes its
+            // results, counters included
+            if !last
+                .src
+                .is_some_and(|q| same_bits(&coords[q * dim..(q + 1) * dim], p))
+            {
+                let mut walked = UpdateCounters::default();
+                acc.reset(dim);
+                reach.for_each_candidate(c_cell, |candidates| {
+                    // the AVX2 walk wherever the CPU has it
+                    walk.visit(entry, candidates, &mut acc, &mut walked, true);
+                });
+                let sums = &mut acc.sums[..dim];
+                if options.use_simd {
+                    // one ordered cross-lane fold per dimension — the sole
+                    // reassociation relative to the scalar oracle
+                    for (s, lanes) in sums.iter_mut().zip(&acc.lanes) {
+                        *s += lanes.reduce_sum();
+                    }
                 }
+                let inv = 1.0 / acc.neighbors as f64;
+                for i in 0..dim {
+                    last.out[i] = p[i] + sums[i] * inv;
+                }
+                last.src = Some(p_idx);
+                last.cell = c_cell;
+                last.moved = !same_bits(&last.out[..dim], p);
+                // first term of Definition 4.2, host edition
+                last.confined = acc.neighbors == grid.cell_len(c_cell) as u64;
+                last.counters = walked;
             }
-            let inv = 1.0 / acc.neighbors as f64;
+            debug_assert_eq!(last.cell, c_cell, "equal rows share a cell");
+            counters.merge(&last.counters);
             // disjoint rows: `order` is a permutation of the point indices
             let out = unsafe { writer.row_mut(p_idx * dim, dim) };
-            let mut any_moved = false;
-            for i in 0..dim {
-                out[i] = p[i] + sums[i] * inv;
-                any_moved |= out[i].to_bits() != p[i].to_bits();
-            }
-            // first term of Definition 4.2, host edition
-            let confined = acc.neighbors == grid.cell_len(c_cell) as u64;
-            all_local &= confined;
+            out.copy_from_slice(&last.out[..dim]);
+            all_local &= last.confined;
             if let Some((_, _, moved_w, confined_w)) = inc {
                 // each point index occurs in exactly one chunk
                 unsafe {
-                    moved_w.row_mut(p_idx, 1)[0] = any_moved;
-                    confined_w.row_mut(p_idx, 1)[0] = confined;
+                    moved_w.row_mut(p_idx, 1)[0] = last.moved;
+                    confined_w.row_mut(p_idx, 1)[0] = last.confined;
                 }
-                if any_moved {
+                if last.moved {
                     counters.moved_points += 1;
                 }
             }
@@ -790,6 +827,36 @@ fn update_host<const LIST: usize>(
         totals.merge(counters);
     }
     (first_term, totals)
+}
+
+/// The results of the last point one chunk of the host update walked,
+/// taken by each later point of the chunk whose row holds the same bits.
+struct Walked {
+    /// The point walked, `None` before the chunk's first walk.
+    src: Option<usize>,
+    /// Its cell, whose candidate list it walked.
+    cell: usize,
+    /// Its next position (`[..dim]` live).
+    out: [f64; MAX_DIM],
+    /// Whether `out` differs from its position bitwise.
+    moved: bool,
+    /// Whether its ε-neighborhood is its own cell.
+    confined: bool,
+    /// The walk's work counters.
+    counters: UpdateCounters,
+}
+
+impl Walked {
+    fn new() -> Self {
+        Self {
+            src: None,
+            cell: 0,
+            out: [0.0; MAX_DIM],
+            moved: false,
+            confined: false,
+            counters: UpdateCounters::default(),
+        }
+    }
 }
 
 /// The running sums of one point's update, carried across the
@@ -1509,6 +1576,190 @@ mod tests {
             .collect()
     }
 
+    /// Coincident rows on `geo`'s grid, over [`blobs`] in `geo.dim`
+    /// dimensions: each of 500 blob rows one to four times at consecutive
+    /// indices, seven rows alternating by index between two positions of
+    /// one cell, and four rows alternating `0.0`, `-0.0` in dimension 0,
+    /// alone within ε. Over 1 024 rows, so runs meet a chunk border.
+    fn coincident(geo: &GridGeometry) -> Vec<f64> {
+        let (dim, w) = (geo.dim, geo.cell_width);
+        let mut coords = Vec::new();
+        for (k, row) in blobs(500, dim, 0.3).chunks_exact(dim).enumerate() {
+            for _ in 0..=k % 4 {
+                coords.extend_from_slice(row);
+            }
+        }
+        let (a, b) = (vec![3.3 * w; dim], vec![3.6 * w; dim]);
+        for k in 0..7 {
+            coords.extend_from_slice([&a, &b][k % 2]);
+        }
+        for k in 0..4 {
+            let mut twin = vec![0.95; dim];
+            twin[0] = [0.0, -0.0][k % 2];
+            coords.extend(twin);
+        }
+        coords
+    }
+
+    /// One host update pass over `grid`, checked against a per-slot
+    /// reference that walks every point itself: [`ReachMemo`] candidates,
+    /// one [`CandidateWalk::visit`] per batch and the same lane fold. Both
+    /// must give the same next rows, bit for bit, the same first-term
+    /// verdict, `moved`/`confined` flags and counters. The reference
+    /// reads the pass's own cell-skip verdicts and replays skipped cells
+    /// from the flags `state` held before it. Returns the next rows.
+    #[allow(clippy::too_many_arguments)]
+    fn check_against_per_point_walk(
+        exec: &Executor,
+        grid: &CellGrid,
+        coords: &[f64],
+        eps: f64,
+        options: UpdateOptions,
+        state: &mut IncrementalState,
+        shard: Option<&ShardPass>,
+        tag: &str,
+    ) -> Vec<f64> {
+        let (dim, eps_sq) = (grid.geometry().dim, eps * eps);
+        let n = coords.len() / dim;
+        // rows the pass must not write keep this pattern
+        let untouched = f64::from_bits(0x7ff8_dead_beef_0001);
+        let mut want_moved = state.moved.clone();
+        let mut want_confined = state.confined.clone();
+        want_moved.resize(n, false);
+        want_confined.resize(n, false);
+        let mut got = vec![untouched; n * dim];
+        let (first_term, counters) = egg_update_host(
+            exec,
+            grid,
+            coords,
+            &mut got,
+            eps,
+            options,
+            &mut Vec::new(),
+            Some(state),
+            shard,
+        );
+
+        let mut want = vec![untouched; n * dim];
+        let (mut want_first, mut want_counters) = (true, UpdateCounters::default());
+        let walk = CandidateWalk::new(grid, coords, eps_sq, options);
+        let mut reach = ReachMemo::<RUN_LIST>::new(grid, eps_sq, options.use_summaries);
+        for slot in shard.map_or(0..n, |sh| sh.slots.clone()) {
+            let p_idx = grid.point_order()[slot] as usize;
+            let c = grid.point_cell()[p_idx] as usize;
+            let p = &coords[p_idx * dim..(p_idx + 1) * dim];
+            let out = &mut want[p_idx * dim..(p_idx + 1) * dim];
+            if state.cell_skip[c] {
+                out.copy_from_slice(p);
+                want_moved[p_idx] = false;
+                want_first &= want_confined[p_idx];
+                want_counters.cells_skipped += u64::from(slot == grid.cell_range(c).start);
+                continue;
+            }
+            let mut acc = PointSums::new();
+            reach.for_each_candidate(c, |candidates| {
+                walk.visit(slot, candidates, &mut acc, &mut want_counters, true);
+            });
+            if options.use_simd {
+                for i in 0..dim {
+                    acc.sums[i] += acc.lanes[i].reduce_sum();
+                }
+            }
+            let inv = 1.0 / acc.neighbors as f64;
+            for i in 0..dim {
+                out[i] = p[i] + acc.sums[i] * inv;
+            }
+            let moved = !same_bits(out, p);
+            let confined = acc.neighbors == grid.cell_len(c) as u64;
+            want_first &= confined;
+            (want_moved[p_idx], want_confined[p_idx]) = (moved, confined);
+            want_counters.moved_points += u64::from(moved);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{tag}: next rows");
+        assert_eq!(first_term, want_first, "{tag}: first term");
+        assert_eq!(state.moved, want_moved, "{tag}: moved");
+        assert_eq!(state.confined, want_confined, "{tag}: confined");
+        assert_eq!(counters, want_counters, "{tag}: counters");
+        got
+    }
+
+    /// Points whose rows hold the same bits share their update walk inside
+    /// a chunk. The pass must match a per-point walk bit for bit on inputs
+    /// where that matters ([`coincident`]): runs of equal rows, some
+    /// crossing a chunk border; rows alternating `a, b, a, b` by index
+    /// inside one cell; and `±0.0` twins, equal under `==`, of which only
+    /// the `-0.0` one moves (to `0.0`) on the first pass. Checked at 1 and
+    /// 3 workers, over incremental passes with their cell skips, and
+    /// through a [`ShardPass`] window of the middle third of the cells.
+    #[test]
+    fn coincident_points_match_the_per_point_walk_bitwise() {
+        for (dim, eps) in [(2usize, 0.05f64), (3, 0.1)] {
+            let geo = GridGeometry::new(dim, eps, 1500, GridVariant::Auto);
+            let coords = coincident(&geo);
+            let n = coords.len() / dim;
+            assert!(n > POINT_CHUNK, "runs must meet a chunk border");
+            for options in [
+                UpdateOptions::default(),
+                UpdateOptions {
+                    use_simd: false,
+                    ..UpdateOptions::default()
+                },
+            ] {
+                for workers in [1, 3] {
+                    let exec = Executor::new(Some(workers));
+                    let (mut grid, mut state) = (CellGrid::new(geo), IncrementalState::new());
+                    let mut cur = coords.clone();
+                    let mut repeats = 0;
+                    for pass in 0..3 {
+                        let tag = format!("d={dim} workers {workers} pass {pass} {options:?}");
+                        grid.refresh(&exec, &cur, state.moved_flags());
+                        let order = grid.point_order();
+                        repeats += (1..n)
+                            .filter(|&s| {
+                                let (p, q) = (order[s - 1] as usize, order[s] as usize);
+                                same_bits(
+                                    &cur[p * dim..(p + 1) * dim],
+                                    &cur[q * dim..(q + 1) * dim],
+                                )
+                            })
+                            .count();
+                        if pass == 0 {
+                            // the alternating rows share a cell
+                            let (a, b) = (n - 11, n - 10);
+                            assert_eq!(grid.point_cell()[a], grid.point_cell()[b], "{tag}");
+                        }
+                        let cells = grid.num_cells();
+                        let window = ShardPass {
+                            slots: grid.slots_of_cells(cells / 3..2 * cells / 3),
+                            outer_dirty: state.active.then_some(&state.outer_dirty[..]),
+                        };
+                        check_against_per_point_walk(
+                            &exec,
+                            &grid,
+                            &cur,
+                            eps,
+                            options,
+                            &mut IncrementalState::new(),
+                            Some(&window),
+                            &format!("{tag} window"),
+                        );
+                        let next = check_against_per_point_walk(
+                            &exec, &grid, &cur, eps, options, &mut state, None, &tag,
+                        );
+                        if pass == 0 {
+                            let twins = [n - 4, n - 3].map(|p| state.moved[p]);
+                            assert_eq!(twins, [false, true], "{tag}: ±0.0 twins");
+                        }
+                        state.finish_pass(&geo, &cur, &next);
+                        cur = next;
+                    }
+                    assert!(repeats > 0, "d={dim}: no equal rows in slot order");
+                }
+            }
+        }
+    }
+
     /// One incremental host pipeline (refresh → update → finish_pass).
     struct Pipeline {
         grid: CellGrid,
@@ -1637,7 +1888,7 @@ mod tests {
     /// walk; a list of 8 cells fits some runs and overflows on the rest.
     /// Both must match the production list in next positions, first-term
     /// verdict and every counter, under each classification ablation and
-    /// across incremental passes.
+    /// across incremental passes, on blobs and on [`coincident`] rows.
     #[test]
     fn run_list_overflow_matches_the_full_list_bitwise() {
         let ablations = [
@@ -1653,16 +1904,21 @@ mod tests {
         ];
         let exec = Executor::new(Some(3));
         // d = 5 has a partial second vector per summary half, d = 9 reads
-        // `dim` at run time
+        // `dim` at run time; spread 0 stands for the coincident input
         for &(n, dim, eps, spread) in &[
             (600usize, 2usize, 0.05f64, 0.2f64),
             (400, 3, 0.1, 0.25),
             (300, 5, 0.2, 0.3),
             (300, 8, 0.3, 0.3),
             (200, 9, 0.35, 0.3),
+            (1500, 2, 0.05, 0.0),
         ] {
-            let coords = blobs(n, dim, spread);
             let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+            let coords = if spread > 0.0 {
+                blobs(n, dim, spread)
+            } else {
+                coincident(&geo)
+            };
             for options in ablations {
                 let mut full = Pipeline::new(geo, &coords);
                 let mut short = Pipeline::new(geo, &coords);

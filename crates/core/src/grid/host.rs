@@ -276,6 +276,74 @@ fn grid_order(outer: &[u64], keys: &[u64], dim: usize, a: u32, b: u32) -> std::c
         .then(a.cmp(&b))
 }
 
+/// Whether rows `a` and `b` hold the same bits: the key of every memo that
+/// lets a coincident point reuse its twin's results. `==` would not do:
+/// it equates `-0.0` with `0.0`, whose `sin` differ in sign.
+#[inline]
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The cell key and outer id one chunk of the key pass derived last, with
+/// the point whose row they came from. A point whose row repeats that
+/// row's bits takes them instead of deriving them again.
+struct KeyMemo {
+    src: Option<usize>,
+    key: [u64; MAX_DIM],
+    outer: u64,
+}
+
+impl KeyMemo {
+    fn new() -> Self {
+        Self {
+            src: None,
+            key: [0; MAX_DIM],
+            outer: 0,
+        }
+    }
+
+    /// Cell key and outer id of point `p_idx` of `coords` under `geo`.
+    #[inline]
+    fn get(&mut self, geo: &GridGeometry, coords: &[f64], p_idx: usize) -> (&[u64], u64) {
+        let dim = geo.dim;
+        let p = row(coords, dim, p_idx);
+        if !self.src.is_some_and(|q| same_bits(row(coords, dim, q), p)) {
+            geo.cell_coords_of(p, &mut self.key[..dim]);
+            self.outer = geo.outer_id_of_coords(&self.key[..dim]) as u64;
+            self.src = Some(p_idx);
+        }
+        (&self.key[..dim], self.outer)
+    }
+}
+
+/// The `sin`/`cos` one chunk of the lane writer computed last in each
+/// dimension, keyed on the coordinate's bits. It starts out holding those
+/// of `+0.0`, computed like any other.
+struct TrigMemo {
+    bits: [u64; MAX_DIM],
+    sin: [f64; MAX_DIM],
+    cos: [f64; MAX_DIM],
+}
+
+impl TrigMemo {
+    fn new() -> Self {
+        Self {
+            bits: [0.0f64.to_bits(); MAX_DIM],
+            sin: [0.0f64.sin(); MAX_DIM],
+            cos: [0.0f64.cos(); MAX_DIM],
+        }
+    }
+
+    /// `(sin x, cos x)` of coordinate `x` in dimension `i`.
+    #[inline]
+    fn get(&mut self, i: usize, x: f64) -> (f64, f64) {
+        if x.to_bits() != self.bits[i] {
+            (self.bits[i], self.sin[i], self.cos[i]) = (x.to_bits(), x.sin(), x.cos());
+        }
+        (self.sin[i], self.cos[i])
+    }
+}
+
 /// Index of dimension 0 of grid-sorted slot `slot` in lane tables of
 /// dimension `dim` at lane phase `phase`; dimension `i` lies `i·LANES`
 /// further.
@@ -344,7 +412,8 @@ impl CellGrid {
         );
 
         // Pass 1 — per-point cell key and outer id, all independent,
-        // scattered into pre-sized buffers.
+        // scattered into pre-sized buffers, in point-index order (there is
+        // no layout yet); a row repeating its predecessor's reuses them.
         self.point_keys.resize(n * dim, 0);
         self.point_outer.resize(n, 0);
         {
@@ -352,13 +421,13 @@ impl CellGrid {
             let outer = ScatterWriter::new(&mut self.point_outer);
             let (keys, outer) = (&keys, &outer);
             exec.map_ranges(n, POINT_CHUNK, |range| {
+                let mut memo = KeyMemo::new();
                 for p_idx in range {
-                    let p = row(coords, dim, p_idx);
+                    let (key, oid) = memo.get(&geometry, coords, p_idx);
                     // each point index occurs in exactly one chunk
-                    let key = unsafe { keys.row_mut(p_idx * dim, dim) };
-                    geometry.cell_coords_of(p, key);
                     unsafe {
-                        outer.row_mut(p_idx, 1)[0] = geometry.outer_id_of_coords(key) as u64;
+                        keys.row_mut(p_idx * dim, dim).copy_from_slice(key);
+                        outer.row_mut(p_idx, 1)[0] = oid;
                     }
                 }
             });
@@ -444,6 +513,11 @@ impl CellGrid {
     /// pure function of the membership — never of worker count or of which
     /// iteration the points moved in.
     ///
+    /// The key pass walks the movers in the current slot order, where
+    /// coincident points sit together whatever their indices, and a mover
+    /// whose row repeats the bits of the last one its chunk derived takes
+    /// that one's cell key and outer id.
+    ///
     /// All scratch buffers are owned by the grid and sized once, so
     /// steady-state refreshes allocate nothing.
     pub fn refresh(
@@ -466,29 +540,31 @@ impl CellGrid {
             };
         };
 
-        // Pass 1 — re-derive keys for movers only and flag cell changers,
-        // in parallel; stayers' rows are untouched.
+        // Pass 1 — re-derive keys for movers only, in slot order, and flag
+        // cell changers, in parallel; stayers' rows are untouched.
         self.is_changer.clear();
         self.is_changer.resize(n, false);
         {
+            let order = &self.cell_points;
             let keys = ScatterWriter::new(&mut self.point_keys);
             let outer = ScatterWriter::new(&mut self.point_outer);
             let chg = ScatterWriter::new(&mut self.is_changer);
             let (keys, outer, chg) = (&keys, &outer, &chg);
             exec.map_ranges(n, POINT_CHUNK, |range| {
-                let mut new_key = [0u64; MAX_DIM];
-                for p_idx in range {
+                let mut memo = KeyMemo::new();
+                for slot in range {
+                    let p_idx = order[slot] as usize;
                     if !moved[p_idx] {
                         continue;
                     }
-                    geometry.cell_coords_of(row(coords, dim, p_idx), &mut new_key[..dim]);
-                    // each point index occurs in exactly one chunk
+                    let (new_key, oid) = memo.get(&geometry, coords, p_idx);
+                    // `order` is a permutation, so each point index occurs
+                    // in exactly one chunk
                     let old = unsafe { keys.row_mut(p_idx * dim, dim) };
-                    if old != &new_key[..dim] {
-                        old.copy_from_slice(&new_key[..dim]);
+                    if old != new_key {
+                        old.copy_from_slice(new_key);
                         unsafe {
-                            outer.row_mut(p_idx, 1)[0] =
-                                geometry.outer_id_of_coords(&new_key[..dim]) as u64;
+                            outer.row_mut(p_idx, 1)[0] = oid;
                             chg.row_mut(p_idx, 1)[0] = true;
                         }
                     }
@@ -679,10 +755,16 @@ impl CellGrid {
     /// `lane_phase + s`), each block by exactly one chunk, so the tables
     /// are the same for any worker count.
     ///
-    /// A computed row takes `sin`/`cos` of the point's raw coordinates. A
-    /// stayer of the re-binning refresh copies them from its old lane in
-    /// the previous tables, swapped into `lane_sin_prev`/`lane_cos_prev`:
-    /// its coordinates did not change, so neither did their values. The
+    /// A computed row takes `sin`/`cos` of the point's raw coordinates.
+    /// Each chunk keeps the last value it computed per dimension, keyed on
+    /// the coordinate's bits, and a coordinate that repeats it takes the
+    /// kept value: `sin` and `cos` are pure functions of the bits, so the
+    /// tables are those of one evaluation per point, and a collapsed
+    /// cluster, whose points share their bits, costs one evaluation per
+    /// chunk instead of one per point. A stayer of the re-binning refresh
+    /// copies them from its old lane in the previous tables, swapped into
+    /// `lane_sin_prev`/`lane_cos_prev`: its coordinates did not change, so
+    /// neither did their values. The
     /// full build and the re-binning refresh start from zeroed tables, so
     /// the `lane_phase` leading pad lanes and those past the last point
     /// stay zero; the in-place refresh moves no slot and keeps them.
@@ -712,6 +794,7 @@ impl CellGrid {
         let xyz_w = ScatterWriter::new(&mut self.lane_coords);
         let (sin_w, cos_w, xyz_w) = (&sin_w, &cos_w, &xyz_w);
         exec.map_ranges(n_blocks, CELL_CHUNK, |range| {
+            let mut trig = TrigMemo::new();
             for b in range {
                 // each block occurs in exactly one chunk
                 let (sins, coss, xyzs) = unsafe {
@@ -738,8 +821,7 @@ impl CellGrid {
                         }
                         _ => {
                             for i in 0..dim {
-                                sins[i * LANES + j] = p[i].sin();
-                                coss[i * LANES + j] = p[i].cos();
+                                (sins[i * LANES + j], coss[i * LANES + j]) = trig.get(i, p[i]);
                             }
                         }
                     }
@@ -1588,10 +1670,14 @@ mod tests {
     /// point, and every pad lane zero, after a full build, an in-place
     /// refresh and a re-binning refresh, at every lane phase. A new phase
     /// on a built grid makes the next refresh a full build, equal to a
-    /// fresh build at that phase.
+    /// fresh build at that phase. The input holds coincident rows
+    /// ([`coincident_rows`]): `±0.0` twins sharing a lane block, whose
+    /// `sin` differ in sign, and a group that crosses a cell border
+    /// together in every re-binning round.
     #[test]
     fn lane_tables_hold_each_slots_trig_and_coords() {
-        let (n, dim) = (519, 3); // deliberately not a lane multiple
+        // 519 + 12 coincident rows: deliberately not a lane multiple
+        let (n, dim) = (519 + COINCIDENT_ROWS, 3);
         let g = GridGeometry::new(dim, 0.12, n, GridVariant::Auto);
         let exec = Executor::new(Some(3));
         fn check(grid: &CellGrid, coords: &[f64], tag: &str) {
@@ -1615,7 +1701,8 @@ mod tests {
             }
         }
         for phase in 0..LANES {
-            let mut coords = pseudo_cloud(n, dim);
+            let mut coords = pseudo_cloud(n - COINCIDENT_ROWS, dim);
+            coords.extend(coincident_rows(&g, 0));
             let mut grid = CellGrid::new(g);
             grid.set_lane_phase(phase);
             assert!(grid.refresh(&exec, &coords, None).full_rebuild);
@@ -1630,14 +1717,15 @@ mod tests {
                 );
                 assert!(!stats.full_rebuild, "{tag}");
                 check(&grid, &coords, &format!("{tag} in place"));
-                let moved = perturb(&mut coords, dim, round as u64);
+                let moved = perturb_coincident(&g, &mut coords, round + 1);
                 let stats = grid.refresh(&exec, &coords, Some(&moved));
                 assert!(stats.rebinned_points > 0 && !stats.full_rebuild, "{tag}");
+                assert_coincident_layout(&grid, round + 1, &tag);
                 check(&grid, &coords, &format!("{tag} re-binned"));
             }
             let phase = (phase + 1) % LANES;
             grid.set_lane_phase(phase);
-            let moved = perturb(&mut coords, dim, 3);
+            let moved = perturb_coincident(&g, &mut coords, 3);
             assert!(grid.refresh(&exec, &coords, Some(&moved)).full_rebuild);
             let mut fresh = CellGrid::new(g);
             fresh.set_lane_phase(phase);
@@ -1650,7 +1738,7 @@ mod tests {
                 assert_eq!(bits(got), bits(want), "to phase {phase}");
             }
             // the previous tables were written at the old phase
-            let moved = perturb(&mut coords, dim, 4);
+            let moved = perturb_coincident(&g, &mut coords, 4);
             assert!(grid.refresh(&exec, &coords, Some(&moved)).rebinned_points > 0);
             check(&grid, &coords, &format!("phase {phase} re-binned"));
         }
@@ -2096,7 +2184,8 @@ mod tests {
     /// Move every third point, from point `round`, halfway to the first
     /// point of its cell, returning the flags. Each coordinate stays
     /// between the two points', and the cell coordinate is monotone in it,
-    /// so no point leaves its cell.
+    /// so no point leaves its cell. A flag compares bits: halfway from
+    /// `-0.0` to `0.0` is `0.0`, a move `!=` does not see.
     fn nudge(grid: &CellGrid, coords: &mut [f64], round: usize) -> Vec<bool> {
         let dim = grid.geometry().dim;
         let old = coords.to_vec();
@@ -2106,23 +2195,88 @@ mod tests {
             for i in 0..dim {
                 coords[p * dim + i] = (old[p * dim + i] + old[q * dim + i]) / 2.0;
             }
-            moved[p] = (p * dim..(p + 1) * dim).any(|k| coords[k] != old[k]);
+            moved[p] = !same_bits(
+                &coords[p * dim..(p + 1) * dim],
+                &old[p * dim..(p + 1) * dim],
+            );
         }
         moved
     }
 
+    /// Rows of [`coincident_rows`].
+    const COINCIDENT_ROWS: usize = 12;
+
+    /// Coincident rows for a grid under `g`, placed for round `round`:
+    /// eight equal rows a hair below the border between cells 7 and 8 of
+    /// dimension 0 in even rounds and a hair above it in odd ones, so the
+    /// group crosses the border together from one round to the next; then
+    /// four `±0.0` twins alternating by index, whose zeros flip sign every
+    /// round. The twins' indices are consecutive, so they take
+    /// consecutive slots of one cell, and two of them share a lane block
+    /// at any lane phase.
+    fn coincident_rows(g: &GridGeometry, round: usize) -> Vec<f64> {
+        let (dim, w) = (g.dim, g.cell_width);
+        let mut group = vec![7.5 * w; dim];
+        group[0] = 8.0 * w + [-w, w][round % 2] / 64.0;
+        let mut rows = group.repeat(8);
+        for k in 0..4 {
+            let mut twin = vec![0.75; dim];
+            twin[0] = [0.0, -0.0][(k + round) % 2];
+            rows.extend(twin);
+        }
+        debug_assert_eq!(rows.len(), COINCIDENT_ROWS * dim);
+        rows
+    }
+
+    /// The trailing [`COINCIDENT_ROWS`] points of `grid`, placed for round
+    /// `round`, lie where [`coincident_rows`] says: the group in one cell,
+    /// on its side of the border, and the twins in consecutive slots of
+    /// one cell.
+    fn assert_coincident_layout(grid: &CellGrid, round: usize, tag: &str) {
+        let n = grid.point_cell().len();
+        let first = n - COINCIDENT_ROWS;
+        let c = grid.point_cell()[first] as usize;
+        assert!(
+            (first..n - 4).all(|p| grid.point_cell()[p] as usize == c),
+            "{tag}"
+        );
+        assert_eq!(grid.cell_key(c)[0], 7 + round as u64 % 2, "{tag}");
+        let twins: Vec<u32> = (n - 4..n).map(|p| grid.point_slot[p]).collect();
+        assert!(twins.windows(2).all(|s| s[1] == s[0] + 1), "{tag}");
+        assert_eq!(grid.point_cell()[n - 4], grid.point_cell()[n - 1], "{tag}");
+    }
+
+    /// [`perturb`] the points for round `round`, then place the trailing
+    /// [`COINCIDENT_ROWS`] rows for it, returning the flags of every row
+    /// whose bits changed.
+    fn perturb_coincident(g: &GridGeometry, coords: &mut [f64], round: usize) -> Vec<bool> {
+        let dim = g.dim;
+        let old = coords.to_vec();
+        perturb(coords, dim, round as u64);
+        let rows = coincident_rows(g, round);
+        let tail = coords.len() - rows.len();
+        coords[tail..].copy_from_slice(&rows);
+        old.chunks_exact(dim)
+            .zip(coords.chunks_exact(dim))
+            .map(|(a, b)| !same_bits(a, b))
+            .collect()
+    }
+
+    /// The input holds coincident rows ([`coincident_rows`]): a group that
+    /// re-bins together every round and `±0.0` twins flipping sign.
     #[test]
     fn incremental_refresh_is_bitwise_identical_to_rebuild() {
         let (n, dim) = (800, 3);
         let g = GridGeometry::new(dim, 0.12, n, GridVariant::Auto);
         for workers in [1usize, 2, 3, 8] {
             let exec = Executor::new(Some(workers));
-            let mut coords = pseudo_cloud(n, dim);
+            let mut coords = pseudo_cloud(n - COINCIDENT_ROWS, dim);
+            coords.extend(coincident_rows(&g, 0));
             let mut grid = CellGrid::new(g);
             let stats = grid.refresh(&exec, &coords, None);
             assert!(stats.full_rebuild, "first refresh has no prior state");
-            for round in 0..6u64 {
-                let moved = perturb(&mut coords, dim, round);
+            for round in 0..6 {
+                let moved = perturb_coincident(&g, &mut coords, round + 1);
                 let stats = grid.refresh(&exec, &coords, Some(&moved));
                 assert!(!stats.full_rebuild, "workers {workers} round {round}");
                 assert_eq!(
@@ -2131,12 +2285,15 @@ mod tests {
                 );
                 let fresh = CellGrid::build(&Executor::sequential(), g, &coords);
                 let tag = format!("workers {workers} round {round}");
+                assert_coincident_layout(&grid, round + 1, &tag);
                 assert_eq!(grid.cell_keys, fresh.cell_keys, "{tag}");
                 assert_eq!(grid.cell_starts, fresh.cell_starts, "{tag}");
                 assert_eq!(grid.cell_points, fresh.cell_points, "{tag}");
                 assert_eq!(grid.point_cell, fresh.point_cell, "{tag}");
                 assert_eq!(grid.point_slot, fresh.point_slot, "{tag}");
                 assert_eq!(grid.outer_index, fresh.outer_index, "{tag}");
+                assert_eq!(grid.point_keys, fresh.point_keys, "{tag}");
+                assert_eq!(grid.point_outer, fresh.point_outer, "{tag}");
                 // summaries and lane tables bitwise, not merely close
                 assert_eq!(bits(&grid.trig_sums), bits(&fresh.trig_sums), "{tag}");
                 assert_eq!(bits(&grid.lane_sin), bits(&fresh.lane_sin), "{tag}");

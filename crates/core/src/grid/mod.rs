@@ -27,5 +27,5 @@ mod host;
 
 pub use device::{DeviceGrid, DeviceRefreshStats, GridWorkspace, PreGrid};
 pub use geometry::{GridGeometry, GridVariant, ShardPlan, MAX_OUTER_CELLS, MAX_SURROUND_ENUM};
+pub(crate) use host::{same_bits, ReachMemo, RUN_LIST};
 pub use host::{CellGrid, GridRefreshStats, HostGrid};
-pub(crate) use host::{ReachMemo, RUN_LIST};

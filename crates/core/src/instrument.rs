@@ -111,6 +111,13 @@ impl StageTimings {
 /// summaries versus per-point distance tests, and how many `sin`
 /// evaluations the angle-addition fast paths (per-cell Σsin/Σcos and the
 /// per-point trig tables) eliminated from the innermost loop.
+///
+/// The update counts are those of a per-point walk. The host engine walks
+/// a point whose row repeats the bits of the last point its chunk walked
+/// only once, and the repeat adds the counter deltas of that walk: a
+/// coincident point still counts the cells, pairs and lanes of its own
+/// walk. So the counters are equal on both backends, for any worker,
+/// chunk or shard count, and no field counts the reuse itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UpdateCounters {
     /// Fully-covered cells consumed via their Σsin/Σcos summary (§4.3.1),

@@ -191,3 +191,30 @@ fn device_bits_are_pinned() {
     let run = engine(0.05, Backend::SimulatedGpu, 1, 1).cluster(&blobs(1_000, 2, 1));
     assert_digest("device 2-d blobs", &run, 0xc96f_1732_7fea_c13e);
 }
+
+/// Coincident points: every row of `skin_bridge(300, 1)` three times, at
+/// indices `i`, `i + 300` and `i + 600`, so the copies share a cell but
+/// are not slot neighbours when the grid is first built, plus a `±0.0`
+/// pair that compares equal under `==` but not bitwise: the `-0.0` row
+/// moves to `+0.0` on the first pass while its twin stays. The digests
+/// were recorded on the engine that computed every point's `sin`/`cos`,
+/// cell key and update walk once per point, so an engine that shares
+/// those between coincident points must reproduce them.
+#[test]
+fn coincident_points_bits_are_pinned() {
+    let base = skin_bridge(300, 1);
+    let mut coords = Vec::with_capacity((3 * 300 + 2) * 3);
+    for _ in 0..3 {
+        coords.extend_from_slice(base.coords());
+    }
+    coords.extend([0.0, 0.5, 0.5, -0.0, 0.5, 0.5]);
+    let data = Dataset::from_coords(coords, 3);
+    let single = engine(0.05, Backend::Host, 2, 1).cluster(&data);
+    assert_digest("coincident Skin bridge", &single, 0x623a_ae16_e81f_9da2);
+    let sharded = engine(0.05, Backend::Host, 2, 3).cluster(&data);
+    assert_digest(
+        "coincident Skin bridge on 3 shards",
+        &sharded,
+        0x168f_9477_51a9_d44f,
+    );
+}
