@@ -361,92 +361,9 @@ fn bench_simd_update_100k_d4(c: &mut Criterion) {
     }
 }
 
-/// Persistent worker-pool dispatch vs the scoped per-call-spawn oracle on
-/// the paper-scale n=100k, d=4 workload, host engine, 4 workers.
-///
-/// ε=0.02 puts the run in the high-iteration regime (hundreds of passes),
-/// where per-pass dispatch overhead compounds: every iteration issues a
-/// handful of parallel fan-outs (grid refresh, update, termination), so
-/// the pool's µs-scale hand-off against the scoped path's thread
-/// spawn+join is paid hundreds of times per clustering. The harness
-/// asserts the two modes are bitwise identical, prints wall clock and the
-/// `exec_dispatch` diagnostic stage for both, and appends a ledger row
-/// per mode so the regression gate tracks the dispatch overhead.
-fn bench_pooled_dispatch_100k_d4(c: &mut Criterion) {
-    use egg_sync_core::instrument::Stage;
-
-    let n = scaled(100_000);
-    let dim = 4;
-    let data = egg_data::generator::GaussianSpec {
-        n,
-        dim,
-        ..egg_data::generator::GaussianSpec::default()
-    }
-    .generate_normalized()
-    .0;
-    let eps = 0.02;
-
-    println!("=== egg_pooled_dispatch_100k_d4 (n={n}, d={dim}) ===");
-    let mut group = c.benchmark_group("egg_pooled_dispatch_100k_d4");
-    group.sample_size(10);
-    let mut ledger_rows = Vec::new();
-    let mut oracle: Option<(Vec<u32>, Vec<u64>)> = None;
-    for (label, pooled) in [("pooled", true), ("scoped", false)] {
-        let mut algo = EggSync::host(eps, Some(4));
-        algo.options.use_pooled_exec = pooled;
-        let m = measure(&algo, &data, n as f64);
-        let result = algo.cluster(&data);
-        let bits: Vec<u64> = result
-            .final_coords
-            .coords()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
-        match &oracle {
-            None => oracle = Some((result.labels.clone(), bits)),
-            Some((labels, coords)) => {
-                assert_eq!(&result.labels, labels, "{label}: labels diverged");
-                assert_eq!(&bits, coords, "{label}: coordinates diverged");
-            }
-        }
-        println!(
-            "  {label}: wall {:.3}s over {} iterations, {} dispatches, \
-             exec_dispatch {:.3} ms",
-            m.wall_seconds,
-            m.iterations,
-            m.counters.exec_dispatches,
-            m.stages.get(Stage::ExecDispatch) * 1e3,
-        );
-        ledger_rows.push(bench_ledger_row(
-            "ablation_dispatch",
-            &format!("EGG-host/{label}"),
-            n,
-            dim,
-            4,
-            m.iterations,
-            m.wall_seconds,
-            &m.stages,
-            &m.counters,
-        ));
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut algo = EggSync::host(eps, Some(4));
-                algo.options.use_pooled_exec = pooled;
-                algo.cluster(&data)
-            })
-        });
-    }
-    group.finish();
-    match append_bench_ledger(&ledger_rows) {
-        Ok(ledger) => println!("(ledger appended to {})", ledger.display()),
-        Err(e) => eprintln!("warning: could not append BENCH_egg.json: {e}"),
-    }
-}
-
 criterion_group!(
     benches,
     bench_toggles,
-    bench_pooled_dispatch_100k_d4,
     bench_simd_update_100k_d4,
     bench_incremental_grid_100k_d4
 );

@@ -59,11 +59,10 @@ fn bench_primitives(c: &mut Criterion) {
 
 /// Per-call dispatch overhead of the execution engine: 1k tiny
 /// `map_ranges_into` fan-outs (32 near-empty chunks each) through the
-/// persistent worker pool against the scoped per-call-spawn fallback.
-/// The work per chunk is a trivial sum, so the measurement is almost
-/// pure dispatch machinery — exactly what a high-iteration run (hundreds
-/// of sub-millisecond passes) pays per iteration. The pool's condvar
-/// hand-off is expected to beat the 4-thread spawn+join by well over 5×.
+/// persistent worker pool. The work per chunk is a trivial sum, so the
+/// measurement is almost pure dispatch machinery — exactly what a
+/// high-iteration run (hundreds of sub-millisecond passes) pays per
+/// iteration.
 fn bench_dispatch_latency(c: &mut Criterion) {
     const DISPATCHES: usize = 1_000;
     const N: usize = 2_048; // 32 chunks of 64 — a real fan-out, tiny work
@@ -71,28 +70,23 @@ fn bench_dispatch_latency(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("dispatch_latency_1k");
     group.sample_size(10);
-    for (label, pooled) in [
-        ("pooled_1k_dispatches", true),
-        ("scoped_1k_dispatches", false),
-    ] {
-        let exec = Executor::with_mode(Some(4), pooled);
-        assert_eq!(exec.is_pooled(), pooled);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for _ in 0..DISPATCHES {
-                    exec.map_ranges_into(N, 64, &mut out, |r| r.sum::<usize>());
-                    acc = acc.wrapping_add(out[0]);
-                }
-                acc
-            })
-        });
-        println!(
-            "{label}: {} parallel dispatches, {:.1} us mean overhead",
-            exec.dispatch_count(),
-            exec.dispatch_overhead_seconds() * 1e6 / exec.dispatch_count().max(1) as f64
-        );
-    }
+    let label = "pooled_1k_dispatches";
+    let exec = Executor::new(Some(4));
+    group.bench_function(label, |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for _ in 0..DISPATCHES {
+                exec.map_ranges_into(N, 64, &mut out, |r| r.sum::<usize>());
+                acc = acc.wrapping_add(out[0]);
+            }
+            acc
+        })
+    });
+    println!(
+        "{label}: {} parallel dispatches, {:.1} us mean overhead",
+        exec.dispatch_count(),
+        exec.dispatch_overhead_seconds() * 1e6 / exec.dispatch_count().max(1) as f64
+    );
     group.finish();
 }
 

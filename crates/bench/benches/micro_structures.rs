@@ -106,22 +106,19 @@ fn bench_structures(c: &mut Criterion) {
     });
 
     // the same moves on the device grid, on one simulator thread
-    for (pipeline, fused) in [("fused", true), ("unfused", false)] {
-        group.bench_function(&format!("grid_refresh_in_place_10k/{pipeline}"), |b| {
-            let device = Device::new(DeviceConfig {
-                host_threads: Some(1),
-                ..DeviceConfig::default()
-            });
-            let mut ws = GridWorkspace::new(&device, geo, n);
-            ws.set_fused(fused);
-            let to = device.alloc_from_slice(&nudged);
-            let moved = device.alloc_from_slice(&vec![1u64; n]);
-            ws.refresh(&device.alloc_from_slice(coords), None);
-            let (_, _, stats) = ws.refresh(&to, Some(&moved));
-            assert!(!stats.layout_rebuilt, "every point keeps its cell");
-            b.iter(|| ws.refresh(&to, Some(&moved)))
+    group.bench_function("grid_refresh_in_place_10k", |b| {
+        let device = Device::new(DeviceConfig {
+            host_threads: Some(1),
+            ..DeviceConfig::default()
         });
-    }
+        let mut ws = GridWorkspace::new(&device, geo, n);
+        let to = device.alloc_from_slice(&nudged);
+        let moved = device.alloc_from_slice(&vec![1u64; n]);
+        ws.refresh(&device.alloc_from_slice(coords), None);
+        let (_, _, stats) = ws.refresh(&to, Some(&moved));
+        assert!(!stats.layout_rebuilt, "every point keeps its cell");
+        b.iter(|| ws.refresh(&to, Some(&moved)))
+    });
 
     // every fourth point one cell width along x, across a cell border;
     // the rest unmoved

@@ -110,7 +110,6 @@ pub fn bench_ledger_row(
         "free_memory": secs_to_ns(stages.get(Stage::FreeMemory)),
         "halo_exchange": secs_to_ns(stages.get(Stage::HaloExchange)),
         "exec_dispatch": secs_to_ns(stages.get(Stage::ExecDispatch)),
-        "halo_overlap": secs_to_ns(stages.get(Stage::HaloOverlap)),
     });
     let counters_json = serde_json::json!({
         "summary_cells": counters.summary_cells,
@@ -149,8 +148,7 @@ pub fn bench_ledger_row(
 /// simulated-time stage breakdown (`sim_*` keys inside `stages_ns` —
 /// tracked by `scripts/check_bench_regression.py` like the host stages,
 /// but noise-free because the cost model is a pure function of the
-/// kernels' operation counts) and the kernel-level launch/word totals
-/// the fused-pipeline benches diff across variants.
+/// kernels' operation counts) and the kernel-level launch/word totals.
 pub fn bench_ledger_row_for(experiment: &str, m: &Measurement, d: usize) -> serde_json::Value {
     let mut row = bench_ledger_row(
         experiment,
@@ -472,7 +470,6 @@ mod tests {
         let text = serde_json::to_string(&row).unwrap();
         assert!(text.contains("\"update\":250000000"));
         assert!(text.contains("\"exec_dispatch\":"));
-        assert!(text.contains("\"halo_overlap\":"));
         assert!(text.contains("\"exec_dispatches\":"));
         assert!(text.contains("\"threads\":2"));
         assert!(text.contains("\"d\":4"));

@@ -91,7 +91,8 @@ impl EggSync {
     }
 
     /// EGG-SynC on the host execution engine with the given worker count
-    /// (`None` = the host's available parallelism).
+    /// (`None` = the `EGG_THREADS` override when set, else the host's
+    /// available parallelism).
     pub fn host(epsilon: f64, threads: Option<usize>) -> Self {
         Self {
             backend: Backend::Host,
@@ -106,7 +107,7 @@ impl EggSync {
     fn cluster_host(&self, data: &Dataset) -> Clustering {
         let dim = data.dim();
         let n = data.len();
-        let exec = Executor::with_mode(self.threads, self.options.use_pooled_exec);
+        let exec = Executor::new(self.threads);
         let mut trace = RunTrace {
             engine_threads: Some(exec.workers()),
             ..RunTrace::default()
@@ -280,7 +281,6 @@ impl EggSync {
         trace.stages.add(Stage::Allocating, alloc_secs);
         take_sim(&device, &mut sim_stages, Stage::Allocating);
         trace.observe_structure_bytes(device.memory_used() as usize);
-        workspace.set_fused(self.options.use_fused_kernels);
 
         let mut iterations = 0usize;
         let mut converged = false;
@@ -479,13 +479,12 @@ mod tests {
     fn ablation_toggles_do_not_change_results() {
         let (data, _) = blobs(150, 3, 19);
         let reference = EggSync::new(0.05).cluster(&data);
-        for bits in 0u8..32 {
+        for bits in 0u8..16 {
             let options = UpdateOptions {
                 use_summaries: bits & 1 != 0,
                 use_pregrid: bits & 2 != 0,
                 use_incremental: bits & 4 != 0,
                 use_simd: bits & 8 != 0,
-                use_fused_kernels: bits & 16 != 0,
                 ..UpdateOptions::default()
             };
             let mut algo = EggSync::new(0.05);
@@ -586,51 +585,6 @@ mod tests {
         assert_eq!(run.trace.engine_threads, Some(want));
     }
 
-    /// Fusion's cost claims, on one simulator thread: the fused tables
-    /// writer launches fewer kernels, moves fewer words, issues fewer
-    /// atomics (it has no f64 summary scatter) and takes less simulated
-    /// build+update time than the unfused oracle, for the same run.
-    #[test]
-    fn fused_pipeline_costs_less_than_the_unfused_oracle() {
-        let data = GaussianSpec {
-            n: 600,
-            dim: 4,
-            ..GaussianSpec::default()
-        }
-        .generate_normalized()
-        .0;
-        let run = |fused: bool| {
-            let mut algo = EggSync {
-                threads: Some(1),
-                ..EggSync::new(0.25)
-            };
-            algo.options.use_fused_kernels = fused;
-            algo.cluster(&data)
-        };
-        let (fused, unfused) = (run(true), run(false));
-        let bits = |r: &Clustering| {
-            r.final_coords
-                .coords()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(fused.labels, unfused.labels);
-        assert_eq!(fused.iterations, unfused.iterations);
-        assert_eq!(bits(&fused), bits(&unfused));
-        let cost = |r: &Clustering| {
-            let k = r.trace.kernel_summary.expect("device run records kernels");
-            let sim = r.trace.sim_stages.as_ref().expect("simulated stages");
-            let build_update = sim.get(Stage::BuildStructure) + sim.get(Stage::Update);
-            (k.launches, k.mem_words, k.atomics, build_update)
-        };
-        let (f, u) = (cost(&fused), cost(&unfused));
-        assert!(f.0 < u.0, "launches: fused {} vs unfused {}", f.0, u.0);
-        assert!(f.1 < u.1, "words: fused {} vs unfused {}", f.1, u.1);
-        assert!(f.2 < u.2, "atomics: fused {} vs unfused {}", f.2, u.2);
-        assert!(f.3 < u.3, "sim time: fused {} vs unfused {}", f.3, u.3);
-    }
-
     #[test]
     fn host_backend_is_identical_across_thread_counts() {
         let (data, _) = blobs(250, 4, 21);
@@ -721,30 +675,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pooled_and_scoped_dispatch_are_bitwise_identical() {
-        let (data, _) = blobs(300, 3, 42);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let run_with = |pooled: bool| {
-            let mut algo = EggSync::host(0.05, Some(4));
-            algo.options.num_shards = 4;
-            algo.options.use_pooled_exec = pooled;
-            algo.cluster(&data)
-        };
-        // oracle: scoped dispatch
-        let oracle = run_with(false);
-        let run = run_with(true);
-        assert_eq!(run.labels, oracle.labels);
-        assert_eq!(run.iterations, oracle.iterations);
-        assert_eq!(
-            bits(run.final_coords.coords()),
-            bits(oracle.final_coords.coords())
-        );
-        // the dispatch mode must not perturb the work counters either,
-        // down to the number of dispatches issued
-        assert_eq!(run.trace.update_counters, oracle.trace.update_counters);
     }
 
     #[test]

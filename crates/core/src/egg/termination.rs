@@ -403,25 +403,18 @@ mod tests {
     use crate::model::criterion_term2_met;
     use egg_gpu_sim::DeviceConfig;
 
-    /// Evaluate the device second-term kernel on BOTH the fused (lane
-    /// tables) and the unfused pipeline, assert their verdicts agree, and
-    /// return the shared verdict — so every device test below covers both.
+    /// Evaluate the device second-term kernel on a freshly constructed
+    /// grid.
     fn device_second_term(coords: &[f64], dim: usize, eps: f64) -> bool {
-        let run = |fused: bool| {
-            let n = coords.len() / dim;
-            let device = Device::new(DeviceConfig::default());
-            let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-            let mut ws = GridWorkspace::new(&device, geo, n);
-            ws.set_fused(fused);
-            let buf = device.alloc_from_slice(coords);
-            let grid = ws.construct(&buf);
-            let pre = ws.build_pregrid(&grid);
-            let flag = device.alloc::<u64>(1);
-            second_term_holds(&device, &grid, &pre, &buf, &flag, n, eps, None)
-        };
-        let (fused, unfused) = (run(true), run(false));
-        assert_eq!(fused, unfused, "fused/unfused termination verdicts");
-        fused
+        let n = coords.len() / dim;
+        let device = Device::new(DeviceConfig::default());
+        let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+        let mut ws = GridWorkspace::new(&device, geo, n);
+        let buf = device.alloc_from_slice(coords);
+        let grid = ws.construct(&buf);
+        let pre = ws.build_pregrid(&grid);
+        let flag = device.alloc::<u64>(1);
+        second_term_holds(&device, &grid, &pre, &buf, &flag, n, eps, None)
     }
 
     #[test]

@@ -100,23 +100,11 @@ pub struct UpdateOptions {
     /// when set (the CI leg that exercises sharding end to end); a value
     /// that is not a positive integer panics.
     pub num_shards: usize,
-    /// Choose how the device backend writes its grid tables — the
-    /// lane-blocked `sin`/`cos`/coordinate tables, the Σsin/Σcos summaries
-    /// and the cell MBRs — on construct and on in-place refresh: in ONE
-    /// per-cell launch with no atomic, or by the unfused multi-pass oracle
-    /// (per-slot lane rows and an atomic summary scatter). Both write the
-    /// same tables in the same summation order, so results are bitwise
-    /// identical; only kernel launches, memory traffic, atomics and
-    /// simulated time change. Ignored by the host engine. Defaults to on
-    /// unless the `EGG_FORCE_UNFUSED` environment variable is set.
+    /// Ignored; stays only because `perfbench/src/traced.rs` reads it.
+    #[doc(hidden)]
     pub use_fused_kernels: bool,
-    /// Dispatch the host engine's parallel stages through the persistent
-    /// worker pool instead of spawning fresh scoped threads per call.
-    /// Chunking and result consumption order are independent of the
-    /// dispatch backend, so output bits are unchanged; only per-dispatch
-    /// overhead drops. Defaults to on unless the `EGG_FORCE_SCOPED`
-    /// environment variable is set (the CI leg exercising the scoped
-    /// oracle end to end).
+    /// Ignored; stays only because `perfbench/src/traced.rs` reads it.
+    #[doc(hidden)]
     pub use_pooled_exec: bool,
 }
 
@@ -140,16 +128,6 @@ fn shards_default() -> usize {
     *COUNT.get_or_init(|| crate::exec::env_count("EGG_NUM_SHARDS").unwrap_or(1))
 }
 
-/// Process-wide default for [`UpdateOptions::use_fused_kernels`] — and for
-/// how a [`crate::grid::GridWorkspace`] writes its tables: fused, unless
-/// the `EGG_FORCE_UNFUSED` environment variable is set (the CI leg that
-/// exercises the unfused table writer end to end). Cached like
-/// `simd_default` so defaults stay allocation-free.
-pub fn fused_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("EGG_FORCE_UNFUSED").is_none())
-}
-
 impl Default for UpdateOptions {
     fn default() -> Self {
         Self {
@@ -158,8 +136,8 @@ impl Default for UpdateOptions {
             use_incremental: true,
             use_simd: simd_default(),
             num_shards: shards_default(),
-            use_fused_kernels: fused_default(),
-            use_pooled_exec: crate::exec::pooled_default(),
+            use_fused_kernels: true,
+            use_pooled_exec: true,
         }
     }
 }
@@ -1151,7 +1129,6 @@ mod tests {
         let device = Device::new(DeviceConfig::default());
         let geo = GridGeometry::new(dim, eps, n, variant);
         let mut ws = GridWorkspace::new(&device, geo, n);
-        ws.set_fused(options.use_fused_kernels);
         let buf = device.alloc_from_slice(coords);
         let next = device.alloc::<f64>(coords.len());
         let flag = device.alloc::<u64>(1);
@@ -1386,68 +1363,16 @@ mod tests {
             None,
             None,
         );
-        // fused and unfused device pipelines must both report exactly the
-        // host engine's work counters
-        for fused in [true, false] {
-            let (_, _, device) = run_update_counting(
-                &coords,
-                2,
-                0.08,
-                GridVariant::Auto,
-                UpdateOptions {
-                    use_fused_kernels: fused,
-                    ..UpdateOptions::default()
-                },
-            );
-            assert_eq!(host, device, "fused = {fused}");
-        }
-    }
-
-    /// The fused pipeline (lane-blocked tables consumed through coalesced
-    /// loads, one-launch construct tail) must reproduce the unfused oracle
-    /// bit for bit on a fixed-order simulator — next positions, first-term
-    /// flag and all work counters — across dims and grid variants.
-    #[test]
-    fn fused_update_is_bitwise_identical_to_unfused() {
-        for &(n, dim, eps) in &[(300usize, 2usize, 0.08f64), (200, 4, 0.25), (120, 8, 0.4)] {
-            let coords = cloud(n, dim);
-            let run = |fused: bool| {
-                let device = Device::new(DeviceConfig {
-                    host_threads: Some(1),
-                    ..DeviceConfig::default()
-                });
-                let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-                let mut ws = GridWorkspace::new(&device, geo, n);
-                ws.set_fused(fused);
-                let buf = device.alloc_from_slice(&coords);
-                let next = device.alloc::<f64>(coords.len());
-                let flag = device.alloc::<u64>(1);
-                flag.store(0, 1);
-                let counters = device.alloc::<u64>(COUNTER_SLOTS);
-                let grid = ws.construct(&buf);
-                let pre = ws.build_pregrid(&grid);
-                let options = UpdateOptions {
-                    use_fused_kernels: fused,
-                    ..UpdateOptions::default()
-                };
-                egg_update(
-                    &device, &grid, &pre, &buf, &next, &flag, &counters, n, eps, options, None,
-                );
-                (
-                    next.to_vec()
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    flag.load(0),
-                    counters_from_device(&counters),
-                )
-            };
-            let (next_f, flag_f, counters_f) = run(true);
-            let (next_u, flag_u, counters_u) = run(false);
-            assert_eq!(next_f, next_u, "dim {dim}: next positions");
-            assert_eq!(flag_f, flag_u, "dim {dim}: first-term flag");
-            assert_eq!(counters_f, counters_u, "dim {dim}: counters");
-        }
+        // the device pipeline must report exactly the host engine's work
+        // counters
+        let (_, _, device) = run_update_counting(
+            &coords,
+            2,
+            0.08,
+            GridVariant::Auto,
+            UpdateOptions::default(),
+        );
+        assert_eq!(host, device);
     }
 
     #[test]
@@ -1520,49 +1445,41 @@ mod tests {
         assert!(host_total.cells_skipped > 0, "clumps should be skipped");
         assert!(host_total.dirty_cells > 0);
 
-        // --- device: same pipeline on the single-threaded simulator, on
-        // both the fused and the unfused kernel pipeline — the counters
-        // (cells_skipped, dirty_cells, simd lanes, summary cells, ...) must
-        // match the host engine exactly either way
-        for fused in [true, false] {
-            let device = Device::new(DeviceConfig {
-                host_threads: Some(1),
-                ..DeviceConfig::default()
-            });
-            let mut ws = GridWorkspace::new(&device, geo, n);
-            ws.set_fused(fused);
-            let mut inc = DeviceIncrementalState::new(&device, &geo, n);
-            let dev_cur = device.alloc_from_slice(&coords);
-            let dev_next = device.alloc::<f64>(coords.len());
-            let flag = device.alloc::<u64>(1);
-            let counters = device.alloc::<u64>(COUNTER_SLOTS);
-            for _ in 0..passes {
-                let (dgrid, pre, stats) = ws.refresh(&dev_cur, inc.moved_flags());
-                counters.atomic_add(4, stats.dirty_cells);
-                flag.store(0, 1);
-                inc.mark_skips(&device, &dgrid);
-                egg_update(
-                    &device,
-                    &dgrid,
-                    &pre,
-                    &dev_cur,
-                    &dev_next,
-                    &flag,
-                    &counters,
-                    n,
-                    eps,
-                    UpdateOptions {
-                        use_fused_kernels: fused,
-                        ..UpdateOptions::default()
-                    },
-                    Some(&inc),
-                );
-                inc.finish_pass(&device, &geo, &dev_cur, &dev_next, n);
-                primitives::copy(&device, &dev_next, &dev_cur, coords.len());
-            }
-            let device_total = counters_from_device(&counters);
-            assert_eq!(host_total, device_total, "fused = {fused}");
+        // --- device: same pipeline on the single-threaded simulator — the
+        // counters (cells_skipped, dirty_cells, simd lanes, summary cells,
+        // ...) must match the host engine exactly
+        let device = Device::new(DeviceConfig {
+            host_threads: Some(1),
+            ..DeviceConfig::default()
+        });
+        let mut ws = GridWorkspace::new(&device, geo, n);
+        let mut inc = DeviceIncrementalState::new(&device, &geo, n);
+        let dev_cur = device.alloc_from_slice(&coords);
+        let dev_next = device.alloc::<f64>(coords.len());
+        let flag = device.alloc::<u64>(1);
+        let counters = device.alloc::<u64>(COUNTER_SLOTS);
+        for _ in 0..passes {
+            let (dgrid, pre, stats) = ws.refresh(&dev_cur, inc.moved_flags());
+            counters.atomic_add(4, stats.dirty_cells);
+            flag.store(0, 1);
+            inc.mark_skips(&device, &dgrid);
+            egg_update(
+                &device,
+                &dgrid,
+                &pre,
+                &dev_cur,
+                &dev_next,
+                &flag,
+                &counters,
+                n,
+                eps,
+                UpdateOptions::default(),
+                Some(&inc),
+            );
+            inc.finish_pass(&device, &geo, &dev_cur, &dev_next, n);
+            primitives::copy(&device, &dev_next, &dev_cur, coords.len());
         }
+        assert_eq!(host_total, counters_from_device(&counters));
     }
 
     /// Points around three centers per dimension, spread `spread` wide:

@@ -5,28 +5,24 @@
 //! MP-SynC baseline. Work is split into **fixed-size chunks** pulled from
 //! a shared claim counter by the executor's workers.
 //!
-//! ## Dispatch modes
+//! ## Dispatch
 //!
-//! The executor has two dispatch backends behind one API:
-//!
-//! * **Pooled** (default): a fixed set of long-lived workers, spawned once
-//!   and parked on a condvar between dispatches. A dispatch publishes a
-//!   job generation (epoch) under the pool mutex, wakes the workers, and
-//!   the *calling thread participates* in the claim loop; the call returns
-//!   only after every woken worker has retired the job, so chunk closures
-//!   may borrow from the caller's stack. Steady-state dispatch performs
-//!   **zero heap allocations** — no thread spawns, no per-call result
-//!   `Mutex`es — which is what makes a hundreds-of-iterations run cheap:
-//!   the scoped backend pays a thread spawn per worker per stage per
-//!   iteration, tens of thousands of spawns per run.
-//! * **Scoped** (the oracle, `EGG_FORCE_SCOPED`): fresh `std::thread::scope`
-//!   workers per call, the pre-pool behavior, kept as the bitwise
-//!   reference and as the fallback exercised by CI.
+//! An executor with more than one worker holds a pool of long-lived
+//! workers, spawned once and parked on a condvar between dispatches. A
+//! dispatch publishes a job generation (epoch) under the pool mutex, wakes
+//! the workers, and the *calling thread participates* in the claim loop;
+//! the call returns only after every woken worker has retired the job, so
+//! chunk closures may borrow from the caller's stack. Steady-state
+//! dispatch performs **zero heap allocations**: no thread spawns and no
+//! per-call result `Mutex`es. That is what makes a hundreds-of-iterations
+//! run cheap: on 1k tiny fan-outs, per-call scoped thread spawns cost
+//! ~55–64 µs per dispatch against the pool's ~5 µs, and a run issues
+//! thousands of dispatches.
 //!
 //! ## Determinism contract
 //!
 //! Every combinator here guarantees results that are *bit-for-bit
-//! identical regardless of the worker count or dispatch mode*:
+//! identical regardless of the worker count*:
 //!
 //! * chunk boundaries depend only on the problem size and the chunk
 //!   length, never on how many workers exist or which worker claims a
@@ -108,15 +104,6 @@ pub const POINT_CHUNK: usize = 1024;
 
 /// Default cells per work chunk for per-cell stages (summaries).
 pub const CELL_CHUNK: usize = 256;
-
-/// Process-wide default dispatch mode: pooled, unless the
-/// `EGG_FORCE_SCOPED` environment variable is set (the CI leg that
-/// exercises the scoped oracle end to end). Cached so repeated
-/// [`Executor::new`] calls stay allocation-free past the first.
-pub fn pooled_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("EGG_FORCE_SCOPED").is_none())
-}
 
 /// Parse the value of the positive-integer environment override `var`,
 /// trimmed. The error names the variable and its value.
@@ -336,15 +323,14 @@ impl Drop for Pool {
     }
 }
 
-/// A fixed-width executor with deterministic chunking, backed by either a
-/// persistent worker pool (default) or per-call scoped threads (the
-/// oracle; see the module docs). Clones share the pool and the dispatch
-/// instrumentation.
+/// A fixed-width executor with deterministic chunking, backed by a
+/// persistent worker pool (see the module docs). Clones share the pool and
+/// the dispatch instrumentation.
 #[derive(Clone)]
 pub struct Executor {
     workers: usize,
-    /// `Some` = pooled dispatch (`workers - 1` parked threads; the caller
-    /// is the remaining worker). `None` = scoped spawns, or `workers == 1`.
+    /// `workers - 1` parked threads; the caller is the remaining worker.
+    /// `None` exactly when `workers == 1`, which never dispatches.
     pool: Option<Arc<Pool>>,
     stats: Arc<ExecStats>,
 }
@@ -353,7 +339,6 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("workers", &self.workers)
-            .field("pooled", &self.pool.is_some())
             .finish()
     }
 }
@@ -361,21 +346,14 @@ impl std::fmt::Debug for Executor {
 impl Executor {
     /// An executor with `threads` workers; `None` uses the `EGG_THREADS`
     /// environment override when set, else the host's available
-    /// parallelism. The count is clamped to at least 1. Dispatch is pooled
-    /// unless `EGG_FORCE_SCOPED` is set (see [`pooled_default`]).
+    /// parallelism. The count is clamped to at least 1, and more than one
+    /// worker parks `workers - 1` long-lived threads.
     pub fn new(threads: Option<usize>) -> Self {
-        Self::with_mode(threads, pooled_default())
-    }
-
-    /// An executor with an explicit dispatch mode: `pooled: true` parks
-    /// `workers - 1` long-lived threads, `false` is the scoped-spawn
-    /// oracle. Worker-count resolution matches [`Executor::new`].
-    pub fn with_mode(threads: Option<usize>, pooled: bool) -> Self {
         let workers = threads
             .or_else(threads_default)
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1);
-        let pool = (pooled && workers > 1).then(|| Arc::new(Pool::new(workers - 1)));
+        let pool = (workers > 1).then(|| Arc::new(Pool::new(workers - 1)));
         Self {
             workers,
             pool,
@@ -383,29 +361,20 @@ impl Executor {
         }
     }
 
-    /// The scoped-spawn oracle executor: identical output bits to the
-    /// pooled mode, with fresh `std::thread::scope` workers per dispatch.
-    pub fn scoped(threads: Option<usize>) -> Self {
-        Self::with_mode(threads, false)
+    /// Same as [`Executor::new`]; stays only because `perfbench/src/traced.rs` calls it.
+    #[doc(hidden)]
+    pub fn with_mode(threads: Option<usize>, _pooled: bool) -> Self {
+        Self::new(threads)
     }
 
     /// A single-worker executor (inline sequential execution).
     pub fn sequential() -> Self {
-        Self {
-            workers: 1,
-            pool: None,
-            stats: Arc::new(ExecStats::default()),
-        }
+        Self::new(Some(1))
     }
 
     /// Number of worker threads this executor fans work over.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether dispatch goes through the persistent pool.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
     }
 
     /// Parallel dispatches issued so far (inline fast paths don't count).
@@ -414,35 +383,23 @@ impl Executor {
     }
 
     /// Seconds spent in dispatch machinery, summed over all dispatches,
-    /// as observed by the calling thread. Pooled: the synchronous job
-    /// publication (lock + epoch bump + body store). Scoped: the spawn
-    /// loop. Neither mode charges the wake or the join/straggler wait —
-    /// that time is other workers *working*, and counting it would let
-    /// scheduler noise pollute the diagnostic on oversubscribed hosts.
+    /// as observed by the calling thread: the synchronous job publication
+    /// (lock + epoch bump + body store). The wake and the straggler wait
+    /// are not charged — that time is other workers *working*, and
+    /// counting it would let scheduler noise pollute the diagnostic on
+    /// oversubscribed hosts.
     pub fn dispatch_overhead_seconds(&self) -> f64 {
         self.stats.overhead_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
-    /// Fan `body` over the workers: every participant runs the same claim
-    /// loop until the work is drained. `n_chunks` caps the scoped-mode
-    /// spawn count; the pool always wakes everyone (surplus workers find
-    /// the claim counter exhausted and retire immediately).
-    fn run_parallel(&self, n_chunks: usize, body: &(dyn Fn() + Sync)) {
+    /// Fan `body` over the caller and every pool worker: each runs the
+    /// same claim loop until the work is drained (surplus workers find the
+    /// claim counter exhausted and retire immediately). Every combinator
+    /// runs one worker inline, so a dispatch always has a pool.
+    fn run_parallel(&self, body: &(dyn Fn() + Sync)) {
         self.stats.dispatches.fetch_add(1, Ordering::Relaxed);
-        match &self.pool {
-            Some(pool) => pool.run(body, &self.stats),
-            None => {
-                let t0 = Instant::now();
-                std::thread::scope(|scope| {
-                    for _ in 0..self.workers.min(n_chunks) {
-                        scope.spawn(body);
-                    }
-                    self.stats
-                        .overhead_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                });
-            }
-        }
+        let pool = self.pool.as_ref().expect("more than one worker has a pool");
+        pool.run(body, &self.stats);
     }
 
     /// Map `f` over `0..n` split into `chunk_len`-sized index ranges,
@@ -451,9 +408,8 @@ impl Executor {
     /// `f` only gets shared access to captured state; use
     /// [`Executor::map_chunks_mut`] when the stage writes a buffer.
     ///
-    /// The returned `Vec` is this call's only allocation in either
-    /// dispatch mode (results are scatter-written into fixed slots, one
-    /// per chunk); prefer [`Executor::map_ranges_into`] on steady-state
+    /// The returned `Vec` is this call's only allocation (results are
+    /// scatter-written into fixed slots, one per chunk); prefer [`Executor::map_ranges_into`] on steady-state
     /// paths that can own the slot buffer.
     pub fn map_ranges<R, F>(&self, n: usize, chunk_len: usize, f: F) -> Vec<R>
     where
@@ -473,7 +429,7 @@ impl Executor {
         {
             let slots = ScatterWriter::new(&mut results[..]);
             let (slots, f, next) = (&slots, &f, AtomicUsize::new(0));
-            self.run_parallel(n_chunks, &|| loop {
+            self.run_parallel(&|| loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
                 if c >= n_chunks {
                     break;
@@ -492,7 +448,7 @@ impl Executor {
     /// Like [`Executor::map_ranges`], but write the per-chunk results into
     /// the caller-provided `out` slice (one slot per chunk, in chunk order)
     /// instead of collecting a fresh `Vec`. Returns the number of chunks
-    /// written. With a workspace-owned `out`, pooled steady-state dispatch
+    /// written. With a workspace-owned `out`, steady-state dispatch
     /// performs **zero heap allocations** (pinned by the
     /// `zero_alloc` integration test).
     ///
@@ -519,7 +475,7 @@ impl Executor {
         }
         let slots = ScatterWriter::new(&mut out[..n_chunks]);
         let (slots, f, next) = (&slots, &f, AtomicUsize::new(0));
-        self.run_parallel(n_chunks, &|| loop {
+        self.run_parallel(&|| loop {
             let c = next.fetch_add(1, Ordering::Relaxed);
             if c >= n_chunks {
                 break;
@@ -561,7 +517,7 @@ impl Executor {
             let chunks = ScatterWriter::new(data);
             let slots = ScatterWriter::new(&mut results[..]);
             let (chunks, slots, f, next) = (&chunks, &slots, &f, AtomicUsize::new(0));
-            self.run_parallel(n_chunks, &|| loop {
+            self.run_parallel(&|| loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
                 if c >= n_chunks {
                     break;
@@ -595,7 +551,7 @@ impl Executor {
         }
         let ok = AtomicBool::new(true);
         let (ok_ref, pred, next) = (&ok, &pred, AtomicUsize::new(0));
-        self.run_parallel(n_chunks, &|| {
+        self.run_parallel(&|| {
             while ok_ref.load(Ordering::Relaxed) {
                 let c = next.fetch_add(1, Ordering::Relaxed);
                 if c >= n_chunks {
@@ -626,50 +582,38 @@ unsafe fn assume_init_vec<R>(v: Vec<MaybeUninit<R>>) -> Vec<R> {
 mod tests {
     use super::*;
 
-    /// Both dispatch modes at the given width — every combinator contract
-    /// must hold identically for pooled and scoped execution.
-    fn both_modes(workers: usize) -> [Executor; 2] {
-        [
-            Executor::with_mode(Some(workers), true),
-            Executor::with_mode(Some(workers), false),
-        ]
-    }
-
     #[test]
     fn map_ranges_covers_everything_in_order() {
         for workers in [1, 2, 7] {
-            for exec in both_modes(workers) {
-                let got = exec.map_ranges(10, 3, |r| r.collect::<Vec<_>>());
-                assert_eq!(
-                    got,
-                    vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]],
-                    "{exec:?}"
-                );
-            }
+            let exec = Executor::new(Some(workers));
+            let got = exec.map_ranges(10, 3, |r| r.collect::<Vec<_>>());
+            assert_eq!(
+                got,
+                vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]],
+                "{exec:?}"
+            );
         }
     }
 
     #[test]
     fn map_chunks_mut_writes_disjoint_chunks() {
         for workers in [1, 3, 16] {
-            for exec in both_modes(workers) {
-                let mut data = vec![0usize; 100];
-                let offsets = exec.map_chunks_mut(&mut data, 7, |offset, chunk| {
-                    for (i, x) in chunk.iter_mut().enumerate() {
-                        *x = offset + i;
-                    }
-                    offset
-                });
-                assert_eq!(data, (0..100).collect::<Vec<_>>(), "{exec:?}");
-                assert_eq!(offsets, (0..100).step_by(7).collect::<Vec<_>>());
-            }
+            let exec = Executor::new(Some(workers));
+            let mut data = vec![0usize; 100];
+            let offsets = exec.map_chunks_mut(&mut data, 7, |offset, chunk| {
+                for (i, x) in chunk.iter_mut().enumerate() {
+                    *x = offset + i;
+                }
+                offset
+            });
+            assert_eq!(data, (0..100).collect::<Vec<_>>(), "{exec:?}");
+            assert_eq!(offsets, (0..100).step_by(7).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn reductions_are_identical_across_worker_counts_and_modes() {
+    fn reductions_are_identical_across_worker_counts() {
         // the floating-point sum must associate identically for any width
-        // and either dispatch backend
         let values: Vec<f64> = (0..10_000).map(|i| (i as f64).sin() * 1e-3).collect();
         let reduce = |exec: &Executor| -> f64 {
             exec.map_ranges(values.len(), POINT_CHUNK, |r| {
@@ -680,45 +624,41 @@ mod tests {
         };
         let reference = reduce(&Executor::sequential());
         for workers in [2, 3, 8] {
-            for exec in both_modes(workers) {
-                assert_eq!(reduce(&exec).to_bits(), reference.to_bits(), "{exec:?}");
-            }
+            let exec = Executor::new(Some(workers));
+            assert_eq!(reduce(&exec).to_bits(), reference.to_bits(), "{exec:?}");
         }
     }
 
     #[test]
     fn all_matches_sequential_verdict() {
         for workers in [1, 4] {
-            for exec in both_modes(workers) {
-                assert!(exec.all(5000, 64, |i| i < 5000));
-                assert!(!exec.all(5000, 64, |i| i != 4321));
-                assert!(exec.all(0, 64, |_| false), "vacuous truth on empty domain");
-            }
+            let exec = Executor::new(Some(workers));
+            assert!(exec.all(5000, 64, |i| i < 5000));
+            assert!(!exec.all(5000, 64, |i| i != 4321));
+            assert!(exec.all(0, 64, |_| false), "vacuous truth on empty domain");
         }
     }
 
     #[test]
     fn empty_inputs() {
-        for exec in both_modes(4) {
-            assert!(exec.map_ranges(0, 8, |_| 0u32).is_empty());
-            let mut empty: Vec<u64> = Vec::new();
-            assert!(exec.map_chunks_mut(&mut empty, 8, |_, _| 0u32).is_empty());
-            let mut out = [0u32; 4];
-            assert_eq!(exec.map_ranges_into(0, 8, &mut out, |_| 1u32), 0);
-            assert_eq!(out, [0; 4]);
-        }
+        let exec = Executor::new(Some(4));
+        assert!(exec.map_ranges(0, 8, |_| 0u32).is_empty());
+        let mut empty: Vec<u64> = Vec::new();
+        assert!(exec.map_chunks_mut(&mut empty, 8, |_, _| 0u32).is_empty());
+        let mut out = [0u32; 4];
+        assert_eq!(exec.map_ranges_into(0, 8, &mut out, |_| 1u32), 0);
+        assert_eq!(out, [0; 4]);
     }
 
     #[test]
     fn map_ranges_into_matches_map_ranges() {
         for workers in [1, 3, 8] {
-            for exec in both_modes(workers) {
-                let expected = exec.map_ranges(100, 7, |r| r.sum::<usize>());
-                let mut out = vec![0usize; expected.len() + 2];
-                let n_chunks = exec.map_ranges_into(100, 7, &mut out, |r| r.sum::<usize>());
-                assert_eq!(n_chunks, expected.len(), "{exec:?}");
-                assert_eq!(&out[..n_chunks], &expected[..]);
-            }
+            let exec = Executor::new(Some(workers));
+            let expected = exec.map_ranges(100, 7, |r| r.sum::<usize>());
+            let mut out = vec![0usize; expected.len() + 2];
+            let n_chunks = exec.map_ranges_into(100, 7, &mut out, |r| r.sum::<usize>());
+            assert_eq!(n_chunks, expected.len(), "{exec:?}");
+            assert_eq!(&out[..n_chunks], &expected[..]);
         }
     }
 
@@ -736,19 +676,18 @@ mod tests {
         let n = 1000usize;
         let perm: Vec<usize> = (0..n).map(|i| (i * 7) % n).collect();
         for workers in [1, 4] {
-            for exec in both_modes(workers) {
-                let mut data = vec![0usize; n];
-                let writer = ScatterWriter::new(&mut data);
-                let writer = &writer;
-                let perm = &perm;
-                exec.map_ranges(n, 64, |range| {
-                    for e in range {
-                        let row = perm[e];
-                        unsafe { writer.row_mut(row, 1)[0] = row + 1 };
-                    }
-                });
-                assert_eq!(data, (1..=n).collect::<Vec<_>>(), "{exec:?}");
-            }
+            let exec = Executor::new(Some(workers));
+            let mut data = vec![0usize; n];
+            let writer = ScatterWriter::new(&mut data);
+            let writer = &writer;
+            let perm = &perm;
+            exec.map_ranges(n, 64, |range| {
+                for e in range {
+                    let row = perm[e];
+                    unsafe { writer.row_mut(row, 1)[0] = row + 1 };
+                }
+            });
+            assert_eq!(data, (1..=n).collect::<Vec<_>>(), "{exec:?}");
         }
     }
 
@@ -757,11 +696,11 @@ mod tests {
         assert!(Executor::new(None).workers() >= 1);
         assert_eq!(Executor::new(Some(0)).workers(), 1);
         assert_eq!(Executor::sequential().workers(), 1);
-        assert!(!Executor::sequential().is_pooled());
-        assert!(!Executor::scoped(Some(4)).is_pooled());
-        assert!(Executor::with_mode(Some(4), true).is_pooled());
-        // one worker never needs a pool, whatever the requested mode
-        assert!(!Executor::with_mode(Some(1), true).is_pooled());
+        // one worker runs inline and never needs a pool; more park all
+        // but the caller
+        assert!(Executor::sequential().pool.is_none());
+        assert!(Executor::new(Some(1)).pool.is_none());
+        assert_eq!(live_workers(&Executor::new(Some(4))), 3);
     }
 
     /// `EGG_THREADS` takes a positive integer after trimming and refuses
@@ -779,7 +718,7 @@ mod tests {
 
     #[test]
     fn dispatch_stats_count_parallel_dispatches_only() {
-        let exec = Executor::with_mode(Some(4), true);
+        let exec = Executor::new(Some(4));
         assert_eq!(exec.dispatch_count(), 0);
         exec.map_ranges(10, 100, |r| r.len()); // one chunk: inline
         assert_eq!(exec.dispatch_count(), 0);
@@ -798,7 +737,7 @@ mod tests {
     fn pool_reuse_across_many_tiny_dispatches() {
         // the steady-state shape: hundreds of dispatches on one executor;
         // every epoch must retire cleanly (no lost wakeups, no deadlock)
-        let exec = Executor::with_mode(Some(8), true);
+        let exec = Executor::new(Some(8));
         let mut out = vec![0usize; 16];
         for round in 0..500 {
             let n_chunks = exec.map_ranges_into(256, 16, &mut out, |r| r.start + round);
@@ -810,12 +749,20 @@ mod tests {
 
     /// Live pool workers, as the next dispatch will count them.
     fn live_workers(exec: &Executor) -> usize {
-        lock(&exec.pool.as_ref().expect("pooled executor").shared.state).alive
+        lock(
+            &exec
+                .pool
+                .as_ref()
+                .expect("a multi-worker executor")
+                .shared
+                .state,
+        )
+        .alive
     }
 
     #[test]
     fn pooled_worker_panic_propagates_and_pool_survives() {
-        let exec = Executor::with_mode(Some(4), true);
+        let exec = Executor::new(Some(4));
         assert_eq!(live_workers(&exec), 3);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.map_ranges(1000, 10, |r| {
@@ -835,21 +782,5 @@ mod tests {
         // the pool must still dispatch correctly afterwards
         let sums = exec.map_ranges(100, 7, |r| r.sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
-    }
-
-    #[test]
-    fn pooled_and_scoped_agree_bitwise_on_fp_reductions() {
-        let values: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.37).cos()).collect();
-        for workers in [2, 4, 8] {
-            let run = |exec: &Executor| {
-                exec.map_ranges(values.len(), 64, |r| r.map(|i| values[i]).sum::<f64>())
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>()
-            };
-            let pooled = run(&Executor::with_mode(Some(workers), true));
-            let scoped = run(&Executor::with_mode(Some(workers), false));
-            assert_eq!(pooled, scoped, "workers = {workers}");
-        }
     }
 }

@@ -20,13 +20,11 @@
 //! 8. repack cell ids and end-offsets into the compacted layout;
 //! 9. rewrite the outer end-offsets against the compacted cell array.
 //!
-//! One writer then fills the per-point lane tables ([`LaneTables`]: `sin`,
-//! `cos` and the coordinates of every grid-sorted slot, the device's only
-//! copy of them), the per-cell Σsin/Σcos summaries and the cell MBRs. It
-//! serves both the construct and the in-place refresh, in either of two
-//! compositions: one per-cell kernel (the fused default), or the unfused
-//! oracle's per-slot lane rows and atomic summary scatter. Both write the
-//! same bits.
+//! One per-cell kernel then fills the per-point lane tables
+//! ([`LaneTables`]: `sin`, `cos` and the coordinates of every grid-sorted
+//! slot, the device's only copy of them), the per-cell Σsin/Σcos summaries
+//! and the cell MBRs, with no atomic. It serves both the construct and the
+//! in-place refresh.
 
 use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
@@ -51,8 +49,8 @@ pub(crate) fn seg_start(ends: &DeviceBuffer<u64>, i: usize) -> u64 {
 /// occupy four *adjacent* words per dimension — the warp-contiguous
 /// pattern the simulator's coalesced access path models at full
 /// bandwidth. They are the device's only copy of each point's `sin` and
-/// `cos` and of its slot-ordered coordinates: both pipelines write them,
-/// and the update and termination kernels read every partner through
+/// `cos` and of its slot-ordered coordinates: one writer fills them, and
+/// the update and termination kernels read every partner through
 /// them. Padding lanes past `n` are never written and stay zero, exactly
 /// like the host tables.
 #[derive(Clone)]
@@ -184,10 +182,6 @@ pub struct GridWorkspace {
     scan_scratch: primitives::ScanScratch,
     /// Scanned-flag positions for the occupied-list compaction.
     compact_pos: DeviceBuffer<u64>,
-    /// Whether the tables are written by one per-cell launch (lane rows,
-    /// summaries and MBRs) or by the multi-pass unfused oracle. Toggled
-    /// via [`Self::set_fused`].
-    fused: bool,
     /// Whether the snapshots describe a previously constructed grid.
     state_valid: bool,
     /// Compacted cell count of the last construct (the fast path reuses
@@ -259,7 +253,6 @@ impl GridWorkspace {
             chg_flag: device.alloc(1),
             scan_scratch: primitives::ScanScratch::new(device, n.max(m)),
             compact_pos: device.alloc(m.max(1)),
-            fused: crate::egg::update::fused_default(),
             state_valid: false,
             last_num_inner: 0,
             last_pre_count: 0,
@@ -306,15 +299,9 @@ impl GridWorkspace {
             * 8
     }
 
-    /// Choose how the tables are written (default per
-    /// [`crate::egg::update::fused_default`], i.e. fused unless
-    /// `EGG_FORCE_UNFUSED` is set): by one per-cell kernel, or by the
-    /// unfused oracle's per-slot lane rows and atomic summary scatter.
-    /// Both write the same tables bit for bit, so switching keeps the
-    /// incremental snapshots.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
+    /// Does nothing; stays only because `perfbench/src/traced.rs` calls it.
+    #[doc(hidden)]
+    pub fn set_fused(&mut self, _fused: bool) {}
 
     /// Run Algorithm 2 over `coords` (`n × dim`, device-resident), then
     /// write the lane tables, the per-cell sin/cos summaries and the cell
@@ -491,7 +478,9 @@ impl GridWorkspace {
     }
 
     /// Write the lane tables, the Σsin/Σcos summaries and the cell MBRs
-    /// of the current layout's `num_inner` cells from `coords`.
+    /// of the current layout's `num_inner` cells from `coords`: one thread
+    /// per cell walks its slots once, writing their lane rows, the cell's
+    /// summaries and its MBR with no f64 atomic.
     ///
     /// Without `moved` (a construct) every cell and every lane row is
     /// written. With `moved` (an in-place refresh, in which no mover left
@@ -499,8 +488,8 @@ impl GridWorkspace {
     /// into `chg_flag`: movers' lane rows are recomputed and stayers' read
     /// back. Each cell sums its slots in slot order, which on one
     /// simulator thread is ascending point id (`grid_populate` claims
-    /// slots in thread order), so either pipeline and either caller writes
-    /// the bits of a fresh construct.
+    /// slots in thread order), so either caller writes the bits of a fresh
+    /// construct.
     fn write_tables(
         &self,
         coords: &DeviceBuffer<f64>,
@@ -508,140 +497,67 @@ impl GridWorkspace {
         moved: Option<&DeviceBuffer<u64>>,
     ) {
         let dim = self.geometry.dim;
-        let n = self.n;
-        let dev = &self.device;
-        let (i_ends, i_points, point_cell, cell_fill, chg_flag) = (
+        let (i_ends, i_points, cell_fill, chg_flag) = (
             &self.i_ends,
             &self.i_points,
-            &self.point_cell,
             &self.cell_fill,
             &self.chg_flag,
         );
         let (sin_sums, cos_sums, c_bounds) = (&self.sin_sums, &self.cos_sums, &self.c_bounds);
         let (lane_sin, lane_cos, lane_coords) = (&self.lane_sin, &self.lane_cos, &self.lane_coords);
-        // is cell `c` rewritten, and is point `p`'s lane row recomputed?
-        let rewritten = |c: usize| moved.is_none() || cell_fill.load(c) == 1;
-        let recomputed = |p: usize| moved.is_none_or(|m| m.load(p) == 1);
-        // lane `at` from coordinate `x`: the grid's only sin/cos calls
-        let write_lane = |at: usize, x: f64| {
-            let (sn, cs) = (x.sin(), x.cos());
-            lane_sin.store_coalesced(at, sn);
-            lane_cos.store_coalesced(at, cs);
-            lane_coords.store_coalesced(at, x);
-            (x, sn, cs)
-        };
-
-        if self.fused {
-            // one thread per cell walks its slots once, writing their lane
-            // rows, the cell's summaries and its MBR with no f64 atomic
-            dev.launch(
-                "fused_cell_tables",
-                grid_for(num_inner, BLOCK),
-                BLOCK,
-                |t| {
-                    let c = t.global_id();
-                    if c >= num_inner || !rewritten(c) {
-                        return;
-                    }
-                    if moved.is_some() {
-                        chg_flag.atomic_add(0, 1);
-                    }
-                    let lo = seg_start(i_ends, c) as usize;
-                    let hi = i_ends.load(c) as usize;
-                    let mut acc_sin = [0.0f64; MAX_DIM];
-                    let mut acc_cos = [0.0f64; MAX_DIM];
-                    let mut b_lo = [f64::INFINITY; MAX_DIM];
-                    let mut b_hi = [f64::NEG_INFINITY; MAX_DIM];
-                    for s in lo..hi {
-                        let p = i_points.load(s) as usize;
-                        let fresh = recomputed(p);
-                        for i in 0..dim {
-                            let at = LaneTables::at(s, dim, i);
-                            let (x, sn, cs) = if fresh {
-                                write_lane(at, coords.load(p * dim + i))
-                            } else {
-                                (
-                                    lane_coords.load_coalesced(at),
-                                    lane_sin.load_coalesced(at),
-                                    lane_cos.load_coalesced(at),
-                                )
-                            };
-                            acc_sin[i] += sn;
-                            acc_cos[i] += cs;
-                            b_lo[i] = b_lo[i].min(x);
-                            b_hi[i] = b_hi[i].max(x);
-                        }
-                    }
-                    for i in 0..dim {
-                        sin_sums.store(c * dim + i, acc_sin[i]);
-                        cos_sums.store(c * dim + i, acc_cos[i]);
-                        c_bounds.store(c * 2 * dim + i, b_lo[i]);
-                        c_bounds.store(c * 2 * dim + dim + i, b_hi[i]);
-                    }
-                },
-            );
-            return;
-        }
-
-        // -- unfused oracle. 1: the recomputed lane rows, one thread per slot
-        dev.launch("grid_lane_rows", grid_for(n, BLOCK), BLOCK, |t| {
-            let s = t.global_id();
-            if s >= n {
-                return;
-            }
-            let p = i_points.load(s) as usize;
-            if recomputed(p) {
-                for i in 0..dim {
-                    write_lane(LaneTables::at(s, dim, i), coords.load(p * dim + i));
+        self.device.launch(
+            "fused_cell_tables",
+            grid_for(num_inner, BLOCK),
+            BLOCK,
+            |t| {
+                let c = t.global_id();
+                // an in-place refresh rewrites only the cells holding a mover
+                if c >= num_inner || moved.is_some() && cell_fill.load(c) != 1 {
+                    return;
                 }
-            }
-        });
-
-        // 2: per rewritten cell, zero its summary rows (counting it) and
-        // recompute its MBR from its slots' lane coordinates
-        dev.launch("grid_cell_rows", grid_for(num_inner, BLOCK), BLOCK, |t| {
-            let c = t.global_id();
-            if c >= num_inner || !rewritten(c) {
-                return;
-            }
-            if moved.is_some() {
-                chg_flag.atomic_add(0, 1);
-            }
-            let lo = seg_start(i_ends, c) as usize;
-            let hi = i_ends.load(c) as usize;
-            for i in 0..dim {
-                sin_sums.store(c * dim + i, 0.0);
-                cos_sums.store(c * dim + i, 0.0);
-                let mut min = f64::INFINITY;
-                let mut max = f64::NEG_INFINITY;
+                if moved.is_some() {
+                    chg_flag.atomic_add(0, 1);
+                }
+                let lo = seg_start(i_ends, c) as usize;
+                let hi = i_ends.load(c) as usize;
+                let mut acc_sin = [0.0f64; MAX_DIM];
+                let mut acc_cos = [0.0f64; MAX_DIM];
+                let mut b_lo = [f64::INFINITY; MAX_DIM];
+                let mut b_hi = [f64::NEG_INFINITY; MAX_DIM];
                 for s in lo..hi {
-                    let x = lane_coords.load_coalesced(LaneTables::at(s, dim, i));
-                    min = min.min(x);
-                    max = max.max(x);
+                    let p = i_points.load(s) as usize;
+                    let fresh = moved.is_none_or(|m| m.load(p) == 1);
+                    for i in 0..dim {
+                        let at = LaneTables::at(s, dim, i);
+                        // the grid's only sin/cos calls
+                        let (x, sn, cs) = if fresh {
+                            let x = coords.load(p * dim + i);
+                            let (sn, cs) = (x.sin(), x.cos());
+                            lane_sin.store_coalesced(at, sn);
+                            lane_cos.store_coalesced(at, cs);
+                            lane_coords.store_coalesced(at, x);
+                            (x, sn, cs)
+                        } else {
+                            (
+                                lane_coords.load_coalesced(at),
+                                lane_sin.load_coalesced(at),
+                                lane_cos.load_coalesced(at),
+                            )
+                        };
+                        acc_sin[i] += sn;
+                        acc_cos[i] += cs;
+                        b_lo[i] = b_lo[i].min(x);
+                        b_hi[i] = b_hi[i].max(x);
+                    }
                 }
-                c_bounds.store(c * 2 * dim + i, min);
-                c_bounds.store(c * 2 * dim + dim + i, max);
-            }
-        });
-
-        // 3: scatter every slot's lanes into its rewritten cell's summaries
-        // (§4.3.1) with f64 atomics — recomputed from the cell's full
-        // membership, never patched, so the sums equal a fresh build's
-        dev.launch("grid_summaries", grid_for(n, BLOCK), BLOCK, |t| {
-            let s = t.global_id();
-            if s >= n {
-                return;
-            }
-            let c = point_cell.load(i_points.load(s) as usize) as usize;
-            if !rewritten(c) {
-                return;
-            }
-            for i in 0..dim {
-                let at = LaneTables::at(s, dim, i);
-                sin_sums.atomic_add(c * dim + i, lane_sin.load_coalesced(at));
-                cos_sums.atomic_add(c * dim + i, lane_cos.load_coalesced(at));
-            }
-        });
+                for i in 0..dim {
+                    sin_sums.store(c * dim + i, acc_sin[i]);
+                    cos_sums.store(c * dim + i, acc_cos[i]);
+                    c_bounds.store(c * 2 * dim + i, b_lo[i]);
+                    c_bounds.store(c * 2 * dim + dim + i, b_hi[i]);
+                }
+            },
+        );
     }
 
     /// Precompute the non-empty surrounding outer cells of every non-empty
@@ -835,8 +751,7 @@ impl GridWorkspace {
     /// `construct` calls rewrites only the cells containing movers: the
     /// movers' lane rows, and each such cell's summaries and MBR from its
     /// full membership in slot order. So results are bitwise identical to
-    /// a fresh construct under a single-threaded simulator, on either
-    /// pipeline. When a mover does cross a boundary the layout is rebuilt
+    /// a fresh construct under a single-threaded simulator. When a mover does cross a boundary the layout is rebuilt
     /// by `construct`, but the preGrid is still reused unless some outer
     /// cell's emptiness flipped (it depends on nothing else).
     pub fn refresh(
@@ -1175,7 +1090,7 @@ mod tests {
     }
 
     /// Assert a refreshed grid + preGrid is bitwise identical to a fresh
-    /// construct + preGrid build on the same coordinates, by each pipeline.
+    /// construct + preGrid build on the same coordinates.
     fn assert_refresh_equals_fresh(
         tag: &str,
         geo: GridGeometry,
@@ -1185,67 +1100,63 @@ mod tests {
     ) {
         let dim = geo.dim;
         let n = coords.len() / dim;
-        for fused in [true, false] {
-            let tag = format!("{tag} (fresh fused = {fused})");
-            let device = Device::new(single_threaded());
-            let mut ws = GridWorkspace::new(&device, geo, n);
-            ws.set_fused(fused);
-            let buf = device.alloc_from_slice(coords);
-            let fresh = ws.construct(&buf);
-            let fresh_pre = ws.build_pregrid(&fresh);
+        let device = Device::new(single_threaded());
+        let mut ws = GridWorkspace::new(&device, geo, n);
+        let buf = device.alloc_from_slice(coords);
+        let fresh = ws.construct(&buf);
+        let fresh_pre = ws.build_pregrid(&fresh);
 
-            assert_same_tables(&tag, dim, grid, &fresh);
-            let ni = fresh.num_inner;
-            assert_eq!(
-                grid.i_ids.to_vec()[..ni * dim],
-                fresh.i_ids.to_vec()[..ni * dim],
-                "{tag}: cell ids"
-            );
-            assert_eq!(
-                grid.i_ends.to_vec()[..ni],
-                fresh.i_ends.to_vec()[..ni],
-                "{tag}: cell ends"
-            );
-            assert_eq!(
-                grid.point_cell.to_vec(),
-                fresh.point_cell.to_vec(),
-                "{tag}: point cells"
-            );
-            assert_eq!(
-                grid.o_sizes.to_vec(),
-                fresh.o_sizes.to_vec(),
-                "{tag}: outer sizes"
-            );
-            assert_eq!(
-                grid.o_ends.to_vec(),
-                fresh.o_ends.to_vec(),
-                "{tag}: outer ends"
-            );
+        assert_same_tables(tag, dim, grid, &fresh);
+        let ni = fresh.num_inner;
+        assert_eq!(
+            grid.i_ids.to_vec()[..ni * dim],
+            fresh.i_ids.to_vec()[..ni * dim],
+            "{tag}: cell ids"
+        );
+        assert_eq!(
+            grid.i_ends.to_vec()[..ni],
+            fresh.i_ends.to_vec()[..ni],
+            "{tag}: cell ends"
+        );
+        assert_eq!(
+            grid.point_cell.to_vec(),
+            fresh.point_cell.to_vec(),
+            "{tag}: point cells"
+        );
+        assert_eq!(
+            grid.o_sizes.to_vec(),
+            fresh.o_sizes.to_vec(),
+            "{tag}: outer sizes"
+        );
+        assert_eq!(
+            grid.o_ends.to_vec(),
+            fresh.o_ends.to_vec(),
+            "{tag}: outer ends"
+        );
 
-            assert_eq!(pre.count, fresh_pre.count, "{tag}: preGrid count");
-            assert_eq!(
-                pre.index_of.to_vec(),
-                fresh_pre.index_of.to_vec(),
-                "{tag}: preGrid index"
-            );
-            let ends = pre.ends.to_vec();
-            let fresh_ends = fresh_pre.ends.to_vec();
-            assert_eq!(
-                ends[..pre.count],
-                fresh_ends[..pre.count],
-                "{tag}: preGrid ends"
-            );
-            let total = if pre.count == 0 {
-                0
-            } else {
-                ends[pre.count - 1] as usize
-            };
-            assert_eq!(
-                pre.cells.to_vec()[..total],
-                fresh_pre.cells.to_vec()[..total],
-                "{tag}: preGrid lists"
-            );
-        }
+        assert_eq!(pre.count, fresh_pre.count, "{tag}: preGrid count");
+        assert_eq!(
+            pre.index_of.to_vec(),
+            fresh_pre.index_of.to_vec(),
+            "{tag}: preGrid index"
+        );
+        let ends = pre.ends.to_vec();
+        let fresh_ends = fresh_pre.ends.to_vec();
+        assert_eq!(
+            ends[..pre.count],
+            fresh_ends[..pre.count],
+            "{tag}: preGrid ends"
+        );
+        let total = if pre.count == 0 {
+            0
+        } else {
+            ends[pre.count - 1] as usize
+        };
+        assert_eq!(
+            pre.cells.to_vec()[..total],
+            fresh_pre.cells.to_vec()[..total],
+            "{tag}: preGrid lists"
+        );
     }
 
     /// Move about a quarter of the points (chosen by `round`) by `step`
@@ -1313,11 +1224,10 @@ mod tests {
         }
     }
 
-    /// Both pipelines must write each slot's lanes as `sin`, `cos` and the
-    /// coordinates of its own point, leave the pad lanes zero, and agree
-    /// bit for bit on the summaries and MBRs.
+    /// The construct writes each slot's lanes as `sin`, `cos` and the
+    /// coordinates of its own point, and leaves the pad lanes zero.
     #[test]
-    fn fused_construct_is_bitwise_identical_to_unfused() {
+    fn construct_writes_each_slot_lanes_from_its_own_point() {
         for &(n, dim, eps, variant) in &[
             (300usize, 2usize, 0.07f64, GridVariant::Auto),
             (150, 2, 0.07, GridVariant::Sequential),
@@ -1326,62 +1236,47 @@ mod tests {
             (150, 8, 0.5, GridVariant::Auto),
         ] {
             let coords = cloud(n, dim);
-            let device = Device::new(single_threaded());
-            let geo = GridGeometry::new(dim, eps, n, variant);
-            let buf = device.alloc_from_slice(&coords);
-            let grids = [true, false].map(|fused| {
-                let mut ws = GridWorkspace::new(&device, geo, n);
-                ws.set_fused(fused);
-                (fused, ws.construct(&buf))
-            });
+            let (_, grid, _ws) = build(&coords, dim, eps, variant);
             let tag = format!("n={n} dim={dim} {variant:?}");
-            assert_same_tables(&tag, dim, &grids[0].1, &grids[1].1);
-            for (fused, grid) in &grids {
-                let tag = format!("{tag} fused={fused}");
-                let i_points = grid.i_points.to_vec();
-                let (ls, lc, lx) = (
-                    grid.lanes.sin.to_vec(),
-                    grid.lanes.cos.to_vec(),
-                    grid.lanes.coords.to_vec(),
-                );
-                for s in 0..n {
-                    let p = i_points[s] as usize;
-                    for i in 0..dim {
-                        let at = LaneTables::at(s, dim, i);
-                        let x = coords[p * dim + i];
-                        assert_eq!(ls[at].to_bits(), x.sin().to_bits(), "{tag}: sin");
-                        assert_eq!(lc[at].to_bits(), x.cos().to_bits(), "{tag}: cos");
-                        assert_eq!(lx[at].to_bits(), x.to_bits(), "{tag}: coords");
-                    }
+            let i_points = grid.i_points.to_vec();
+            let (ls, lc, lx) = (
+                grid.lanes.sin.to_vec(),
+                grid.lanes.cos.to_vec(),
+                grid.lanes.coords.to_vec(),
+            );
+            for s in 0..n {
+                let p = i_points[s] as usize;
+                for i in 0..dim {
+                    let at = LaneTables::at(s, dim, i);
+                    let x = coords[p * dim + i];
+                    assert_eq!(ls[at].to_bits(), x.sin().to_bits(), "{tag}: sin");
+                    assert_eq!(lc[at].to_bits(), x.cos().to_bits(), "{tag}: cos");
+                    assert_eq!(lx[at].to_bits(), x.to_bits(), "{tag}: coords");
                 }
-                // padding lanes past n are never written and stay zero
-                for s in n..lane_pad(n) {
-                    for i in 0..dim {
-                        let at = LaneTables::at(s, dim, i);
-                        assert_eq!([ls[at], lc[at], lx[at]], [0.0; 3], "{tag}: padding");
-                    }
+            }
+            // padding lanes past n are never written and stay zero
+            for s in n..lane_pad(n) {
+                for i in 0..dim {
+                    let at = LaneTables::at(s, dim, i);
+                    assert_eq!([ls[at], lc[at], lx[at]], [0.0; 3], "{tag}: padding");
                 }
             }
         }
     }
 
-    /// Step a fused and an unfused workspace through identical movement
-    /// rounds — alternating the incremental fast path and full rebinning
-    /// rebuilds — and assert every derived table stays bitwise identical.
+    /// Step one workspace through movement rounds that alternate the
+    /// in-place refresh and the re-binning rebuild, and assert every round
+    /// equals a fresh construct.
     #[test]
-    fn fused_refresh_matches_unfused_across_rounds() {
+    fn alternating_in_place_and_rebinning_refreshes_match_construct() {
         let (n, dim, eps) = (240, 3, 0.12);
         let mut coords = cloud(n, dim);
         let device = Device::new(single_threaded());
         let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-        let mut ws_f = GridWorkspace::new(&device, geo, n);
-        ws_f.set_fused(true);
-        let mut ws_u = GridWorkspace::new(&device, geo, n);
-        ws_u.set_fused(false);
+        let mut ws = GridWorkspace::new(&device, geo, n);
         let buf = device.alloc_from_slice(&coords);
         let moved_buf = device.alloc::<u64>(n);
-        ws_f.refresh(&buf, None);
-        ws_u.refresh(&buf, None);
+        ws.refresh(&buf, None);
 
         for round in 0..6u64 {
             // odd rounds force a layout rebuild
@@ -1390,44 +1285,9 @@ mod tests {
             let moved = nudge(&geo, &mut coords, round, step, !big);
             buf.copy_from_slice(&coords);
             moved_buf.copy_from_slice(&moved);
-            let (gf, _, sf) = ws_f.refresh(&buf, Some(&moved_buf));
-            let (gu, _, su) = ws_u.refresh(&buf, Some(&moved_buf));
-            assert_eq!(sf.dirty_cells, su.dirty_cells, "round {round}: dirty");
-            assert_eq!(sf.layout_rebuilt, su.layout_rebuilt, "round {round}");
-            assert_same_tables(&format!("round {round}"), dim, &gf, &gu);
-            assert_refresh_equals_fresh(
-                &format!("fused round {round}"),
-                geo,
-                &coords,
-                &gf,
-                &ws_f.build_pregrid(&gf),
-            );
-        }
-    }
-
-    /// Both pipelines write the same tables, so switching a workspace's
-    /// pipeline keeps its incremental state: the next in-place refresh
-    /// still matches a fresh construct.
-    #[test]
-    fn switching_pipelines_between_in_place_refreshes_matches_construct() {
-        let (n, dim, eps) = (300, 2, 0.07);
-        let mut coords = cloud(n, dim);
-        let device = Device::new(single_threaded());
-        let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-        let mut ws = GridWorkspace::new(&device, geo, n);
-        let buf = device.alloc_from_slice(&coords);
-        let moved_buf = device.alloc::<u64>(n);
-        ws.refresh(&buf, None);
-        for (round, fused) in [true, false, true].into_iter().enumerate() {
-            ws.set_fused(fused);
-            let moved = nudge(&geo, &mut coords, round as u64, 2e-4, true);
-            buf.copy_from_slice(&coords);
-            moved_buf.copy_from_slice(&moved);
             let (grid, pre, stats) = ws.refresh(&buf, Some(&moved_buf));
-            assert!(!stats.layout_rebuilt, "round {round}: in place expected");
-            assert!(stats.dirty_cells > 0, "round {round}");
-            let tag = format!("switched to fused = {fused}");
-            assert_refresh_equals_fresh(&tag, geo, &coords, &grid, &pre);
+            assert_eq!(stats.layout_rebuilt, big, "round {round}");
+            assert_refresh_equals_fresh(&format!("round {round}"), geo, &coords, &grid, &pre);
         }
     }
 

@@ -31,15 +31,15 @@ pub enum Stage {
     /// membership exchange between iterations.
     HaloExchange,
     /// Diagnostic: seconds spent inside the executor's dispatch machinery
-    /// (pooled job publication, scoped spawn loops; join waits are other
-    /// workers working and are not charged) — *contained in* the
-    /// wall-clock stages above, so excluded from
-    /// [`StageTimings::total`]. The number the persistent pool shrinks.
+    /// (the pool's job publication; waits are other workers working and
+    /// are not charged) — *contained in* the wall-clock stages above, so
+    /// excluded from [`StageTimings::total`]. The number the persistent
+    /// pool shrinks.
     ExecDispatch,
     /// Diagnostic with no producer: always zero, because the sharded
-    /// iteration is bulk-synchronous. It stays because committed ledger
-    /// rows carry a `halo_overlap` column, which timed an overlap thread
-    /// the engine no longer has. Excluded from [`StageTimings::total`].
+    /// iteration is bulk-synchronous. Its only reader is
+    /// `perfbench/src/traced.rs`, which reports it as `shard.overlap_s`.
+    /// Excluded from [`StageTimings::total`].
     HaloOverlap,
 }
 
@@ -162,8 +162,7 @@ pub struct UpdateCounters {
     pub halo_cells: u64,
     /// Parallel dispatches issued by the host execution engine over the
     /// whole run (inline single-chunk fast paths don't count). Each one is
-    /// a thread-spawn round under the scoped oracle and a pool wakeup
-    /// under pooled dispatch — the multiplier on per-dispatch overhead.
+    /// a pool wakeup — the multiplier on per-dispatch overhead.
     pub exec_dispatches: u64,
 }
 
@@ -188,9 +187,8 @@ impl UpdateCounters {
 /// Kernel-level totals of a simulated-device run: how many kernels were
 /// launched and how many global-memory words they moved, split into the
 /// coalesced subset (lane-blocked / broadcast access charged at peak
-/// bandwidth by the cost model) and the rest. The fused-pipeline benches
-/// diff these across variants: fusion shows up as fewer launches and
-/// fewer words, lane-blocking as a higher coalesced fraction.
+/// bandwidth by the cost model) and the rest. `fig3b_speedup`'s device
+/// evidence cell records them in the ledger.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct KernelSummary {
     /// Kernels launched over the whole run.

@@ -5,10 +5,9 @@
 //!
 //! The test binary installs a counting `#[global_allocator]`, so it lives
 //! in its own integration-test target to leave every other test unaffected.
-//! It drives the sequential executor: worker threads are spawned per stage
-//! with `std::thread::scope`, which allocates in the standard library, so
-//! the allocation-free guarantee applies to the algorithm's own buffers —
-//! exactly what `Executor::sequential()` isolates.
+//! Most checks drive the sequential executor, which isolates the
+//! algorithm's own buffers; the pooled check runs the same loop over four
+//! pool workers, whose dispatch allocates nothing either.
 //!
 //! The counter is process-wide, so the binary holds a single libtest test
 //! that runs every check in turn. libtest's main thread allocates whenever
@@ -183,78 +182,68 @@ fn incremental_steady_state_does_not_allocate() {
 }
 
 fn device_steady_state_does_not_allocate() {
-    // same contract for the simulated-GPU backend, in both pipeline
-    // shapes: the fused per-cell kernels must reuse the workspace's lane
-    // and summary buffers rather than staging through fresh allocations,
-    // and the unfused oracle must stay allocation-free too. The device
-    // runs single-threaded (the bitwise-deterministic simulator config),
-    // so no `thread::scope` spawns dilute the measurement, and the kernel
-    // log is reserved ahead of the measured window.
+    // same contract for the simulated-GPU backend: the per-cell table
+    // writer must reuse the workspace's lane and summary buffers rather
+    // than staging through fresh allocations. The device runs
+    // single-threaded (the bitwise-deterministic simulator config), so no
+    // `thread::scope` spawns dilute the measurement, and the kernel log is
+    // reserved ahead of the measured window.
     use egg_gpu_sim::{Device, DeviceBuffer, DeviceConfig};
     use egg_sync_core::egg::termination::second_term_holds;
     use egg_sync_core::egg::update::{egg_update, COUNTER_SLOTS};
     use egg_sync_core::grid::GridWorkspace;
 
-    for fused in [true, false] {
-        let (n, dim, eps) = (2000, 2, 0.05);
-        let device = Device::new(DeviceConfig {
-            host_threads: Some(1),
-            ..DeviceConfig::default()
-        });
-        let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-        let options = UpdateOptions {
-            use_fused_kernels: fused,
-            ..UpdateOptions::default()
-        };
+    let (n, dim, eps) = (2000, 2, 0.05);
+    let device = Device::new(DeviceConfig {
+        host_threads: Some(1),
+        ..DeviceConfig::default()
+    });
+    let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+    let options = UpdateOptions::default();
 
-        let mut coords_cur = device.alloc_from_slice::<f64>(&cloud(n, dim));
-        let mut coords_next = device.alloc::<f64>(n * dim);
-        let sync_flag = device.alloc::<u64>(1);
-        let counters = device.alloc::<u64>(COUNTER_SLOTS);
-        let mut workspace = GridWorkspace::new(&device, geometry, n);
-        workspace.set_fused(fused);
+    let mut coords_cur = device.alloc_from_slice::<f64>(&cloud(n, dim));
+    let mut coords_next = device.alloc::<f64>(n * dim);
+    let sync_flag = device.alloc::<u64>(1);
+    let counters = device.alloc::<u64>(COUNTER_SLOTS);
+    let mut workspace = GridWorkspace::new(&device, geometry, n);
 
-        let mut iterate = |cur: &mut DeviceBuffer<f64>, nxt: &mut DeviceBuffer<f64>| {
-            let (grid, pre, _stats) = workspace.refresh(cur, None);
-            sync_flag.store(0, 1);
-            egg_update(
-                &device, &grid, &pre, cur, nxt, &sync_flag, &counters, n, eps, options, None,
-            );
-            if sync_flag.load(0) == 1 {
-                second_term_holds(&device, &grid, &pre, cur, &sync_flag, n, eps, None);
-            }
-            std::mem::swap(cur, nxt);
-        };
-
-        // warm-up: size every device buffer and scratch list
-        for _ in 0..2 {
-            iterate(&mut coords_cur, &mut coords_next);
-        }
-        device.reserve_kernel_log(4096);
-
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..5 {
-            iterate(&mut coords_cur, &mut coords_next);
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-        assert_eq!(
-            after - before,
-            0,
-            "device steady-state iterations must not touch the heap (fused = {fused})"
+    let mut iterate = |cur: &mut DeviceBuffer<f64>, nxt: &mut DeviceBuffer<f64>| {
+        let (grid, pre, _stats) = workspace.refresh(cur, None);
+        sync_flag.store(0, 1);
+        egg_update(
+            &device, &grid, &pre, cur, nxt, &sync_flag, &counters, n, eps, options, None,
         );
+        if sync_flag.load(0) == 1 {
+            second_term_holds(&device, &grid, &pre, cur, &sync_flag, n, eps, None);
+        }
+        std::mem::swap(cur, nxt);
+    };
+
+    // warm-up: size every device buffer and scratch list
+    for _ in 0..2 {
+        iterate(&mut coords_cur, &mut coords_next);
     }
+    device.reserve_kernel_log(4096);
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..5 {
+        iterate(&mut coords_cur, &mut coords_next);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "device steady-state iterations must not touch the heap"
+    );
 }
 
 fn pooled_dispatch_steady_state_does_not_allocate() {
     // the worker-pool contract: after construction spawns the long-lived
     // workers, a parallel dispatch is pure synchronization — publishing
     // the shared closure pointer and blocking on a condvar — so repeated
-    // dispatches must never touch the heap. (The scoped fallback cannot
-    // promise this: `thread::scope` allocates per spawn, which is exactly
-    // the per-call overhead the pool removes.)
-    let exec = Executor::with_mode(Some(4), true);
-    assert!(exec.is_pooled());
+    // dispatches must never touch the heap
+    let exec = Executor::new(Some(4));
     let mut out = vec![0usize; 64];
 
     // warm-up: first dispatches size nothing, but let lazy thread-local
@@ -272,10 +261,9 @@ fn pooled_dispatch_steady_state_does_not_allocate() {
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "pooled dispatch must not touch the heap");
 
-    // and the whole iteration loop inherits the guarantee: the sequential
-    // executor's exemption in the module docs is obsolete under the pool —
-    // grid rebuild, update and termination stay allocation-free even while
-    // fanning out over 4 pooled workers
+    // and the whole iteration loop inherits the guarantee: grid rebuild,
+    // update and termination stay allocation-free while fanning out over
+    // 4 pool workers
     let (n, dim, eps) = (3000, 2, 0.05);
     let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
     let mut coords_cur = cloud(n, dim);

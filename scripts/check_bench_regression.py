@@ -40,10 +40,11 @@ TRACKED_STAGES = (
     "clustering",
     "free_memory",
     "halo_exchange",
-    # diagnostic dispatch/overlap clocks (host-backend rows only): time
-    # inside the executor's dispatch machinery, and sideline-worker time
-    # spent on halo bookkeeping concurrently with interior compute
+    # diagnostic dispatch clock (host-backend rows only): time inside the
+    # executor's dispatch machinery
     "exec_dispatch",
+    # retired: timed an overlap thread the sharded engine no longer has.
+    # New rows omit it; committed rows still carry it and must validate
     "halo_overlap",
     # simulated-device clock of the same stages (GPU-backed rows only).
     # These are deterministic — the cost model is a pure function of the
@@ -56,12 +57,6 @@ TRACKED_STAGES = (
     "sim_clustering",
 )
 MIN_STAGE_NS = 1_000_000  # ignore sub-millisecond stages: pure noise on CI
-
-# Validated like any other stage but exempt from the regression diff:
-# halo_overlap measures time *hidden* behind interior compute, so growth
-# there means more bookkeeping was successfully overlapped — the opposite
-# of a regression. (exec_dispatch stays diffed: it is pure overhead.)
-DIFF_EXEMPT_STAGES = frozenset({"halo_overlap"})
 
 
 def group_key(row):
@@ -150,8 +145,6 @@ def check(rows, threshold):
         prev_stages = prev.get("stages_ns", {})
         last_stages = last.get("stages_ns", {})
         for stage in TRACKED_STAGES:
-            if stage in DIFF_EXEMPT_STAGES:
-                continue
             before = prev_stages.get(stage, 0)
             after = last_stages.get(stage, 0)
             if before < MIN_STAGE_NS or after < MIN_STAGE_NS:

@@ -173,8 +173,8 @@ class MainTests(unittest.TestCase):
         self.assertEqual(self.run_main([before, after]), 0)
 
     def test_dispatch_and_overlap_are_accepted_stages(self):
-        # host-backend rows now carry the executor-dispatch and halo-
-        # overlap diagnostic clocks; the schema whitelist must accept both
+        # host-backend rows carry the executor-dispatch clock, and committed
+        # rows the retired halo-overlap one; the schema must accept both
         ok = row(50_000_000)
         ok["stages_ns"]["exec_dispatch"] = 5_000_000
         ok["stages_ns"]["halo_overlap"] = 5_000_000
@@ -189,13 +189,12 @@ class MainTests(unittest.TestCase):
         after["stages_ns"]["exec_dispatch"] = 20_000_000
         self.assertEqual(self.run_main([before, after], "--fail-over", "0.40"), 1)
 
-    def test_halo_overlap_growth_is_not_a_regression(self):
-        # overlap time growing means more bookkeeping was hidden behind
-        # interior compute — exempt from the diff by design
+    def test_row_without_halo_overlap_follows_one_with_it(self):
+        # committed rows carry the retired halo_overlap key and new rows
+        # omit it: the gate must accept the pair and flag nothing
         before = row(50_000_000, ts=1)
         before["stages_ns"]["halo_overlap"] = 10_000_000
         after = row(50_000_000, ts=2)
-        after["stages_ns"]["halo_overlap"] = 40_000_000
         self.assertEqual(self.run_main([before, after], "--fail-over", "0.40"), 0)
 
     def test_non_array_ledger_fails(self):

@@ -92,14 +92,13 @@ fn digest(run: &Clustering) -> u64 {
 }
 
 /// The engine under test with every option that an environment override
-/// could flip set explicitly, so CI's env legs run the pinned
-/// configuration too.
+/// could flip (`EGG_FORCE_SCALAR`, `EGG_NUM_SHARDS`, `EGG_THREADS`) set
+/// explicitly, so CI's env legs run the pinned configuration too.
 fn engine(epsilon: f64, backend: Backend, threads: usize, num_shards: usize) -> EggSync {
     let mut algo = EggSync::new(epsilon);
     algo.backend = backend;
     algo.threads = Some(threads);
     algo.options.use_simd = true;
-    algo.options.use_fused_kernels = true;
     algo.options.num_shards = num_shards;
     algo
 }

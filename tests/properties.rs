@@ -662,17 +662,15 @@ proptest! {
         }
     }
 
-    #[test]
-    fn dispatch_modes_are_bitwise_invisible(
+    /// Host half of [`retired_oracle_switches_change_nothing`]: for every
+    /// shard count, worker count and grid variant, flipping
+    /// `use_pooled_exec` leaves labels, iteration count, final coordinate
+    /// bits and every work counter untouched.
+    fn host_pooled_switch_changes_nothing(
         raw in prop::collection::vec(0.0f64..=1.0, 48..=240),
         dim in 2usize..=6,
         variant_pick in 0usize..=3,
     ) {
-        // the scheduling contract of the worker pool: pooled dispatch
-        // reorders *when* work happens — never what it computes. For every
-        // shard count, worker count and grid variant, flipping it against
-        // the scoped oracle must leave labels, iteration count, final
-        // coordinate bits and every work counter untouched
         use egg_sync::core::egg::update::UpdateOptions;
         use egg_sync::core::grid::MAX_OUTER_CELLS;
         let coords: Vec<f64> = raw[..raw.len() / dim * dim].to_vec();
@@ -705,24 +703,76 @@ proptest! {
                     };
                     algo.cluster(&data)
                 };
-                let oracle = run_with(false);
-                let run = run_with(true);
+                let (on, off) = (run_with(true), run_with(false));
                 let ctx = format!("S={shards} workers={workers} {variant:?}");
-                prop_assert_eq!(&run.labels, &oracle.labels, "labels {}", &ctx);
-                prop_assert_eq!(run.iterations, oracle.iterations, "iterations {}", &ctx);
+                prop_assert_eq!(&on.labels, &off.labels, "labels {}", &ctx);
+                prop_assert_eq!(on.iterations, off.iterations, "iterations {}", &ctx);
                 prop_assert_eq!(
-                    bits(run.final_coords.coords()),
-                    bits(oracle.final_coords.coords()),
+                    bits(on.final_coords.coords()),
+                    bits(off.final_coords.coords()),
                     "coords {}", &ctx
                 );
-                // same shard count on both sides, so every work counter
-                // must match exactly, down to the number of dispatches
                 prop_assert_eq!(
-                    run.trace.update_counters,
-                    oracle.trace.update_counters,
+                    on.trace.update_counters,
+                    off.trace.update_counters,
                     "counters {}", &ctx
                 );
             }
         }
     }
+}
+
+/// `UpdateOptions::use_pooled_exec` and `use_fused_kernels` are ignored:
+/// flipping either changes no label, iteration, final-coordinate bit or
+/// work counter, and on the simulated device no kernel total either.
+#[test]
+fn retired_oracle_switches_change_nothing() {
+    use egg_sync::core::instrument::KernelSummary;
+    use egg_sync::core::Backend;
+
+    host_pooled_switch_changes_nothing();
+
+    // device half: one fixed input on one simulator thread, where the
+    // device's bits and kernel totals repeat exactly
+    let data = GaussianSpec {
+        n: 200,
+        dim: 2,
+        seed: 1,
+        ..GaussianSpec::default()
+    }
+    .generate_normalized()
+    .0;
+    let run_with = |fused: bool| {
+        let mut algo = EggSync::new(0.05);
+        algo.backend = Backend::SimulatedGpu;
+        algo.threads = Some(1);
+        algo.options.use_fused_kernels = fused;
+        algo.cluster(&data)
+    };
+    let (on, off) = (run_with(true), run_with(false));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let kernels = |run: &Clustering| {
+        let KernelSummary {
+            launches,
+            mem_words,
+            coalesced_words,
+            atomics,
+        } = run
+            .trace
+            .kernel_summary
+            .expect("device run records kernels");
+        [launches, mem_words, coalesced_words, atomics]
+    };
+    assert_eq!(on.labels, off.labels, "labels");
+    assert_eq!(on.iterations, off.iterations, "iterations");
+    assert_eq!(
+        bits(on.final_coords.coords()),
+        bits(off.final_coords.coords()),
+        "coords"
+    );
+    assert_eq!(
+        on.trace.update_counters, off.trace.update_counters,
+        "counters"
+    );
+    assert_eq!(kernels(&on), kernels(&off), "kernel totals");
 }
