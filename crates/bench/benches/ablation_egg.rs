@@ -19,8 +19,48 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use egg_bench::{append_bench_ledger, bench_ledger_row, default_synthetic, measure, scaled};
+use egg_data::Dataset;
+use egg_sync_core::egg::algorithm::{Engine, HostEngine};
 use egg_sync_core::egg::update::UpdateOptions;
+use egg_sync_core::exec::Executor;
+use egg_sync_core::grid::{GridGeometry, GridVariant};
+use egg_sync_core::instrument::{RunTrace, Stage, StageTimings};
 use egg_sync_core::{ClusterAlgorithm, EggSync};
+
+/// The single-grid host engine over `data`, the engine
+/// `EggSync::host(eps, _)` runs with `options`.
+fn host_engine(data: &Dataset, eps: f64, options: UpdateOptions) -> HostEngine {
+    let geometry = GridGeometry::new(data.dim(), eps, data.len(), GridVariant::Auto);
+    HostEngine::new(geometry, eps, options, data.coords())
+}
+
+/// Iterate `engine` until both termination terms hold or `cap` iterations
+/// ran. Returns the iterations run and the stage seconds of all but the
+/// first `warm_up` of them.
+fn run(
+    engine: &mut HostEngine,
+    exec: &Executor,
+    warm_up: usize,
+    cap: usize,
+) -> (usize, StageTimings) {
+    let mut stages = StageTimings::default();
+    for iterations in 1..=cap {
+        let done = engine.iterate(exec, &mut stages).done;
+        if iterations == warm_up {
+            stages = StageTimings::default();
+        }
+        if done {
+            return (iterations, stages);
+        }
+    }
+    (cap, stages)
+}
+
+/// The bits of the engine's final positions.
+fn final_bits(engine: &mut HostEngine) -> Vec<u64> {
+    let coords = engine.finish(&mut RunTrace::default());
+    coords.iter().map(|x| x.to_bits()).collect()
+}
 
 fn bench_toggles(c: &mut Criterion) {
     let data = default_synthetic(scaled(2_000));
@@ -50,17 +90,13 @@ fn bench_toggles(c: &mut Criterion) {
 /// Incremental grid maintenance vs full per-iteration rebuild on the
 /// paper-scale n=100k, d=4 workload, host engine.
 ///
-/// Besides the criterion timings, this harness drives the iteration loop
-/// by hand to isolate the *grid-maintenance* cost after warm-up (every
-/// iteration past the first, which is a full build either way), asserts
+/// Besides the criterion timings, this harness drives the host engine one
+/// iteration at a time to isolate the *grid-maintenance* cost after
+/// warm-up (every iteration past the first, which is a full build either
+/// way) from the engine's stage clock, asserts
 /// the two modes produce bitwise-identical clusterings at every tested
 /// worker count, and appends a ledger row per mode to `BENCH_egg.json`.
 fn bench_incremental_grid_100k_d4(c: &mut Criterion) {
-    use egg_sync_core::egg::termination::second_term_holds_host;
-    use egg_sync_core::egg::update::{egg_update_host, IncrementalState};
-    use egg_sync_core::exec::Executor;
-    use egg_sync_core::grid::{CellGrid, GridGeometry, GridVariant};
-
     let n = scaled(100_000);
     let dim = 4;
     let data = egg_data::generator::GaussianSpec {
@@ -80,67 +116,19 @@ fn bench_incremental_grid_100k_d4(c: &mut Criterion) {
     // post-warm-up grid-maintenance seconds of one full clustering run,
     // plus the final coordinate bits and labels for the identity check
     let maintenance_run = |threads: usize, incremental: bool| {
-        let exec = Executor::new(Some(threads));
-        let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-        let mut coords_cur = data.coords().to_vec();
-        let mut coords_next = vec![0.0f64; n * dim];
-        let mut grid = CellGrid::new(geometry);
-        let mut chunk_stats = Vec::new();
-        let mut state = IncrementalState::new();
-        let mut maintenance_secs = 0.0f64;
-        let mut iterations = 0usize;
-        loop {
-            let t0 = std::time::Instant::now();
-            grid.refresh(
-                &exec,
-                &coords_cur,
-                if incremental {
-                    state.moved_flags()
-                } else {
-                    None
-                },
-            );
-            if iterations > 0 {
-                maintenance_secs += t0.elapsed().as_secs_f64();
-            }
-            let (first_term, _) = egg_update_host(
-                &exec,
-                &grid,
-                &coords_cur,
-                &mut coords_next,
-                eps,
-                UpdateOptions::default(),
-                &mut chunk_stats,
-                if incremental { Some(&mut state) } else { None },
-                None,
-            );
-            let done = first_term
-                && second_term_holds_host(
-                    &exec,
-                    &grid,
-                    &coords_cur,
-                    eps,
-                    if incremental {
-                        state.confined_flags()
-                    } else {
-                        None
-                    },
-                    UpdateOptions::default().use_simd,
-                );
-            if incremental {
-                state.finish_pass(&geometry, &coords_cur, &coords_next);
-            }
-            std::mem::swap(&mut coords_cur, &mut coords_next);
-            iterations += 1;
-            if done || iterations >= 10_000 {
-                break;
-            }
-        }
-        let bits: Vec<u64> = coords_cur.iter().map(|x| x.to_bits()).collect();
+        let options = UpdateOptions {
+            use_incremental: incremental,
+            ..UpdateOptions::default()
+        };
+        let mut engine = host_engine(&data, eps, options);
+        // the first refresh is a full build either way: leave it out
+        let (iterations, stages) = run(&mut engine, &Executor::new(Some(threads)), 1, 10_000);
+        let labels = engine.gather();
+        let maintenance_secs = stages.get(Stage::BuildStructure);
         (
             maintenance_secs,
-            bits,
-            grid.point_cell().to_vec(),
+            final_bits(&mut engine),
+            labels,
             iterations,
         )
     };
@@ -212,8 +200,9 @@ fn bench_incremental_grid_100k_d4(c: &mut Criterion) {
 /// SIMD lane kernels vs the scalar oracle on the paper-scale n=100k, d=4
 /// workload, host engine.
 ///
-/// Besides the criterion timings, this harness drives the iteration loop
-/// by hand to isolate the *pair-term stage* the lane kernels target: the
+/// Besides the criterion timings, this harness drives the host engine one
+/// iteration at a time to isolate the *pair-term stage* the lane kernels
+/// target, read from the engine's stage clock: the
 /// update runs with summaries off, so every overlapping cell goes through
 /// the partial-cell pair term (with summaries on the fully-covered fast
 /// path consumes most cells and the pair term is a sliver of the update).
@@ -224,11 +213,6 @@ fn bench_incremental_grid_100k_d4(c: &mut Criterion) {
 /// the scalar oracle, prints the simd-off/simd-on ratio, and appends a
 /// ledger row per mode to `BENCH_egg.json`.
 fn bench_simd_update_100k_d4(c: &mut Criterion) {
-    use egg_sync_core::egg::termination::second_term_holds_host;
-    use egg_sync_core::egg::update::egg_update_host;
-    use egg_sync_core::exec::Executor;
-    use egg_sync_core::grid::{CellGrid, GridGeometry, GridVariant};
-
     /// Iteration cap of the hand-driven pair-term stage measurement.
     const SIMD_STAGE_ITERS: usize = 12;
 
@@ -246,45 +230,20 @@ fn bench_simd_update_100k_d4(c: &mut Criterion) {
     // update-stage seconds of one full clustering run, plus the final
     // coordinate bits for the identity/tolerance checks
     let update_run = |threads: usize, use_simd: bool| {
-        let exec = Executor::new(Some(threads));
-        let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-        let mut coords_cur = data.coords().to_vec();
-        let mut coords_next = vec![0.0f64; n * dim];
-        let mut grid = CellGrid::new(geometry);
-        let mut chunk_stats = Vec::new();
         let options = UpdateOptions {
             use_simd,
             use_incremental: false,
             use_summaries: false,
             ..UpdateOptions::default()
         };
-        let mut update_secs = 0.0f64;
-        let mut iterations = 0usize;
-        loop {
-            grid.refresh(&exec, &coords_cur, None);
-            let t0 = std::time::Instant::now();
-            let (first_term, _) = egg_update_host(
-                &exec,
-                &grid,
-                &coords_cur,
-                &mut coords_next,
-                eps,
-                options,
-                &mut chunk_stats,
-                None,
-                None,
-            );
-            update_secs += t0.elapsed().as_secs_f64();
-            let done = first_term
-                && second_term_holds_host(&exec, &grid, &coords_cur, eps, None, use_simd);
-            std::mem::swap(&mut coords_cur, &mut coords_next);
-            iterations += 1;
-            if done || iterations >= SIMD_STAGE_ITERS {
-                break;
-            }
-        }
-        let bits: Vec<u64> = coords_cur.iter().map(|x| x.to_bits()).collect();
-        (update_secs, bits, iterations)
+        let mut engine = host_engine(&data, eps, options);
+        let exec = Executor::new(Some(threads));
+        let (iterations, stages) = run(&mut engine, &exec, 0, SIMD_STAGE_ITERS);
+        (
+            stages.get(Stage::Update),
+            final_bits(&mut engine),
+            iterations,
+        )
     };
 
     println!("=== egg_simd_100k_d4 (n={n}, d={dim}) ===");

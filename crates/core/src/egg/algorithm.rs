@@ -1,4 +1,4 @@
-//! EGG-SynC — Algorithm 4, the full driver.
+//! EGG-SynC — Algorithm 4: one driver over three engines.
 //!
 //! Per iteration: (re)construct the grid and its summaries from the
 //! current positions (Algorithm 2, §4.3.1), precompute the non-empty
@@ -9,18 +9,29 @@
 //! (Theorem 4.7), and the non-empty grid cells are returned as the final
 //! clustering.
 //!
+//! Each backend is an [`Engine`] whose [`Engine::iterate`] runs that one
+//! iteration: the single-grid [`HostEngine`], the sharded
+//! [`ShardedEngine`] and the simulated-GPU [`DeviceEngine`]. One loop,
+//! `drive`, owns the rest of a run for all three: the iteration records,
+//! the stop and the cap, gather and free timing and the trace totals.
+//!
 //! There is **no λ parameter**: termination is exact, which is the paper's
 //! headline correctness contribution.
 
 use egg_data::Dataset;
-use egg_gpu_sim::{Device, DeviceConfig};
+use egg_gpu_sim::{Device, DeviceBuffer, DeviceConfig};
 
 use crate::exec::{threads_default, Executor};
-use crate::grid::{CellGrid, GridGeometry, GridVariant, GridWorkspace, ShardPlan};
-use crate::instrument::{timed, IterationRecord, RunTrace, Stage, StageTimings};
+use crate::grid::{
+    CellGrid, DeviceGrid, GridGeometry, GridRefreshStats, GridVariant, GridWorkspace, ShardPlan,
+};
+use crate::instrument::{
+    timed, IterationRecord, KernelSummary, RunTrace, Stage, StageTimings, UpdateCounters,
+};
 use crate::result::{ClusterAlgorithm, Clustering};
 
 use super::gather::gather_labels;
+use super::shard::ShardedEngine;
 use super::termination::{second_term_holds, second_term_holds_host};
 use super::update::{
     counters_from_device, egg_update, egg_update_host, DeviceIncrementalState, IncrementalState,
@@ -101,133 +112,45 @@ impl EggSync {
         }
     }
 
-    /// Algorithm 4 on the host execution engine: identical pipeline and
-    /// classification logic to the device path, with [`CellGrid`] as the
-    /// grid structure and no simulated-GPU cost accounting.
-    fn cluster_host(&self, data: &Dataset) -> Clustering {
-        let dim = data.dim();
-        let n = data.len();
-        let exec = Executor::new(self.threads);
-        let mut trace = RunTrace {
-            engine_threads: Some(exec.workers()),
-            ..RunTrace::default()
-        };
-        if n == 0 {
-            return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
-        }
-
-        let geometry = GridGeometry::new(dim, self.epsilon, n, self.variant);
-        if self.options.num_shards > 1 {
-            let plan = ShardPlan::new(&geometry, self.options.num_shards);
-            // a clamped-to-1 plan (degenerate leading dimension) falls
-            // through to the single-grid path below — it IS that path
-            if plan.count() > 1 {
-                return super::shard::cluster_host_sharded(self, data, exec, trace, geometry, plan);
-            }
-        }
-
-        // --- allocate the iteration workspace once: ping-pong coordinate
-        // buffers, the reusable grid (CSR arrays, summaries, lane tables)
-        // and the per-chunk update scratch. The loop below only ever
-        // *reuses* these, so steady-state iterations are allocation-free.
-        let use_inc = self.options.use_incremental;
-        let ((mut coords_cur, mut coords_next, mut grid, mut chunk_stats, mut state), alloc_secs) =
-            timed(|| {
-                (
-                    data.coords().to_vec(),
-                    vec![0.0f64; n * dim],
-                    CellGrid::new(geometry),
-                    Vec::new(),
-                    IncrementalState::new(),
-                )
-            });
+    /// Algorithm 4's loop, the same for every engine: time `build` as
+    /// [`Stage::Allocating`], iterate until both termination terms hold or
+    /// `max_iterations` ran, then gather, finish and free, and total the
+    /// trace.
+    fn drive<E: Engine>(
+        &self,
+        exec: &Executor,
+        mut trace: RunTrace,
+        dim: usize,
+        build: impl FnOnce() -> E,
+    ) -> Clustering {
+        let (mut engine, alloc_secs) = timed(build);
         trace.stages.add(Stage::Allocating, alloc_secs);
 
         let mut iterations = 0usize;
         let mut converged = false;
         while iterations < self.max_iterations {
-            let iter_start = std::time::Instant::now();
-
-            // bring grid + summaries + lane tables up to date with state t,
-            // in place; the incremental path touches only what moved
-            let (stats, build_secs) = timed(|| {
-                grid.refresh(
-                    &exec,
-                    &coords_cur,
-                    if use_inc { state.moved_flags() } else { None },
-                )
-            });
-            trace.stages.add(Stage::BuildStructure, build_secs);
-            trace.update_counters.dirty_cells += stats.dirty_cells;
-            trace.observe_structure_bytes(grid.memory_bytes());
-            trace.observe_shard_structure_bytes(grid.memory_bytes());
-
-            // update t → t+1, certifying the first term on state t
-            let ((first_term, counters), update_secs) = timed(|| {
-                egg_update_host(
-                    &exec,
-                    &grid,
-                    &coords_cur,
-                    &mut coords_next,
-                    self.epsilon,
-                    self.options,
-                    &mut chunk_stats,
-                    if use_inc { Some(&mut state) } else { None },
-                    None,
-                )
-            });
-            trace.stages.add(Stage::Update, update_secs);
-            trace.update_counters.merge(&counters);
-
-            // second term, only when the first survived (state t!) — the
-            // previous pass's confinement flags narrow the partner scans
-            let mut done = false;
-            if first_term {
-                let (second, check_secs) = timed(|| {
-                    second_term_holds_host(
-                        &exec,
-                        &grid,
-                        &coords_cur,
-                        self.epsilon,
-                        if use_inc {
-                            state.confined_flags()
-                        } else {
-                            None
-                        },
-                        self.options.use_simd,
-                    )
-                });
-                trace.stages.add(Stage::ExtraCheck, check_secs);
-                done = second;
-            }
-
-            if use_inc {
-                state.finish_pass(&geometry, &coords_cur, &coords_next);
-            }
-            std::mem::swap(&mut coords_cur, &mut coords_next);
-            iterations += 1;
+            let (outcome, seconds) = timed(|| engine.iterate(exec, &mut trace.stages));
+            trace.update_counters.merge(&outcome.counters);
+            trace.observe_structure_bytes(outcome.total_grid_bytes);
+            trace.observe_shard_structure_bytes(outcome.max_shard_grid_bytes);
             trace.iterations.push(IterationRecord {
-                iteration: iterations - 1,
-                seconds: iter_start.elapsed().as_secs_f64(),
-                sim_seconds: None,
+                iteration: iterations,
+                seconds,
+                sim_seconds: outcome.sim_seconds,
                 rc: None,
             });
-            if done {
+            iterations += 1;
+            if outcome.done {
                 converged = true;
                 break;
             }
         }
 
-        // --- gather: non-empty cells of the certified grid are clusters --
-        let (labels, gather_secs) = timed(|| grid.point_cell().to_vec());
+        // --- gather: non-empty cells of the certified grid are clusters ------
+        let (labels, gather_secs) = timed(|| engine.gather());
         trace.stages.add(Stage::Clustering, gather_secs);
-
-        let final_coords = Dataset::from_coords(coords_cur, dim);
-        let (_, free_secs) = timed(|| {
-            drop(grid);
-            drop(chunk_stats);
-            drop(coords_next);
-        });
+        let final_coords = Dataset::from_coords(engine.finish(&mut trace), dim);
+        let (_, free_secs) = timed(|| drop(engine));
         trace.stages.add(Stage::FreeMemory, free_secs);
         trace
             .stages
@@ -236,162 +159,280 @@ impl EggSync {
         trace.total_seconds = trace.stages.total();
         Clustering::from_labels(labels, iterations, converged, final_coords, trace)
     }
+}
 
-    /// Algorithm 4 on the simulated GPU.
-    fn cluster_device(&self, data: &Dataset) -> Clustering {
-        let dim = data.dim();
-        let n = data.len();
-        let mut trace = RunTrace::default();
-        if n == 0 {
-            return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
+/// What one [`Engine::iterate`] did.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Iteration {
+    /// Both termination terms held — the run is converged.
+    pub done: bool,
+    /// Work counters of the iteration (zero on the device, which keeps
+    /// them in device memory until [`Engine::finish`]).
+    pub counters: UpdateCounters,
+    /// Bytes of the grid structures: the one grid, the sum of all shard
+    /// grids, or all device memory in use.
+    pub total_grid_bytes: usize,
+    /// Bytes of the largest single grid (0 on the device).
+    pub max_shard_grid_bytes: usize,
+    /// Simulated GPU seconds of the iteration (device only).
+    pub sim_seconds: Option<f64>,
+}
+
+/// One backend of Algorithm 4: a run's state, advanced one iteration at
+/// a time by [`EggSync`]'s driver.
+pub trait Engine {
+    /// Run one iteration: refresh the grid and its summaries to state
+    /// `t`, update `t → t+1` certifying the first term, check the second
+    /// term only when the first held, finish the incremental pass and
+    /// swap. Adds its stage seconds to `stages`.
+    fn iterate(&mut self, exec: &Executor, stages: &mut StageTimings) -> Iteration;
+
+    /// The clustering: each point's cell in the last refreshed grid.
+    fn gather(&self) -> Vec<u32>;
+
+    /// End the run: record the engine's own totals in `trace` and hand
+    /// over the final positions.
+    fn finish(&mut self, trace: &mut RunTrace) -> Vec<f64>;
+}
+
+/// The single-grid host engine: one [`CellGrid`] and the update scratch,
+/// allocated once, so steady-state iterations allocate nothing.
+pub struct HostEngine {
+    epsilon: f64,
+    options: UpdateOptions,
+    coords_cur: Vec<f64>,
+    coords_next: Vec<f64>,
+    grid: CellGrid,
+    chunk_stats: Vec<(bool, UpdateCounters)>,
+    state: IncrementalState,
+    last_refresh: GridRefreshStats,
+}
+
+impl HostEngine {
+    /// Allocate the run's workspace over the initial positions `coords`.
+    pub fn new(geo: GridGeometry, eps: f64, options: UpdateOptions, coords: &[f64]) -> Self {
+        Self {
+            epsilon: eps,
+            options,
+            coords_cur: coords.to_vec(),
+            coords_next: vec![0.0; coords.len()],
+            grid: CellGrid::new(geo),
+            chunk_stats: Vec::new(),
+            state: IncrementalState::new(),
+            last_refresh: GridRefreshStats::default(),
         }
-        let device = Device::new(DeviceConfig {
-            // with none of the three, `Device::new` takes the host's
-            // available parallelism
-            host_threads: self
-                .threads
-                .or(self.device_config.host_threads)
-                .or_else(threads_default),
-            ..self.device_config.clone()
-        });
-        trace.engine_threads = Some(device.workers());
-        let mut sim_stages = StageTimings::default();
-        let mut sim_mark = 0u64;
-        let mut take_sim = |device: &Device, stages: &mut StageTimings, stage: Stage| {
-            let now = device.sim_kernel_nanos();
-            stages.add(stage, (now - sim_mark) as f64 / 1e9);
-            sim_mark = now;
+    }
+
+    /// What the last iteration's grid refresh did.
+    pub fn last_refresh(&self) -> GridRefreshStats {
+        self.last_refresh
+    }
+}
+
+impl Engine for HostEngine {
+    fn iterate(&mut self, exec: &Executor, stages: &mut StageTimings) -> Iteration {
+        // with `use_incremental` off the state is never handed out, so it
+        // stays inactive and its flags `None`
+        let use_inc = self.options.use_incremental;
+        // bring grid + summaries + lane tables up to date with state t, in
+        // place; the incremental path touches only what moved
+        let moved = self.state.moved_flags();
+        let (stats, build_secs) = timed(|| self.grid.refresh(exec, &self.coords_cur, moved));
+        stages.add(Stage::BuildStructure, build_secs);
+        self.last_refresh = stats;
+
+        // update t → t+1, certifying the first term on state t
+        let (grid, cur, eps, options) = (&self.grid, &self.coords_cur, self.epsilon, self.options);
+        let (next, scratch) = (&mut self.coords_next, &mut self.chunk_stats);
+        let state = use_inc.then_some(&mut self.state);
+        let ((first_term, mut counters), update_secs) =
+            timed(|| egg_update_host(exec, grid, cur, next, eps, options, scratch, state, None));
+        stages.add(Stage::Update, update_secs);
+        counters.dirty_cells += stats.dirty_cells;
+
+        // second term, only when the first survived (state t!) — the
+        // previous pass's confinement flags narrow the partner scans
+        let done = first_term && {
+            let confined = self.state.confined_flags();
+            let (second, check_secs) =
+                timed(|| second_term_holds_host(exec, grid, cur, eps, confined, options.use_simd));
+            stages.add(Stage::ExtraCheck, check_secs);
+            second
         };
 
-        // --- allocate everything once (Algorithm 4 reuses all arrays) ----
-        let use_inc = self.options.use_incremental;
-        let geometry = GridGeometry::new(dim, self.epsilon, n, self.variant);
-        let (
-            (mut coords_cur, mut coords_next, sync_flag, counters, mut workspace, mut inc_state),
-            alloc_secs,
-        ) = timed(|| {
-            let coords = device.alloc_from_slice::<f64>(data.coords());
-            let next = device.alloc::<f64>(n * dim);
-            let flag = device.alloc::<u64>(1);
-            let counters = device.alloc::<u64>(COUNTER_SLOTS);
-            let workspace = GridWorkspace::new(&device, geometry, n);
-            let inc_state = DeviceIncrementalState::new(&device, &geometry, n);
-            (coords, next, flag, counters, workspace, inc_state)
-        });
-        trace.stages.add(Stage::Allocating, alloc_secs);
-        take_sim(&device, &mut sim_stages, Stage::Allocating);
-        trace.observe_structure_bytes(device.memory_used() as usize);
-
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut last_grid = None;
-        while iterations < self.max_iterations {
-            let iter_start = std::time::Instant::now();
-            let sim_iter_start = device.sim_kernel_nanos();
-
-            // bring grid + summaries + preGrid up to date with state t; the
-            // incremental path touches only what moved
-            let ((grid, pre, stats), build_secs) = timed(|| {
-                workspace.refresh(
-                    &coords_cur,
-                    if use_inc {
-                        inc_state.moved_flags()
-                    } else {
-                        None
-                    },
-                )
-            });
-            trace.stages.add(Stage::BuildStructure, build_secs);
-            take_sim(&device, &mut sim_stages, Stage::BuildStructure);
-            trace.observe_structure_bytes(device.memory_used() as usize);
-            counters.atomic_add(4, stats.dirty_cells);
-
-            // update t → t+1, certifying the first term on state t
-            let (first_term, update_secs) = timed(|| {
-                sync_flag.store(0, 1);
-                if use_inc {
-                    inc_state.mark_skips(&device, &grid);
-                }
-                egg_update(
-                    &device,
-                    &grid,
-                    &pre,
-                    &coords_cur,
-                    &coords_next,
-                    &sync_flag,
-                    &counters,
-                    n,
-                    self.epsilon,
-                    self.options,
-                    use_inc.then_some(&inc_state),
-                );
-                sync_flag.load(0) == 1
-            });
-            trace.stages.add(Stage::Update, update_secs);
-            take_sim(&device, &mut sim_stages, Stage::Update);
-
-            // second term, only when the first survived (state t!) — the
-            // first-term verdict is already read, so the flag is reusable;
-            // the pass's confinement flags narrow the partner scans
-            let mut done = false;
-            if first_term {
-                let (second, check_secs) = timed(|| {
-                    second_term_holds(
-                        &device,
-                        &grid,
-                        &pre,
-                        &coords_cur,
-                        &sync_flag,
-                        n,
-                        self.epsilon,
-                        use_inc.then_some(&inc_state.confined),
-                    )
-                });
-                trace.stages.add(Stage::ExtraCheck, check_secs);
-                take_sim(&device, &mut sim_stages, Stage::ExtraCheck);
-                done = second;
-            }
-
-            if use_inc {
-                inc_state.finish_pass(&device, &geometry, &coords_cur, &coords_next, n);
-            }
-            std::mem::swap(&mut coords_cur, &mut coords_next);
-            iterations += 1;
-            trace.iterations.push(IterationRecord {
-                iteration: iterations - 1,
-                seconds: iter_start.elapsed().as_secs_f64(),
-                sim_seconds: Some((device.sim_kernel_nanos() - sim_iter_start) as f64 / 1e9),
-                rc: None,
-            });
-            last_grid = Some(grid);
-            if done {
-                converged = true;
-                break;
-            }
+        if use_inc {
+            self.state
+                .finish_pass(grid.geometry(), cur, &self.coords_next);
         }
+        std::mem::swap(&mut self.coords_cur, &mut self.coords_next);
+        let bytes = self.grid.memory_bytes();
+        Iteration {
+            done,
+            counters,
+            total_grid_bytes: bytes,
+            max_shard_grid_bytes: bytes,
+            sim_seconds: None,
+        }
+    }
 
-        // --- gather: non-empty cells of the certified grid are clusters --
-        let (labels, gather_secs) =
-            timed(|| last_grid.as_ref().map(gather_labels).unwrap_or_default());
-        trace.stages.add(Stage::Clustering, gather_secs);
-        take_sim(&device, &mut sim_stages, Stage::Clustering);
+    fn gather(&self) -> Vec<u32> {
+        self.grid.point_cell().to_vec()
+    }
 
-        let final_coords = Dataset::from_coords(coords_cur.to_vec(), dim);
-        trace.update_counters = counters_from_device(&counters);
-        trace.kernel_summary = Some(crate::instrument::KernelSummary::from_report(
-            &device.report(),
-        ));
-        trace.observe_structure_bytes(device.memory_used() as usize);
-        let (_, free_secs) = timed(|| {
-            drop(workspace);
-            drop(last_grid);
-            drop(coords_next);
+    fn finish(&mut self, _trace: &mut RunTrace) -> Vec<f64> {
+        std::mem::take(&mut self.coords_cur)
+    }
+}
+
+/// The simulated-GPU engine: the paper's kernels on a [`Device`], every
+/// array allocated once, each stage's cost-model seconds beside its
+/// wall-clock ones. It ignores the executor it is handed.
+pub struct DeviceEngine {
+    device: Device,
+    epsilon: f64,
+    options: UpdateOptions,
+    n: usize,
+    coords_cur: DeviceBuffer<f64>,
+    coords_next: DeviceBuffer<f64>,
+    sync_flag: DeviceBuffer<u64>,
+    counters: DeviceBuffer<u64>,
+    workspace: GridWorkspace,
+    inc_state: DeviceIncrementalState,
+    /// The last iteration's grid, which gather reads.
+    last_grid: Option<DeviceGrid>,
+    /// Simulated seconds per stage, and the device clock at the last lap.
+    sim_stages: StageTimings,
+    sim_mark: u64,
+}
+
+impl DeviceEngine {
+    /// Allocate the run's device arrays over the initial positions
+    /// `coords`, charging their simulated cost to [`Stage::Allocating`].
+    pub fn new(
+        device: &Device,
+        geometry: GridGeometry,
+        epsilon: f64,
+        options: UpdateOptions,
+        coords: &[f64],
+    ) -> Self {
+        let n = coords.len() / geometry.dim;
+        let sim_mark = device.sim_kernel_nanos();
+        let mut engine = Self {
+            device: device.clone(),
+            epsilon,
+            options,
+            n,
+            coords_cur: device.alloc_from_slice(coords),
+            coords_next: device.alloc(coords.len()),
+            sync_flag: device.alloc(1),
+            counters: device.alloc(COUNTER_SLOTS),
+            workspace: GridWorkspace::new(device, geometry, n),
+            inc_state: DeviceIncrementalState::new(device, &geometry, n),
+            last_grid: None,
+            sim_stages: StageTimings::default(),
+            sim_mark,
+        };
+        engine.lap(Stage::Allocating);
+        engine
+    }
+
+    /// Charge the simulated seconds since the last lap to `stage`.
+    fn lap(&mut self, stage: Stage) {
+        let now = self.device.sim_kernel_nanos();
+        self.sim_stages
+            .add(stage, (now - self.sim_mark) as f64 / 1e9);
+        self.sim_mark = now;
+    }
+}
+
+impl Engine for DeviceEngine {
+    fn iterate(&mut self, _exec: &Executor, stages: &mut StageTimings) -> Iteration {
+        let (use_inc, n) = (self.options.use_incremental, self.n);
+        let sim_start = self.device.sim_kernel_nanos();
+
+        // bring grid + summaries + preGrid up to date with state t; the
+        // incremental path touches only what moved
+        // (with `use_incremental` off the state never arms: no flags)
+        let moved = self.inc_state.moved_flags();
+        let ((grid, pre, stats), build_secs) =
+            timed(|| self.workspace.refresh(&self.coords_cur, moved));
+        stages.add(Stage::BuildStructure, build_secs);
+        self.lap(Stage::BuildStructure);
+        let total_grid_bytes = self.device.memory_used() as usize;
+        self.counters.atomic_add(4, stats.dirty_cells);
+
+        // update t → t+1, certifying the first term on state t
+        let (first_term, update_secs) = timed(|| {
+            self.sync_flag.store(0, 1);
+            if use_inc {
+                self.inc_state.mark_skips(&self.device, &grid);
+            }
+            egg_update(
+                &self.device,
+                &grid,
+                &pre,
+                &self.coords_cur,
+                &self.coords_next,
+                &self.sync_flag,
+                &self.counters,
+                n,
+                self.epsilon,
+                self.options,
+                use_inc.then_some(&self.inc_state),
+            );
+            self.sync_flag.load(0) == 1
         });
-        trace.stages.add(Stage::FreeMemory, free_secs);
-        trace.total_seconds = trace.stages.total();
-        trace.total_sim_seconds = Some(sim_stages.total());
-        trace.sim_stages = Some(sim_stages);
-        Clustering::from_labels(labels, iterations, converged, final_coords, trace)
+        stages.add(Stage::Update, update_secs);
+        self.lap(Stage::Update);
+
+        // second term, only when the first survived (state t!) — the
+        // first-term verdict is already read, so the flag is reusable;
+        // the pass's confinement flags narrow the partner scans
+        let done = first_term && {
+            let confined = use_inc.then_some(&self.inc_state.confined);
+            let (second, check_secs) = timed(|| {
+                let (dev, cur, eps) = (&self.device, &self.coords_cur, self.epsilon);
+                second_term_holds(dev, &grid, &pre, cur, &self.sync_flag, n, eps, confined)
+            });
+            stages.add(Stage::ExtraCheck, check_secs);
+            self.lap(Stage::ExtraCheck);
+            second
+        };
+
+        if use_inc {
+            let (cur, next) = (&self.coords_cur, &self.coords_next);
+            self.inc_state
+                .finish_pass(&self.device, &grid.geometry, cur, next, n);
+            // the finish pass maintains the grid's incremental state
+            self.lap(Stage::BuildStructure);
+        }
+        std::mem::swap(&mut self.coords_cur, &mut self.coords_next);
+        self.last_grid = Some(grid);
+        let sim_nanos = self.device.sim_kernel_nanos() - sim_start;
+        Iteration {
+            done,
+            total_grid_bytes,
+            sim_seconds: Some(sim_nanos as f64 / 1e9),
+            ..Iteration::default()
+        }
+    }
+
+    fn gather(&self) -> Vec<u32> {
+        self.last_grid
+            .as_ref()
+            .map(gather_labels)
+            .unwrap_or_default()
+    }
+
+    fn finish(&mut self, trace: &mut RunTrace) -> Vec<f64> {
+        self.lap(Stage::Clustering);
+        let coords = self.coords_cur.to_vec();
+        trace.update_counters = counters_from_device(&self.counters);
+        trace.kernel_summary = Some(KernelSummary::from_report(&self.device.report()));
+        trace.observe_structure_bytes(self.device.memory_used() as usize);
+        trace.total_sim_seconds = Some(self.sim_stages.total());
+        trace.sim_stages = Some(self.sim_stages);
+        coords
     }
 }
 
@@ -404,17 +445,55 @@ impl ClusterAlgorithm for EggSync {
     }
 
     fn cluster(&self, data: &Dataset) -> Clustering {
-        if self.max_iterations == 0 && !data.is_empty() {
+        let (dim, n, coords) = (data.dim(), data.len(), data.coords());
+        if self.max_iterations == 0 && n > 0 {
             // no iteration runs, so the clusters are the cells of the input:
             // the grid iteration 1 would build and gather would read
-            let geometry = GridGeometry::new(data.dim(), self.epsilon, data.len(), self.variant);
-            let grid = CellGrid::build(&Executor::sequential(), geometry, data.coords());
+            let geometry = GridGeometry::new(dim, self.epsilon, n, self.variant);
+            let grid = CellGrid::build(&Executor::sequential(), geometry, coords);
             let labels = grid.point_cell().to_vec();
             return Clustering::from_labels(labels, 0, false, data.clone(), RunTrace::default());
         }
-        match self.backend {
-            Backend::SimulatedGpu => self.cluster_device(data),
-            Backend::Host => self.cluster_host(data),
+        let host = self.backend == Backend::Host;
+        // the device ignores its executor: one worker starts no pool and
+        // counts no dispatch
+        let exec = Executor::new(if host { self.threads } else { Some(1) });
+        let mut trace = RunTrace {
+            engine_threads: host.then(|| exec.workers()),
+            ..RunTrace::default()
+        };
+        if n == 0 {
+            return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
+        }
+        let (eps, options) = (self.epsilon, self.options);
+        let geometry = GridGeometry::new(dim, eps, n, self.variant);
+        if !host {
+            let device = Device::new(DeviceConfig {
+                // with none of the three, `Device::new` takes the host's
+                // available parallelism
+                host_threads: self
+                    .threads
+                    .or(self.device_config.host_threads)
+                    .or_else(threads_default),
+                ..self.device_config.clone()
+            });
+            trace.engine_threads = Some(device.workers());
+            return self.drive(&exec, trace, dim, || {
+                DeviceEngine::new(&device, geometry, eps, options, coords)
+            });
+        }
+        // a plan clamped to one shard (degenerate leading dimension) runs
+        // the single grid — it IS that path
+        let plan = (options.num_shards > 1)
+            .then(|| ShardPlan::new(&geometry, options.num_shards))
+            .filter(|plan| plan.count() > 1);
+        match plan {
+            Some(plan) => self.drive(&exec, trace, dim, || {
+                ShardedEngine::new(geometry, plan, eps, options, coords)
+            }),
+            None => self.drive(&exec, trace, dim, || {
+                HostEngine::new(geometry, eps, options, coords)
+            }),
         }
     }
 }
@@ -515,31 +594,88 @@ mod tests {
         assert_eq!(result.num_clusters, 1);
     }
 
+    /// The trace `drive` fills, on each engine: one record per iteration
+    /// at its index, a total that is the sum of the wall-clock stages, the
+    /// engine's thread count and structure peaks, and simulated times on
+    /// the device only.
     #[test]
-    fn stage_timings_are_populated() {
+    fn every_engine_fills_the_trace_contract() {
         let (data, _) = blobs(120, 2, 1);
-        let result = EggSync::new(0.05).cluster(&data);
-        let st = &result.trace.stages;
-        assert!(st.get(Stage::BuildStructure) > 0.0);
-        assert!(st.get(Stage::Update) > 0.0);
-        assert!(result.trace.total_sim_seconds.unwrap() > 0.0);
-        assert!(result.trace.peak_structure_bytes > 0);
-        assert_eq!(result.trace.iterations.len(), result.iterations);
+        let host = |shards| EggSync {
+            options: UpdateOptions {
+                num_shards: shards,
+                ..UpdateOptions::default()
+            },
+            ..EggSync::host(0.05, Some(3))
+        };
+        for (name, algo) in [
+            ("host S=1", host(1)),
+            ("host S=2", host(2)),
+            ("device", EggSync::new(0.05)),
+        ] {
+            let run = algo.cluster(&data);
+            let trace = &run.trace;
+            assert!(run.converged, "{name}");
+            assert_eq!(trace.iterations.len(), run.iterations, "{name}");
+            for (i, record) in trace.iterations.iter().enumerate() {
+                assert_eq!(record.iteration, i, "{name}");
+            }
+            // diagnostic stages must not inflate the wall-clock total
+            let wall = Stage::ALL[..Stage::WALL_CLOCK].iter();
+            let wall: f64 = wall.map(|&s| trace.stages.get(s)).sum();
+            assert!((trace.total_seconds - wall).abs() < 1e-12, "{name}");
+            assert!(trace.stages.get(Stage::BuildStructure) > 0.0, "{name}");
+            assert!(trace.stages.get(Stage::Update) > 0.0, "{name}");
+            assert!(trace.peak_structure_bytes > 0, "{name}");
+            let device = algo.backend == Backend::SimulatedGpu;
+            assert!(trace.engine_threads.is_some(), "{name}");
+            assert!(device || trace.engine_threads == Some(3), "{name}");
+            assert_eq!(trace.sim_stages.is_some(), device, "{name}");
+            assert_eq!(trace.total_sim_seconds.is_some(), device, "{name}");
+            assert_eq!(trace.kernel_summary.is_some(), device, "{name}");
+            for record in &trace.iterations {
+                assert_eq!(record.sim_seconds.is_some(), device, "{name}");
+            }
+            let (peak, shard_peak) = (trace.peak_structure_bytes, trace.peak_shard_structure_bytes);
+            match name {
+                "host S=1" => assert_eq!(shard_peak, peak),
+                "host S=2" => {
+                    assert_eq!(trace.update_counters.shard_count, 2);
+                    assert!(
+                        0 < shard_peak && shard_peak < peak,
+                        "{shard_peak} of {peak}"
+                    );
+                }
+                _ => {
+                    assert_eq!(shard_peak, 0);
+                    assert!(trace.total_sim_seconds.unwrap() > 0.0);
+                    // gather launches no kernel: the finish passes are
+                    // the grid's maintenance, charged to BuildStructure
+                    let sim = trace.sim_stages.unwrap();
+                    assert_eq!(sim.get(Stage::Clustering), 0.0);
+                    // no worker pool, and no dispatch to charge
+                    assert_eq!(trace.stages.get(Stage::ExecDispatch), 0.0);
+                    assert_eq!(trace.update_counters.exec_dispatches, 0);
+                }
+            }
+        }
     }
 
     #[test]
-    fn empty_single_duplicate_inputs() {
-        assert_eq!(
-            EggSync::new(0.05).cluster(&Dataset::empty(2)).num_clusters,
-            0
-        );
-        let single = EggSync::new(0.05).cluster(&Dataset::from_coords(vec![0.4, 0.6], 2));
-        assert!(single.converged);
-        assert_eq!(single.num_clusters, 1);
-        let dup = EggSync::new(0.05).cluster(&Dataset::from_coords([0.5, 0.5].repeat(7), 2));
-        assert!(dup.converged);
-        assert_eq!(dup.num_clusters, 1);
-        assert_eq!(dup.labels, vec![0; 7]);
+    fn every_engine_handles_empty_single_and_duplicate_inputs() {
+        let mut sharded = EggSync::host(0.05, Some(2));
+        sharded.options.num_shards = 2;
+        for algo in [EggSync::new(0.05), EggSync::host(0.05, Some(2)), sharded] {
+            let name = format!("{:?} S={}", algo.backend, algo.options.num_shards);
+            assert_eq!(algo.cluster(&Dataset::empty(2)).num_clusters, 0, "{name}");
+            let single = algo.cluster(&Dataset::from_coords(vec![0.4, 0.6], 2));
+            assert!(single.converged, "{name}");
+            assert_eq!(single.num_clusters, 1, "{name}");
+            let dup = algo.cluster(&Dataset::from_coords([0.5, 0.5].repeat(7), 2));
+            assert!(dup.converged, "{name}");
+            assert_eq!(dup.num_clusters, 1, "{name}");
+            assert_eq!(dup.labels, vec![0; 7], "{name}");
+        }
     }
 
     #[test]
@@ -603,31 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn host_backend_trace_reports_engine_threads() {
-        let (data, _) = blobs(120, 2, 1);
-        let result = EggSync::host(0.05, Some(3)).cluster(&data);
-        let trace = &result.trace;
-        assert_eq!(trace.engine_threads, Some(3));
-        assert!(trace.sim_stages.is_none() && trace.total_sim_seconds.is_none());
-        assert!(trace.stages.get(Stage::BuildStructure) > 0.0);
-        assert!(trace.stages.get(Stage::Update) > 0.0);
-        assert!(trace.peak_structure_bytes > 0);
-        assert_eq!(trace.iterations.len(), result.iterations);
-    }
-
-    #[test]
-    fn host_backend_edge_inputs() {
-        let algo = EggSync::host(0.05, Some(2));
-        assert_eq!(algo.cluster(&Dataset::empty(2)).num_clusters, 0);
-        let single = algo.cluster(&Dataset::from_coords(vec![0.4, 0.6], 2));
-        assert!(single.converged);
-        assert_eq!(single.num_clusters, 1);
-        let dup = algo.cluster(&Dataset::from_coords([0.5, 0.5].repeat(7), 2));
-        assert!(dup.converged);
-        assert_eq!(dup.labels, vec![0; 7]);
-    }
-
-    #[test]
     fn high_dimensional_run() {
         let (data, truth) = GaussianSpec {
             n: 150,
@@ -688,20 +799,6 @@ mod tests {
         let run = algo.cluster(&data);
         assert!(run.trace.update_counters.exec_dispatches > 0);
         assert!(run.trace.stages.get(Stage::ExecDispatch) > 0.0);
-        // diagnostic stages must not inflate the wall-clock total
-        let wall: f64 = [
-            Stage::Allocating,
-            Stage::BuildStructure,
-            Stage::Update,
-            Stage::ExtraCheck,
-            Stage::Clustering,
-            Stage::FreeMemory,
-            Stage::HaloExchange,
-        ]
-        .iter()
-        .map(|&s| run.trace.stages.get(s))
-        .sum();
-        assert!((run.trace.total_seconds - wall).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! The iteration structure mirrors Algorithm 4 so iteration counts are
 //! comparable: the criterion is evaluated on state `t` while the update to
-//! `t+1` is also performed, and the loop exits after that update.
+//! `t+1` is also performed, and the loop exits after that update. The
+//! loop stays its own, outside `EggSync`'s driver: an oracle that shared
+//! the loop could not catch a bug in it.
 
 use egg_data::Dataset;
 

@@ -1,4 +1,5 @@
-//! Sharded multi-grid execution with ε-halo exchange.
+//! Sharded multi-grid execution with ε-halo exchange: [`ShardedEngine`],
+//! the [`Engine`] `EggSync` runs on the host when `num_shards > 1`.
 //!
 //! Splits the domain along the leading grid dimension into `S` shard
 //! regions (see [`ShardPlan`]). Each shard owns a contiguous range of
@@ -55,14 +56,11 @@
 //! all points): a shard-local history cannot see movers just outside its
 //! resident set, whose old or new position still dirties cells it owns.
 
-use egg_data::Dataset;
-
 use crate::exec::Executor;
 use crate::grid::{CellGrid, GridGeometry, ShardPlan};
-use crate::instrument::{timed, IterationRecord, RunTrace, Stage, StageTimings, UpdateCounters};
-use crate::result::Clustering;
+use crate::instrument::{RunTrace, Stage, StageTimings, UpdateCounters};
 
-use super::algorithm::EggSync;
+use super::algorithm::{Engine, Iteration};
 use super::termination::second_term_holds_host_range;
 use super::update::{
     egg_update_host, mark_moved_outers, IncrementalState, ShardPass, UpdateOptions,
@@ -115,20 +113,6 @@ impl Shard {
             membership_changed: true,
         }
     }
-}
-
-/// Outcome of one sharded iteration.
-pub struct ShardIteration {
-    /// Both termination terms held — the run is converged.
-    pub done: bool,
-    /// Merged counters of the iteration (update counters summed across
-    /// shards, plus `dirty_cells`/`halo_cells`/`halo_movers`).
-    pub counters: UpdateCounters,
-    /// Sum of all shard grids' resident bytes this iteration.
-    pub total_grid_bytes: usize,
-    /// Largest single shard grid this iteration — the per-shard peak that
-    /// beyond-RAM deployments care about.
-    pub max_shard_grid_bytes: usize,
 }
 
 /// The sharded host engine: global ping-pong coordinate buffers plus `S`
@@ -221,10 +205,11 @@ impl ShardedEngine {
     }
 
     /// Run one synchronized iteration across all shards, adding stage
-    /// timings to `stages`. Mirrors the single-grid loop body exactly:
-    /// refresh → update (first term) → second term → swap, with the halo
-    /// bookkeeping accounted under [`Stage::HaloExchange`].
-    pub fn iterate(&mut self, exec: &Executor, stages: &mut StageTimings) -> ShardIteration {
+    /// timings to `stages`: the [`Engine::iterate`] step of the
+    /// single-grid engine (refresh → update and first term → second term
+    /// → finish pass → swap) on every shard, with the halo bookkeeping
+    /// accounted under [`Stage::HaloExchange`].
+    pub fn iterate(&mut self, exec: &Executor, stages: &mut StageTimings) -> Iteration {
         let dim = self.dim;
         let use_inc = self.options.use_incremental;
 
@@ -331,11 +316,12 @@ impl ShardedEngine {
         std::mem::swap(&mut self.coords_cur, &mut self.coords_next);
         stages.add(Stage::HaloExchange, t_exchange.elapsed().as_secs_f64());
 
-        ShardIteration {
+        Iteration {
             done,
             counters,
             total_grid_bytes,
             max_shard_grid_bytes,
+            sim_seconds: None,
         }
     }
 
@@ -488,63 +474,28 @@ impl ShardedEngine {
     }
 }
 
-/// Algorithm 4 driven by the sharded engine — the `num_shards > 1` branch
-/// of the host backend. Identical pipeline and classification logic to the
-/// single-grid loop; only the grid is partitioned.
-pub(crate) fn cluster_host_sharded(
-    algo: &EggSync,
-    data: &Dataset,
-    exec: Executor,
-    mut trace: RunTrace,
-    geometry: GridGeometry,
-    plan: ShardPlan,
-) -> Clustering {
-    let dim = data.dim();
-    let (mut engine, alloc_secs) =
-        timed(|| ShardedEngine::new(geometry, plan, algo.epsilon, algo.options, data.coords()));
-    trace.stages.add(Stage::Allocating, alloc_secs);
-    trace.update_counters.shard_count = engine.shard_count() as u64;
-
-    let mut iterations = 0usize;
-    let mut converged = false;
-    while iterations < algo.max_iterations {
-        let iter_start = std::time::Instant::now();
-        let outcome = engine.iterate(&exec, &mut trace.stages);
-        trace.update_counters.merge(&outcome.counters);
-        trace.observe_structure_bytes(outcome.total_grid_bytes);
-        trace.observe_shard_structure_bytes(outcome.max_shard_grid_bytes);
-        iterations += 1;
-        trace.iterations.push(IterationRecord {
-            iteration: iterations - 1,
-            seconds: iter_start.elapsed().as_secs_f64(),
-            sim_seconds: None,
-            rc: None,
-        });
-        if outcome.done {
-            converged = true;
-            break;
-        }
+impl Engine for ShardedEngine {
+    fn iterate(&mut self, exec: &Executor, stages: &mut StageTimings) -> Iteration {
+        ShardedEngine::iterate(self, exec, stages)
     }
 
-    let (labels, gather_secs) = timed(|| engine.gather());
-    trace.stages.add(Stage::Clustering, gather_secs);
+    fn gather(&self) -> Vec<u32> {
+        ShardedEngine::gather(self)
+    }
 
-    let final_coords = Dataset::from_coords(engine.take_final_coords(), dim);
-    let (_, free_secs) = timed(|| drop(engine));
-    trace.stages.add(Stage::FreeMemory, free_secs);
-    trace
-        .stages
-        .add(Stage::ExecDispatch, exec.dispatch_overhead_seconds());
-    trace.update_counters.exec_dispatches = exec.dispatch_count();
-    trace.total_seconds = trace.stages.total();
-    Clustering::from_labels(labels, iterations, converged, final_coords, trace)
+    fn finish(&mut self, trace: &mut RunTrace) -> Vec<f64> {
+        trace.update_counters.shard_count = self.shard_count() as u64;
+        self.take_final_coords()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::egg::algorithm::EggSync;
     use crate::grid::GridVariant;
-    use crate::result::ClusterAlgorithm;
+    use crate::result::{ClusterAlgorithm, Clustering};
+    use egg_data::Dataset;
 
     /// Three blobs strung along the leading axis, so each of three shards
     /// owns points and ghosts its neighbors' edges.

@@ -148,8 +148,8 @@ impl Default for UpdateOptions {
 /// mover's old or new position, and the per-cell skip verdicts derived
 /// from them.
 ///
-/// The state is owned by the driver loop, starts inactive (the first pass
-/// processes everything and seeds the flags), and is advanced by
+/// The engine keeps one state per host grid. It starts inactive (the first
+/// pass processes everything and seeds the flags), and is advanced by
 /// [`IncrementalState::finish_pass`] after every update. All buffers keep
 /// their capacity, so steady-state iterations allocate nothing.
 #[derive(Debug, Default)]
@@ -1388,7 +1388,7 @@ mod tests {
         }
     }
 
-    /// Multi-pass incremental pipeline on both backends, over a scenario
+    /// Multi-pass incremental engines on both backends, over a scenario
     /// engineered to stay on the no-rebin fast path: a synchronizing pair
     /// confined to the interior of a single cell (each Kuramoto step keeps
     /// both points inside the pair's bounding box), plus stationary clumps
@@ -1398,6 +1398,8 @@ mod tests {
     /// host engine and the single-threaded simulated device.
     #[test]
     fn incremental_counters_match_host_vs_device() {
+        use crate::egg::algorithm::{DeviceEngine, Engine, HostEngine};
+        use crate::instrument::{RunTrace, StageTimings};
         let (dim, eps, passes) = (2usize, 0.1f64, 3usize);
         let probe = GridGeometry::new(dim, eps, 16, GridVariant::Auto);
         let w = probe.cell_width;
@@ -1413,31 +1415,12 @@ mod tests {
         let n = coords.len() / dim;
         let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
 
-        // --- host: refresh → update → finish_pass, k passes -------------
+        // --- host engine, k passes ---------------------------------------
         let exec = Executor::new(Some(3));
-        let mut grid = CellGrid::new(geo);
-        let mut state = IncrementalState::new();
-        let mut chunk_stats = Vec::new();
-        let mut host_cur = coords.clone();
-        let mut host_next = vec![0.0; coords.len()];
+        let mut host = HostEngine::new(geo, eps, UpdateOptions::default(), &coords);
         let mut host_total = UpdateCounters::default();
         for _ in 0..passes {
-            let stats = grid.refresh(&exec, &host_cur, state.moved_flags());
-            host_total.dirty_cells += stats.dirty_cells;
-            let (_, counters) = egg_update_host(
-                &exec,
-                &grid,
-                &host_cur,
-                &mut host_next,
-                eps,
-                UpdateOptions::default(),
-                &mut chunk_stats,
-                Some(&mut state),
-                None,
-            );
-            host_total.merge(&counters);
-            state.finish_pass(&geo, &host_cur, &host_next);
-            std::mem::swap(&mut host_cur, &mut host_next);
+            host_total.merge(&host.iterate(&exec, &mut StageTimings::default()).counters);
         }
 
         // the scenario must actually exercise the machinery
@@ -1445,41 +1428,20 @@ mod tests {
         assert!(host_total.cells_skipped > 0, "clumps should be skipped");
         assert!(host_total.dirty_cells > 0);
 
-        // --- device: same pipeline on the single-threaded simulator — the
-        // counters (cells_skipped, dirty_cells, simd lanes, summary cells,
-        // ...) must match the host engine exactly
+        // --- device engine on the single-threaded simulator, same passes —
+        // the counters (cells_skipped, dirty_cells, simd lanes, summary
+        // cells, ...) must match the host engine exactly
         let device = Device::new(DeviceConfig {
             host_threads: Some(1),
             ..DeviceConfig::default()
         });
-        let mut ws = GridWorkspace::new(&device, geo, n);
-        let mut inc = DeviceIncrementalState::new(&device, &geo, n);
-        let dev_cur = device.alloc_from_slice(&coords);
-        let dev_next = device.alloc::<f64>(coords.len());
-        let flag = device.alloc::<u64>(1);
-        let counters = device.alloc::<u64>(COUNTER_SLOTS);
+        let mut dev = DeviceEngine::new(&device, geo, eps, UpdateOptions::default(), &coords);
         for _ in 0..passes {
-            let (dgrid, pre, stats) = ws.refresh(&dev_cur, inc.moved_flags());
-            counters.atomic_add(4, stats.dirty_cells);
-            flag.store(0, 1);
-            inc.mark_skips(&device, &dgrid);
-            egg_update(
-                &device,
-                &dgrid,
-                &pre,
-                &dev_cur,
-                &dev_next,
-                &flag,
-                &counters,
-                n,
-                eps,
-                UpdateOptions::default(),
-                Some(&inc),
-            );
-            inc.finish_pass(&device, &geo, &dev_cur, &dev_next, n);
-            primitives::copy(&device, &dev_next, &dev_cur, coords.len());
+            dev.iterate(&Executor::sequential(), &mut StageTimings::default());
         }
-        assert_eq!(host_total, counters_from_device(&counters));
+        let mut trace = RunTrace::default();
+        dev.finish(&mut trace);
+        assert_eq!(host_total, trace.update_counters);
     }
 
     /// Points around three centers per dimension, spread `spread` wide:

@@ -1,13 +1,14 @@
 //! Heap-profiling assertion for the iteration-workspace contract: after a
-//! warm-up pass sizes every reusable buffer, the Host-backend iteration
-//! loop — grid rebuild, EGG-update, exact-termination check, ping-pong
-//! swap — performs **zero heap allocations**.
+//! warm-up pass sizes every reusable buffer, an engine's `iterate` — the
+//! Algorithm-4 iteration `EggSync::cluster` runs: grid refresh,
+//! EGG-update, exact-termination check, finish pass and swap, stage
+//! clocks included — performs **zero heap allocations**.
 //!
 //! The test binary installs a counting `#[global_allocator]`, so it lives
 //! in its own integration-test target to leave every other test unaffected.
 //! Most checks drive the sequential executor, which isolates the
-//! algorithm's own buffers; the pooled check runs the same loop over four
-//! pool workers, whose dispatch allocates nothing either.
+//! engine's own buffers; the host engine's check also runs over four pool
+//! workers, whose dispatch allocates nothing either.
 //!
 //! The counter is process-wide, so the binary holds a single libtest test
 //! that runs every check in turn. libtest's main thread allocates whenever
@@ -22,11 +23,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use egg_sync_core::egg::termination::second_term_holds_host;
-use egg_sync_core::egg::update::{egg_update_host, IncrementalState, UpdateOptions};
+use egg_gpu_sim::{Device, DeviceConfig};
+use egg_sync_core::egg::algorithm::{DeviceEngine, Engine, HostEngine};
+use egg_sync_core::egg::shard::ShardedEngine;
+use egg_sync_core::egg::update::UpdateOptions;
 use egg_sync_core::exec::Executor;
-use egg_sync_core::grid::{CellGrid, GridGeometry, GridVariant};
-use egg_sync_core::instrument::UpdateCounters;
+use egg_sync_core::grid::{GridGeometry, GridVariant, ShardPlan};
+use egg_sync_core::instrument::StageTimings;
 
 struct CountingAllocator;
 
@@ -63,8 +66,35 @@ fn steady_state_loops_do_not_allocate() {
     steady_state_iterations_do_not_allocate();
     incremental_steady_state_does_not_allocate();
     device_steady_state_does_not_allocate();
-    pooled_dispatch_steady_state_does_not_allocate();
+    pooled_dispatch_does_not_allocate();
     sharded_steady_state_does_not_allocate();
+}
+
+/// Heap allocations made by `f`.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    f();
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// Run `warm_up` iterations of `engine`, which size every buffer (the
+/// second and later while points are still in motion), then return the
+/// allocations of `window` more.
+fn steady_allocations(
+    engine: &mut impl Engine,
+    exec: &Executor,
+    warm_up: usize,
+    window: usize,
+) -> u64 {
+    let mut stages = StageTimings::default();
+    for _ in 0..warm_up {
+        engine.iterate(exec, &mut stages);
+    }
+    allocations(|| {
+        for _ in 0..window {
+            engine.iterate(exec, &mut stages);
+        }
+    })
 }
 
 fn cloud(n: usize, dim: usize) -> Vec<f64> {
@@ -73,172 +103,96 @@ fn cloud(n: usize, dim: usize) -> Vec<f64> {
         .collect()
 }
 
-fn steady_state_iterations_do_not_allocate() {
-    let (n, dim, eps) = (3000, 2, 0.05);
-    let exec = Executor::sequential();
-    let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+const N: usize = 3000;
+const DIM: usize = 2;
+const EPS: f64 = 0.05;
 
-    // the once-per-run workspace: ping-pong coordinates, the reusable
-    // grid (CSR arrays, summaries, trig tables) and the update scratch
-    let mut coords_cur = cloud(n, dim);
-    let mut coords_next = vec![0.0f64; n * dim];
-    let mut grid = CellGrid::new(geometry);
-    let mut chunk_stats: Vec<(bool, UpdateCounters)> = Vec::new();
-
-    let mut iterate = |coords_cur: &mut Vec<f64>, coords_next: &mut Vec<f64>| {
-        grid.rebuild(&exec, coords_cur);
-        let (first_term, _) = egg_update_host(
-            &exec,
-            &grid,
-            coords_cur,
-            coords_next,
-            eps,
-            UpdateOptions::default(),
-            &mut chunk_stats,
-            None,
-            None,
-        );
-        if first_term {
-            second_term_holds_host(&exec, &grid, coords_cur, eps, None, true);
-        }
-        std::mem::swap(coords_cur, coords_next);
+/// The single-grid host engine over [`cloud`], rebuilding its grid every
+/// iteration or maintaining it incrementally.
+fn host_engine(incremental: bool) -> HostEngine {
+    let geometry = GridGeometry::new(DIM, EPS, N, GridVariant::Auto);
+    let options = UpdateOptions {
+        use_incremental: incremental,
+        ..UpdateOptions::default()
     };
+    HostEngine::new(geometry, EPS, options, &cloud(N, DIM))
+}
 
-    // warm-up: the first pass sizes every buffer (and the second verifies
-    // the sizes hold while points are still in motion)
-    for _ in 0..2 {
-        iterate(&mut coords_cur, &mut coords_next);
+fn steady_state_iterations_do_not_allocate() {
+    // the once-per-run workspace: ping-pong coordinates, the reusable
+    // grid (CSR arrays, summaries, trig tables) and the update scratch —
+    // on one worker, and fanned out over 4 pool workers, whose dispatch
+    // allocates nothing either (`pooled_dispatch_does_not_allocate`)
+    for workers in [1, 4] {
+        let mut engine = host_engine(false);
+        let exec = Executor::new(Some(workers));
+        assert_eq!(
+            steady_allocations(&mut engine, &exec, 2, 5),
+            0,
+            "steady-state iterations on {workers} workers must not touch the heap"
+        );
     }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state iterations must not touch the heap"
-    );
 }
 
 fn incremental_steady_state_does_not_allocate() {
     // same contract for the incremental pipeline: grid refresh driven by
     // the mover flags, skip-aware update, confinement-narrowed second term
-    let (n, dim, eps) = (3000, 2, 0.05);
     let exec = Executor::sequential();
-    let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+    let mut engine = host_engine(true);
+    let mut stages = StageTimings::default();
 
-    let mut coords_cur = cloud(n, dim);
-    let mut coords_next = vec![0.0f64; n * dim];
-    let mut grid = CellGrid::new(geometry);
-    let mut chunk_stats: Vec<(bool, UpdateCounters)> = Vec::new();
-    let mut state = IncrementalState::new();
-
-    // returns whether the refresh re-binned points incrementally: only
+    // whether the iteration's refresh re-binned points incrementally: only
     // that path swaps the lane tables with their previous copies
-    let mut iterate = |coords_cur: &mut Vec<f64>, coords_next: &mut Vec<f64>| {
-        let stats = grid.refresh(&exec, coords_cur, state.moved_flags());
-        let (first_term, _) = egg_update_host(
-            &exec,
-            &grid,
-            coords_cur,
-            coords_next,
-            eps,
-            UpdateOptions::default(),
-            &mut chunk_stats,
-            Some(&mut state),
-            None,
-        );
-        if first_term {
-            second_term_holds_host(&exec, &grid, coords_cur, eps, state.confined_flags(), true);
-        }
-        state.finish_pass(&geometry, coords_cur, coords_next);
-        std::mem::swap(coords_cur, coords_next);
+    let mut iterate_rebins = |engine: &mut HostEngine| {
+        engine.iterate(&exec, &mut stages);
+        let stats = engine.last_refresh();
         stats.rebinned_points > 0 && !stats.full_rebuild
     };
 
     // warm-up: size every reusable buffer, including the incremental
     // scratch (changer lists, merge buffers, flag vectors, previous lane
     // tables)
-    let rebins = (0..3)
-        .filter(|_| iterate(&mut coords_cur, &mut coords_next))
-        .count();
+    let rebins = (0..3).filter(|_| iterate_rebins(&mut engine)).count();
     assert!(rebins > 0, "the warm-up must run a re-binning refresh");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let rebins = (0..5)
-        .filter(|_| iterate(&mut coords_cur, &mut coords_next))
-        .count();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
+    let mut rebins = 0;
+    let allocated = allocations(|| {
+        rebins = (0..5).filter(|_| iterate_rebins(&mut engine)).count();
+    });
     assert!(rebins > 0, "the window must run a re-binning refresh");
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "incremental steady-state iterations must not touch the heap"
     );
 }
 
 fn device_steady_state_does_not_allocate() {
-    // same contract for the simulated-GPU backend: the per-cell table
+    // same contract for the simulated-GPU engine: the per-cell table
     // writer must reuse the workspace's lane and summary buffers rather
     // than staging through fresh allocations. The device runs
     // single-threaded (the bitwise-deterministic simulator config), so no
     // `thread::scope` spawns dilute the measurement, and the kernel log is
     // reserved ahead of the measured window.
-    use egg_gpu_sim::{Device, DeviceBuffer, DeviceConfig};
-    use egg_sync_core::egg::termination::second_term_holds;
-    use egg_sync_core::egg::update::{egg_update, COUNTER_SLOTS};
-    use egg_sync_core::grid::GridWorkspace;
-
-    let (n, dim, eps) = (2000, 2, 0.05);
+    let n = 2000;
     let device = Device::new(DeviceConfig {
         host_threads: Some(1),
         ..DeviceConfig::default()
     });
-    let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-    let options = UpdateOptions::default();
-
-    let mut coords_cur = device.alloc_from_slice::<f64>(&cloud(n, dim));
-    let mut coords_next = device.alloc::<f64>(n * dim);
-    let sync_flag = device.alloc::<u64>(1);
-    let counters = device.alloc::<u64>(COUNTER_SLOTS);
-    let mut workspace = GridWorkspace::new(&device, geometry, n);
-
-    let mut iterate = |cur: &mut DeviceBuffer<f64>, nxt: &mut DeviceBuffer<f64>| {
-        let (grid, pre, _stats) = workspace.refresh(cur, None);
-        sync_flag.store(0, 1);
-        egg_update(
-            &device, &grid, &pre, cur, nxt, &sync_flag, &counters, n, eps, options, None,
-        );
-        if sync_flag.load(0) == 1 {
-            second_term_holds(&device, &grid, &pre, cur, &sync_flag, n, eps, None);
-        }
-        std::mem::swap(cur, nxt);
+    let geometry = GridGeometry::new(DIM, EPS, n, GridVariant::Auto);
+    let options = UpdateOptions {
+        use_incremental: false,
+        ..UpdateOptions::default()
     };
-
-    // warm-up: size every device buffer and scratch list
-    for _ in 0..2 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
+    let mut engine = DeviceEngine::new(&device, geometry, EPS, options, &cloud(n, DIM));
     device.reserve_kernel_log(4096);
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
     assert_eq!(
-        after - before,
+        steady_allocations(&mut engine, &Executor::sequential(), 2, 5),
         0,
         "device steady-state iterations must not touch the heap"
     );
 }
 
-fn pooled_dispatch_steady_state_does_not_allocate() {
+fn pooled_dispatch_does_not_allocate() {
     // the worker-pool contract: after construction spawns the long-lived
     // workers, a parallel dispatch is pure synchronization — publishing
     // the shared closure pointer and blocking on a condvar — so repeated
@@ -248,104 +202,36 @@ fn pooled_dispatch_steady_state_does_not_allocate() {
 
     // warm-up: first dispatches size nothing, but let lazy thread-local
     // or lock state settle before the measured window
-    for _ in 0..3 {
+    let mut dispatch = || {
         exec.map_ranges_into(4096, 128, &mut out, |r| r.sum::<usize>());
         exec.all(4096, 128, |i| i < 4096);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..100 {
-        exec.map_ranges_into(4096, 128, &mut out, |r| r.sum::<usize>());
-        exec.all(4096, 128, |i| i < 4096);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "pooled dispatch must not touch the heap");
-
-    // and the whole iteration loop inherits the guarantee: grid rebuild,
-    // update and termination stay allocation-free while fanning out over
-    // 4 pool workers
-    let (n, dim, eps) = (3000, 2, 0.05);
-    let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
-    let mut coords_cur = cloud(n, dim);
-    let mut coords_next = vec![0.0f64; n * dim];
-    let mut grid = CellGrid::new(geometry);
-    let mut chunk_stats: Vec<(bool, UpdateCounters)> = Vec::new();
-
-    let mut iterate = |coords_cur: &mut Vec<f64>, coords_next: &mut Vec<f64>| {
-        grid.rebuild(&exec, coords_cur);
-        let (first_term, _) = egg_update_host(
-            &exec,
-            &grid,
-            coords_cur,
-            coords_next,
-            eps,
-            UpdateOptions::default(),
-            &mut chunk_stats,
-            None,
-            None,
-        );
-        if first_term {
-            second_term_holds_host(&exec, &grid, coords_cur, eps, None, true);
-        }
-        std::mem::swap(coords_cur, coords_next);
     };
-
-    for _ in 0..2 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        iterate(&mut coords_cur, &mut coords_next);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "pooled steady-state iterations must not touch the heap"
-    );
+    (0..3).for_each(|_| dispatch());
+    let allocated = allocations(|| (0..100).for_each(|_| dispatch()));
+    assert_eq!(allocated, 0, "pooled dispatch must not touch the heap");
 }
 
 fn sharded_steady_state_does_not_allocate() {
     // the sharding contract's steady-state clause: once converged, member
     // lists are stable, the exchange buffer stays empty, and a full
     // synchronized iteration across all shards is allocation-free
-    use egg_sync_core::egg::shard::ShardedEngine;
-    use egg_sync_core::grid::ShardPlan;
-    use egg_sync_core::instrument::StageTimings;
-
-    let (n, dim, eps) = (3000, 2, 0.05);
     let exec = Executor::sequential();
-    let geometry = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+    let geometry = GridGeometry::new(DIM, EPS, N, GridVariant::Auto);
     let plan = ShardPlan::new(&geometry, 4);
     assert_eq!(plan.count(), 4, "domain must be wide enough for 4 shards");
-
-    let coords = cloud(n, dim);
-    let mut engine = ShardedEngine::new(geometry, plan, eps, UpdateOptions::default(), &coords);
+    let options = UpdateOptions::default();
+    let mut engine = ShardedEngine::new(geometry, plan, EPS, options, &cloud(N, DIM));
     let mut stages = StageTimings::default();
 
     // run to convergence: every buffer reaches its steady size no later
     // than the converged pass (member lists stop changing strictly before)
-    let mut converged = false;
-    for _ in 0..10_000 {
-        if engine.iterate(&exec, &mut stages).done {
-            converged = true;
-            break;
-        }
-    }
+    let converged = (0..10_000).any(|_| engine.iterate(&exec, &mut stages).done);
     assert!(
         converged,
         "run must converge before the steady-state window"
     );
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        engine.iterate(&exec, &mut stages);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
     assert_eq!(
-        after - before,
+        steady_allocations(&mut engine, &exec, 0, 5),
         0,
         "sharded steady-state iterations must not touch the heap"
     );

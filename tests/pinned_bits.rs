@@ -2,7 +2,10 @@
 //! configurations, each hashed to one digest over its labels, final
 //! coordinate bits, iteration count, convergence verdict, cluster count,
 //! every [`UpdateCounters`] field and, on the simulated device, the
-//! [`KernelSummary`].
+//! [`KernelSummary`]. A second digest per run covers the rest of its
+//! [`RunTrace`] that does not read a clock: the iteration records'
+//! indices, both structure peaks, the engine's thread count and, on the
+//! simulated device, every cost-model time.
 //!
 //! A change that claims "output bits unchanged" must leave every digest as
 //! it is. A change that moves bits on purpose records the new digests here
@@ -10,7 +13,7 @@
 //! suite only runs on x86-64 Linux, where they were recorded.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use egg_sync::core::instrument::{KernelSummary, UpdateCounters};
+use egg_sync::core::instrument::{KernelSummary, RunTrace, Stage, UpdateCounters};
 use egg_sync::core::Backend;
 use egg_sync::prelude::*;
 use rand::rngs::StdRng;
@@ -91,6 +94,33 @@ fn digest(run: &Clustering) -> u64 {
     h.0
 }
 
+/// The digest of a run's trace without its wall-clock times: the number
+/// of iteration records and each one's index, the two structure peaks,
+/// the engine's thread count and, where the run has them, each record's
+/// simulated seconds, the simulated total and every simulated stage.
+fn trace_digest(trace: &RunTrace) -> u64 {
+    let mut h = Fnv::new();
+    h.word(trace.iterations.len() as u64);
+    for record in &trace.iterations {
+        h.word(record.iteration as u64);
+        if let Some(sim) = record.sim_seconds {
+            h.word(sim.to_bits());
+        }
+    }
+    h.word(trace.peak_structure_bytes as u64);
+    h.word(trace.peak_shard_structure_bytes as u64);
+    h.word(trace.engine_threads.map_or(u64::MAX, |t| t as u64));
+    if let Some(total) = trace.total_sim_seconds {
+        h.word(total.to_bits());
+    }
+    if let Some(stages) = &trace.sim_stages {
+        for stage in Stage::ALL {
+            h.word(stages.get(stage).to_bits());
+        }
+    }
+    h.0
+}
+
 /// The engine under test with every option that an environment override
 /// could flip (`EGG_FORCE_SCALAR`, `EGG_NUM_SHARDS`, `EGG_THREADS`) set
 /// explicitly, so CI's env legs run the pinned configuration too.
@@ -123,6 +153,14 @@ fn assert_digest(name: &str, run: &Clustering, want: u64) {
     );
 }
 
+fn assert_trace_digest(name: &str, run: &Clustering, want: u64) {
+    let got = trace_digest(&run.trace);
+    assert_eq!(
+        got, want,
+        "{name}: the trace moved (digest {got:#018x}, pinned {want:#018x})"
+    );
+}
+
 /// Re-pinned from `0xac67_e086_3fee_7aed` when the host grid's trig table
 /// and lane-table relayout became one lane writer: each refresh spanning
 /// more than one chunk issues one parallel dispatch fewer, so
@@ -132,12 +170,14 @@ fn assert_digest(name: &str, run: &Clustering, want: u64) {
 fn blobs_2d_bits_are_pinned() {
     let run = engine(0.05, Backend::Host, 2, 1).cluster(&blobs(2_000, 2, 1));
     assert_digest("2-d blobs", &run, 0x649c_32e6_ea62_c5f4);
+    assert_trace_digest("2-d blobs", &run, 0x43ec_a9f0_7c70_1fe7);
 }
 
 #[test]
 fn blobs_8d_bits_are_pinned() {
     let run = engine(0.2, Backend::Host, 2, 1).cluster(&blobs(1_000, 8, 1));
     assert_digest("8-d blobs", &run, 0xf938_3194_41a8_33a9);
+    assert_trace_digest("8-d blobs", &run, 0x7041_fbe8_8813_2da3);
 }
 
 /// A Skin-like bridge in three dimensions: two σ = 0.003 blobs joined by
@@ -170,11 +210,17 @@ fn skin_bridge_bits_are_pinned() {
     let data = skin_bridge(800, 1);
     let single = engine(0.05, Backend::Host, 2, 1).cluster(&data);
     assert_digest("3-d Skin bridge", &single, 0xd92f_8a34_2361_6037);
+    assert_trace_digest("3-d Skin bridge", &single, 0xa301_1b38_1a94_1208);
     let sharded = engine(0.05, Backend::Host, 2, 3).cluster(&data);
     assert_digest(
         "3-d Skin bridge on 3 shards",
         &sharded,
         0xffb0_5628_4d9c_c9f8,
+    );
+    assert_trace_digest(
+        "3-d Skin bridge on 3 shards",
+        &sharded,
+        0xbc0e_42bf_d0f6_7892,
     );
 }
 
@@ -183,12 +229,21 @@ fn skin_bridge_bits_are_pinned() {
 /// stores left the kernel word count, so `mem_words` fell from 2 464 999
 /// to 2 436 999. With the kernel summary left out, the digest is
 /// `0xc3a3_8103_76f6_259c` before and after.
+///
+/// The trace digest was re-pinned from `0x8996_1606_b2af_b031` when the
+/// incremental finish pass's simulated seconds moved to the stage it
+/// runs in: each pass was charged to the next iteration's build lap, and
+/// the last one to the gather. So the simulated `Clustering` stage fell
+/// from 1.012e-5 s to 0, `BuildStructure` rose by as much, and the
+/// simulated total moved by one ulp from the order of the sums. Each
+/// record's simulated seconds stayed as they were.
 #[test]
 fn device_bits_are_pinned() {
     // one simulator thread: only then are device bits and kernel counts
     // reproducible
     let run = engine(0.05, Backend::SimulatedGpu, 1, 1).cluster(&blobs(1_000, 2, 1));
     assert_digest("device 2-d blobs", &run, 0xc96f_1732_7fea_c13e);
+    assert_trace_digest("device 2-d blobs", &run, 0xae87_bd50_2c01_644c);
 }
 
 /// Coincident points: every row of `skin_bridge(300, 1)` three times, at
@@ -210,10 +265,16 @@ fn coincident_points_bits_are_pinned() {
     let data = Dataset::from_coords(coords, 3);
     let single = engine(0.05, Backend::Host, 2, 1).cluster(&data);
     assert_digest("coincident Skin bridge", &single, 0x623a_ae16_e81f_9da2);
+    assert_trace_digest("coincident Skin bridge", &single, 0x8758_88ba_071f_445c);
     let sharded = engine(0.05, Backend::Host, 2, 3).cluster(&data);
     assert_digest(
         "coincident Skin bridge on 3 shards",
         &sharded,
         0x168f_9477_51a9_d44f,
+    );
+    assert_trace_digest(
+        "coincident Skin bridge on 3 shards",
+        &sharded,
+        0x6888_a039_a922_3301,
     );
 }
