@@ -3,8 +3,9 @@
 //! rebuilt every iteration by their algorithms, the host grid's three
 //! maintenance paths (full build, in-place refresh and re-binning
 //! refresh), the in-place refresh of a collapsed input whose points sit at
-//! three distinct positions, and the device grid's in-place refresh with
-//! the tables written by either pipeline.
+//! three distinct positions and of an interleaved one whose repeated rows
+//! never share a run, and the device grid's in-place refresh with the
+//! tables written by either pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use egg_bench::default_synthetic;
@@ -102,6 +103,32 @@ fn bench_structures(c: &mut Criterion) {
         let (mut grid, stats) = warmed(&exec, geo, &snapped, &stepped, &all);
         assert_eq!(stats.rebinned_points, 0, "every point keeps its cell");
         assert_eq!(grid.num_cells(), 3, "three positions, three cells");
+        assert_eq!(stats.runs, 3, "one run per cell");
+        b.iter(|| grid.refresh(&exec, &stepped, Some(&all)))
+    });
+
+    // the case the run table cannot catch: in every cell of the input, its
+    // points alternate in slot order between two positions, so rows repeat
+    // but every run holds one point; then all moved by the same step
+    let grid = CellGrid::build(&exec, geo, coords);
+    let mut alternating = vec![0.0; coords.len()];
+    for c in 0..grid.num_cells() {
+        let key = grid.cell_key(c);
+        for (k, &p) in grid.cell_points(c).iter().enumerate() {
+            let off = [-1.0, 1.0][k % 2] * geo.cell_width / 8.0;
+            for (i, &k) in key.iter().enumerate() {
+                alternating[p as usize * 2 + i] = (k as f64 + 0.5) * geo.cell_width + off;
+            }
+        }
+    }
+    let stepped: Vec<f64> = alternating
+        .iter()
+        .map(|x| x + geo.cell_width / 16.0)
+        .collect();
+    group.bench_function("cell_grid_refresh_interleaved_10k", |b| {
+        let (mut grid, stats) = warmed(&exec, geo, &alternating, &stepped, &all);
+        assert_eq!(stats.rebinned_points, 0, "every point keeps its cell");
+        assert_eq!(stats.runs, n as u64, "every run holds one point");
         b.iter(|| grid.refresh(&exec, &stepped, Some(&all)))
     });
 

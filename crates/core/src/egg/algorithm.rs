@@ -260,11 +260,17 @@ impl Engine for HostEngine {
             second
         };
 
-        if use_inc {
-            self.state
-                .finish_pass(grid.geometry(), cur, &self.coords_next);
-        }
-        std::mem::swap(&mut self.coords_cur, &mut self.coords_next);
+        // the finish pass maintains the grid's incremental state, as on the
+        // device, and the swap hands the next iteration its positions
+        let ((), finish_secs) = timed(|| {
+            if use_inc {
+                let geo = self.grid.geometry();
+                self.state
+                    .finish_pass(geo, &self.coords_cur, &self.coords_next);
+            }
+            std::mem::swap(&mut self.coords_cur, &mut self.coords_next);
+        });
+        stages.add(Stage::BuildStructure, finish_secs);
         let bytes = self.grid.memory_bytes();
         Iteration {
             done,
@@ -446,29 +452,12 @@ impl ClusterAlgorithm for EggSync {
 
     fn cluster(&self, data: &Dataset) -> Clustering {
         let (dim, n, coords) = (data.dim(), data.len(), data.coords());
-        if self.max_iterations == 0 && n > 0 {
-            // no iteration runs, so the clusters are the cells of the input:
-            // the grid iteration 1 would build and gather would read
-            let geometry = GridGeometry::new(dim, self.epsilon, n, self.variant);
-            let grid = CellGrid::build(&Executor::sequential(), geometry, coords);
-            let labels = grid.point_cell().to_vec();
-            return Clustering::from_labels(labels, 0, false, data.clone(), RunTrace::default());
-        }
         let host = self.backend == Backend::Host;
         // the device ignores its executor: one worker starts no pool and
         // counts no dispatch
         let exec = Executor::new(if host { self.threads } else { Some(1) });
-        let mut trace = RunTrace {
-            engine_threads: host.then(|| exec.workers()),
-            ..RunTrace::default()
-        };
-        if n == 0 {
-            return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
-        }
-        let (eps, options) = (self.epsilon, self.options);
-        let geometry = GridGeometry::new(dim, eps, n, self.variant);
-        if !host {
-            let device = Device::new(DeviceConfig {
+        let device = (!host).then(|| {
+            Device::new(DeviceConfig {
                 // with none of the three, `Device::new` takes the host's
                 // available parallelism
                 host_threads: self
@@ -476,8 +465,29 @@ impl ClusterAlgorithm for EggSync {
                     .or(self.device_config.host_threads)
                     .or_else(threads_default),
                 ..self.device_config.clone()
-            });
-            trace.engine_threads = Some(device.workers());
+            })
+        });
+        // every run reports the threads its engine runs on, however short
+        let trace = RunTrace {
+            engine_threads: Some(device.as_ref().map_or(exec.workers(), Device::workers)),
+            ..RunTrace::default()
+        };
+        if n == 0 {
+            return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
+        }
+        let (eps, options) = (self.epsilon, self.options);
+        let geometry = GridGeometry::new(dim, eps, n, self.variant);
+        if self.max_iterations == 0 {
+            // no iteration runs, so the clusters are the cells of the input:
+            // the grid iteration 1 would build and gather would read
+            let mut trace = trace;
+            let (grid, build_secs) = timed(|| CellGrid::build(&exec, geometry, coords));
+            trace.stages.add(Stage::BuildStructure, build_secs);
+            trace.total_seconds = trace.stages.total();
+            let labels = grid.point_cell().to_vec();
+            return Clustering::from_labels(labels, 0, false, data.clone(), trace);
+        }
+        if let Some(device) = device {
             return self.drive(&exec, trace, dim, || {
                 DeviceEngine::new(&device, geometry, eps, options, coords)
             });

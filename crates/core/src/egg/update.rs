@@ -567,17 +567,18 @@ pub struct ShardPass<'a> {
 /// the list holds takes that per-point walk. Each point then consumes its
 /// candidates in one [`CandidateWalk::visit`] call.
 ///
-/// Coincident points walk once per chunk. A point's walk is a pure
-/// function of its row's bits: they fix its cell, and with it the
-/// candidate list, and its `sin`/`cos`. So a point whose row repeats the
-/// bits of the last point its chunk walked takes that point's next row,
-/// first-term verdict, `moved` flag and counter deltas instead of walking
-/// again. Rows compare by `f64::to_bits`: `-0.0` and `0.0` differ there,
-/// and a `-0.0` point can move (to `0.0`) while its `0.0` twin does not.
-/// The memo holds one row on the chunk's stack, after the cell-skip
-/// branch, so the results and the counters stay those of a per-point walk
-/// for any worker count, chunk layout or shard count. A collapsed cluster,
-/// whose points share their bits, costs one walk per chunk.
+/// Coincident points walk once per run. A point's walk is a pure function
+/// of its row's bits: they fix its cell, and with it the candidate list,
+/// and its `sin`/`cos`. The grid's run table ([`CellGrid::refresh`] cuts
+/// it from `coords`) groups the slots of each cell into maximal runs whose
+/// rows hold the same bits, compared by `f64::to_bits`: `-0.0` and `0.0`
+/// differ there, and a `-0.0` point can move (to `0.0`) while its `0.0`
+/// twin does not. A run's first point walks; its members take its next
+/// row, first-term verdict and `moved` flag, and the run adds `k ×` the
+/// walk's counter deltas for its `k` points. A chunk that starts inside a
+/// run walks that run's first point of the chunk again, so the results and
+/// the counters stay those of a per-point walk for any worker count, chunk
+/// layout or shard count. A collapsed cluster costs one walk per run.
 ///
 /// `chunk_stats` is reusable per-chunk scratch (`(first-term, counters)`
 /// slots): it is resized to the chunk count and keeps its capacity, so a
@@ -720,80 +721,82 @@ fn update_host<const LIST: usize>(
         let mut reach = ReachMemo::<LIST>::new(grid, eps_sq, options.use_summaries);
         // per-point sums, sized once per chunk: a point uses `[..dim]`
         let mut acc = PointSums::new();
-        // the last point walked, whose results a coincident point takes
-        let mut last = Walked::new();
-        for off in range {
-            // chunking is over the processed window, so the chunk layout
-            // (hence the reduction order) matches an unsharded pass over
-            // the same points; `entry` stays the grid-sorted slot index
-            let entry = slot_base + off;
-            let p_idx = order[entry] as usize;
-            let c_cell = grid.point_cell()[p_idx] as usize;
-            let p = &coords[p_idx * dim..(p_idx + 1) * dim];
+        let mut next_row = [0.0; MAX_DIM];
+        // chunking is over the processed window, so the chunk layout
+        // (hence the reduction order) matches an unsharded pass over the
+        // same points; the runs' slots stay grid-sorted slot indices
+        for run in grid.runs(slot_base + range.start..slot_base + range.end) {
+            let head = order[run.start] as usize;
+            let c_cell = grid.point_cell()[head] as usize;
+            let p = &coords[head * dim..(head + 1) * dim];
             if let Some((active, cell_skip, moved_w, confined_w)) = inc {
                 if *active && cell_skip[c_cell] {
                     // zero movers in this cell's whole ε-reach: the pass
-                    // would recompute exactly the cached position/verdict
-                    let out = unsafe { writer.row_mut(p_idx * dim, dim) };
-                    out.copy_from_slice(p);
-                    // each point index occurs in exactly one chunk
-                    unsafe {
-                        moved_w.row_mut(p_idx, 1)[0] = false;
-                        all_local &= confined_w.row_mut(p_idx, 1)[0];
+                    // would recompute exactly the cached positions and
+                    // verdicts
+                    for entry in run.clone() {
+                        let p_idx = order[entry] as usize;
+                        let out = unsafe { writer.row_mut(p_idx * dim, dim) };
+                        out.copy_from_slice(&coords[p_idx * dim..(p_idx + 1) * dim]);
+                        // each point index occurs in exactly one chunk
+                        unsafe {
+                            moved_w.row_mut(p_idx, 1)[0] = false;
+                            all_local &= confined_w.row_mut(p_idx, 1)[0];
+                        }
                     }
-                    if entry == grid.cell_range(c_cell).start {
+                    // a cell's first slot starts a run
+                    if run.start == grid.cell_range(c_cell).start {
                         counters.cells_skipped += 1;
                     }
                     continue;
                 }
             }
             // the walk is a pure function of the row's bits, which also fix
-            // its cell: a row repeating the last walked one's takes its
-            // results, counters included
-            if !last
-                .src
-                .is_some_and(|q| same_bits(&coords[q * dim..(q + 1) * dim], p))
-            {
-                let mut walked = UpdateCounters::default();
-                acc.reset(dim);
-                reach.for_each_candidate(c_cell, |candidates| {
-                    // the AVX2 walk wherever the CPU has it
-                    walk.visit(entry, candidates, &mut acc, &mut walked, true);
-                });
-                let sums = &mut acc.sums[..dim];
-                if options.use_simd {
-                    // one ordered cross-lane fold per dimension — the sole
-                    // reassociation relative to the scalar oracle
-                    for (s, lanes) in sums.iter_mut().zip(&acc.lanes) {
-                        *s += lanes.reduce_sum();
+            // its cell: the run's first point walks, and each member takes
+            // its results, counters included
+            let mut walked = UpdateCounters::default();
+            acc.reset(dim);
+            reach.for_each_candidate(c_cell, |candidates| {
+                // the AVX2 walk wherever the CPU has it
+                walk.visit(run.start, candidates, &mut acc, &mut walked, true);
+            });
+            let sums = &mut acc.sums[..dim];
+            if options.use_simd {
+                // one ordered cross-lane fold per dimension — the sole
+                // reassociation relative to the scalar oracle
+                for (s, lanes) in sums.iter_mut().zip(&acc.lanes) {
+                    *s += lanes.reduce_sum();
+                }
+            }
+            let inv = 1.0 / acc.neighbors as f64;
+            for i in 0..dim {
+                next_row[i] = p[i] + sums[i] * inv;
+            }
+            let next_row = &next_row[..dim];
+            let moved = !same_bits(next_row, p);
+            // first term of Definition 4.2, host edition
+            let confined = acc.neighbors == grid.cell_len(c_cell) as u64;
+            all_local &= confined;
+            let members = run.len() as u64;
+            merge_times(&mut counters, &walked, members);
+            for entry in run {
+                let p_idx = order[entry] as usize;
+                debug_assert!(
+                    same_bits(&coords[p_idx * dim..(p_idx + 1) * dim], p),
+                    "a run's rows hold its first one's bits"
+                );
+                // disjoint rows: `order` is a permutation of the point
+                // indices, and each occurs in exactly one chunk
+                copy_row(unsafe { writer.row_mut(p_idx * dim, dim) }, next_row);
+                if let Some((_, _, moved_w, confined_w)) = inc {
+                    unsafe {
+                        moved_w.row_mut(p_idx, 1)[0] = moved;
+                        confined_w.row_mut(p_idx, 1)[0] = confined;
                     }
                 }
-                let inv = 1.0 / acc.neighbors as f64;
-                for i in 0..dim {
-                    last.out[i] = p[i] + sums[i] * inv;
-                }
-                last.src = Some(p_idx);
-                last.cell = c_cell;
-                last.moved = !same_bits(&last.out[..dim], p);
-                // first term of Definition 4.2, host edition
-                last.confined = acc.neighbors == grid.cell_len(c_cell) as u64;
-                last.counters = walked;
             }
-            debug_assert_eq!(last.cell, c_cell, "equal rows share a cell");
-            counters.merge(&last.counters);
-            // disjoint rows: `order` is a permutation of the point indices
-            let out = unsafe { writer.row_mut(p_idx * dim, dim) };
-            out.copy_from_slice(&last.out[..dim]);
-            all_local &= last.confined;
-            if let Some((_, _, moved_w, confined_w)) = inc {
-                // each point index occurs in exactly one chunk
-                unsafe {
-                    moved_w.row_mut(p_idx, 1)[0] = last.moved;
-                    confined_w.row_mut(p_idx, 1)[0] = last.confined;
-                }
-                if last.moved {
-                    counters.moved_points += 1;
-                }
+            if inc.is_some() && moved {
+                counters.moved_points += members;
             }
         }
         (all_local, counters)
@@ -807,34 +810,55 @@ fn update_host<const LIST: usize>(
     (first_term, totals)
 }
 
-/// The results of the last point one chunk of the host update walked,
-/// taken by each later point of the chunk whose row holds the same bits.
-struct Walked {
-    /// The point walked, `None` before the chunk's first walk.
-    src: Option<usize>,
-    /// Its cell, whose candidate list it walked.
-    cell: usize,
-    /// Its next position (`[..dim]` live).
-    out: [f64; MAX_DIM],
-    /// Whether `out` differs from its position bitwise.
-    moved: bool,
-    /// Whether its ε-neighborhood is its own cell.
-    confined: bool,
-    /// The walk's work counters.
-    counters: UpdateCounters,
+/// `dst.copy_from_slice(src)`, with lengths up to 8 matched to a constant
+/// so that the copy compiles to a few moves instead of a `memcpy` call: a
+/// collapsed run writes one row per member.
+#[inline(always)]
+fn copy_row(dst: &mut [f64], src: &[f64]) {
+    macro_rules! by_len {
+        ($($d:literal)*) => {
+            match src.len() {
+                $($d => dst[..$d].copy_from_slice(&src[..$d]),)*
+                _ => dst.copy_from_slice(src),
+            }
+        };
+    }
+    by_len!(1 2 3 4 5 6 7 8)
 }
 
-impl Walked {
-    fn new() -> Self {
-        Self {
-            src: None,
-            cell: 0,
-            out: [0.0; MAX_DIM],
-            moved: false,
-            confined: false,
-            counters: UpdateCounters::default(),
-        }
-    }
+/// Add `walked`, the counters of one point's walk, to `counters` `times`
+/// times over: what as many walks of the same row add. Integer products,
+/// so exactly the per-point sums; the run-wide maximum `shard_count` is
+/// merged once.
+fn merge_times(counters: &mut UpdateCounters, walked: &UpdateCounters, times: u64) {
+    let UpdateCounters {
+        summary_cells,
+        point_pairs,
+        sin_calls_avoided,
+        moved_points,
+        dirty_cells,
+        cells_skipped,
+        simd_lanes,
+        simd_remainder_lanes,
+        shard_count,
+        halo_movers,
+        halo_cells,
+        exec_dispatches,
+    } = *walked;
+    counters.merge(&UpdateCounters {
+        summary_cells: times * summary_cells,
+        point_pairs: times * point_pairs,
+        sin_calls_avoided: times * sin_calls_avoided,
+        moved_points: times * moved_points,
+        dirty_cells: times * dirty_cells,
+        cells_skipped: times * cells_skipped,
+        simd_lanes: times * simd_lanes,
+        simd_remainder_lanes: times * simd_remainder_lanes,
+        shard_count,
+        halo_movers: times * halo_movers,
+        halo_cells: times * halo_cells,
+        exec_dispatches: times * exec_dispatches,
+    });
 }
 
 /// The running sums of one point's update, carried across the
@@ -1457,9 +1481,10 @@ mod tests {
 
     /// Coincident rows on `geo`'s grid, over [`blobs`] in `geo.dim`
     /// dimensions: each of 500 blob rows one to four times at consecutive
-    /// indices, seven rows alternating by index between two positions of
-    /// one cell, and four rows alternating `0.0`, `-0.0` in dimension 0,
-    /// alone within ε. Over 1 024 rows, so runs meet a chunk border.
+    /// indices, 400 rows at one position near the middle of the slot order
+    /// (a run across the first chunk border), seven rows alternating by
+    /// index between two positions of one cell, and four rows alternating
+    /// `0.0`, `-0.0` in dimension 0, alone within ε.
     fn coincident(geo: &GridGeometry) -> Vec<f64> {
         let (dim, w) = (geo.dim, geo.cell_width);
         let mut coords = Vec::new();
@@ -1468,6 +1493,7 @@ mod tests {
                 coords.extend_from_slice(row);
             }
         }
+        coords.extend(vec![0.55; dim].repeat(400));
         let (a, b) = (vec![3.3 * w; dim], vec![3.6 * w; dim]);
         for k in 0..7 {
             coords.extend_from_slice([&a, &b][k % 2]);
@@ -1563,21 +1589,20 @@ mod tests {
         got
     }
 
-    /// Points whose rows hold the same bits share their update walk inside
-    /// a chunk. The pass must match a per-point walk bit for bit on inputs
-    /// where that matters ([`coincident`]): runs of equal rows, some
-    /// crossing a chunk border; rows alternating `a, b, a, b` by index
-    /// inside one cell; and `±0.0` twins, equal under `==`, of which only
-    /// the `-0.0` one moves (to `0.0`) on the first pass. Checked at 1 and
-    /// 3 workers, over incremental passes with their cell skips, and
-    /// through a [`ShardPass`] window of the middle third of the cells.
+    /// The points of a run share their update walk. The pass must match a
+    /// per-point walk bit for bit, counters included, on inputs where that
+    /// matters ([`coincident`]): runs of equal rows, one split by a chunk
+    /// border; rows alternating `a, b, a, b` by index inside one cell; and
+    /// `±0.0` twins, equal under `==`, of which only the `-0.0` one moves
+    /// (to `0.0`) on the first pass. Checked at 1 and 3 workers, over
+    /// incremental passes with their cell skips, and through a
+    /// [`ShardPass`] window of the middle third of the cells.
     #[test]
     fn coincident_points_match_the_per_point_walk_bitwise() {
         for (dim, eps) in [(2usize, 0.05f64), (3, 0.1)] {
             let geo = GridGeometry::new(dim, eps, 1500, GridVariant::Auto);
             let coords = coincident(&geo);
             let n = coords.len() / dim;
-            assert!(n > POINT_CHUNK, "runs must meet a chunk border");
             for options in [
                 UpdateOptions::default(),
                 UpdateOptions {
@@ -1604,9 +1629,15 @@ mod tests {
                             })
                             .count();
                         if pass == 0 {
-                            // the alternating rows share a cell
+                            // the alternating rows share a cell, and a run
+                            // crosses a chunk border: the next chunk walks
+                            // its first point of the run again
                             let (a, b) = (n - 11, n - 10);
                             assert_eq!(grid.point_cell()[a], grid.point_cell()[b], "{tag}");
+                            let border = |r: &std::ops::Range<usize>| {
+                                r.start < POINT_CHUNK && POINT_CHUNK < r.end
+                            };
+                            assert!(grid.runs(0..n).any(|r| border(&r)), "{tag}");
                         }
                         let cells = grid.num_cells();
                         let window = ShardPass {

@@ -13,6 +13,8 @@
 //!   deterministic layout for any worker count.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use egg_spatial::distance::{row, within_sq};
 
@@ -202,11 +204,20 @@ pub struct CellGrid {
     cell_bounds: Vec<f64>,
     /// `(outer id, lo, hi)` cell ranges in sorted cell order, ascending by
     /// outer id (binary-searched by [`CellGrid::for_each_cell_in_reach`]).
-    outer_index: Vec<(u64, u32, u32)>,
+    /// Outer ids are below [`MAX_OUTER_CELLS`](super::MAX_OUTER_CELLS) =
+    /// 2²⁴, so they fit a `u32`.
+    outer_index: Vec<(u32, u32, u32)>,
+    /// The run table: the first grid-sorted slot of every *run*, a maximal
+    /// slot range inside one cell whose points' rows hold the same bits,
+    /// then `n` (empty when `n = 0`). Cell starts are run starts. Cut again
+    /// from the coordinates on every maintenance path, never carried over,
+    /// so each per-slot pass can work once per run: a run's members share
+    /// their head's `sin`/`cos`, cell key, MBR contribution and update.
+    run_starts: Vec<u32>,
     /// Scratch: per-point full-dimensional cell coordinates, `n × dim`.
     point_keys: Vec<u64>,
     /// Scratch: per-point dense outer id.
-    point_outer: Vec<u64>,
+    point_outer: Vec<u32>,
     /// Grid-sorted slot of every point (the inverse of `cell_points`) —
     /// lets the re-binning refresh find a stayer's previous lane and copy
     /// its `sin`/`cos` instead of recomputing them.
@@ -247,6 +258,11 @@ pub struct GridRefreshStats {
     pub dirty_cells: u64,
     /// Whether the refresh fell back to a full rebuild.
     pub full_rebuild: bool,
+    /// Runs in the refreshed grid's run table: maximal slot ranges inside
+    /// one cell whose rows hold the same bits. Between the number of
+    /// cells (every cell collapsed onto one position) and `n` (no row
+    /// repeats its slot neighbour's).
+    pub runs: u64,
 }
 
 /// The rows one maintenance path rewrites, shared by the lane writer
@@ -258,7 +274,9 @@ enum Rows<'a> {
     All,
     /// The in-place refresh (no cell key changed, so no slot moved): the
     /// rows of the points flagged in `moved` and the summaries of dirty
-    /// cells, in place; the rest is untouched.
+    /// cells, in place; the rest keeps its bits (a run whose first point
+    /// moved is rewritten whole, its other points with the bits they
+    /// hold).
     InPlace(&'a [bool]),
     /// The re-binning refresh: every lane row, computed for the points
     /// flagged in `moved` and copied from the previous tables for the
@@ -268,7 +286,7 @@ enum Rows<'a> {
 
 /// The grid's total point order: outer id, then cell key, then point
 /// index, over the per-point `outer` ids and `dim`-wide `keys`.
-fn grid_order(outer: &[u64], keys: &[u64], dim: usize, a: u32, b: u32) -> std::cmp::Ordering {
+fn grid_order(outer: &[u32], keys: &[u64], dim: usize, a: u32, b: u32) -> std::cmp::Ordering {
     let (a, b) = (a as usize, b as usize);
     outer[a]
         .cmp(&outer[b])
@@ -276,21 +294,105 @@ fn grid_order(outer: &[u64], keys: &[u64], dim: usize, a: u32, b: u32) -> std::c
         .then(a.cmp(&b))
 }
 
-/// Whether rows `a` and `b` hold the same bits: the key of every memo that
-/// lets a coincident point reuse its twin's results. `==` would not do:
-/// it equates `-0.0` with `0.0`, whose `sin` differ in sign.
+/// Whether rows `a` and `b` hold the same bits: what cuts the run table,
+/// whose members reuse their head's results. `==` would not do: it
+/// equates `-0.0` with `0.0`, whose `sin` differ in sign.
 #[inline]
 pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The cell key and outer id one chunk of the key pass derived last, with
-/// the point whose row they came from. A point whose row repeats that
-/// row's bits takes them instead of deriving them again.
+/// The slot ranges of the runs in the run table `starts` that meet
+/// `slots`, clipped to it, in slot order: a range that starts inside a run
+/// yields that run's tail first.
+fn runs_in(starts: &[u32], slots: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+    // the run holding `slots.start`: the last one starting at or before it
+    let first = starts
+        .partition_point(|&s| s as usize <= slots.start)
+        .saturating_sub(1);
+    starts[first..]
+        .windows(2)
+        .map(move |w| (w[0] as usize).max(slots.start)..(w[1] as usize).min(slots.end))
+        .take_while(|run| run.start < run.end)
+}
+
+/// Index in the run table `starts` of the run that starts at `slot`, a
+/// cell start (and so a run start), searching from index `from` on: a
+/// pass over ascending cells keeps `from` at the run after the last cell
+/// it summed, and searches only past the cells it skips.
+#[inline]
+fn run_at(starts: &[u32], from: usize, slot: usize) -> usize {
+    let r = if starts[from] as usize == slot {
+        from
+    } else {
+        from + starts[from..].partition_point(|&s| (s as usize) < slot)
+    };
+    debug_assert_eq!(starts[r] as usize, slot, "cell starts are run starts");
+    r
+}
+
+/// The Σsin/Σcos row `sums` of a cell from the lane tables `(sin, cos)`
+/// at lane phase `phase`, for `dim` = `D`, or `D = 0` to read `dim` at run
+/// time: the runs from index `*run` of the run table `starts` up to the
+/// one that starts at slot `end`, where `*run` is left. Each run adds its
+/// first slot's values once per member, one slot after another, so every
+/// element's chain of additions is that of a per-slot sum (`k · value`
+/// would round differently). For `D` > 0 the sums stay in registers across
+/// the cell, so each element's chain runs alongside the others'.
+#[inline(always)]
+fn sum_cell<const D: usize>(
+    sums: &mut [f64],
+    dim: usize,
+    (lane_sin, lane_cos): (&[f64], &[f64]),
+    phase: usize,
+    starts: &[u32],
+    run: &mut usize,
+    end: u32,
+) {
+    let (mut sin, mut cos) = ([0.0; D], [0.0; D]);
+    sums.fill(0.0);
+    while starts[*run] < end {
+        let (lo, hi) = (starts[*run] as usize, starts[*run + 1] as usize);
+        let at = lane_index(phase, dim, lo);
+        if D == 0 {
+            let (sin_sum, cos_sum) = sums.split_at_mut(dim);
+            for i in 0..dim {
+                let (s, c) = (lane_sin[at + i * LANES], lane_cos[at + i * LANES]);
+                for _ in lo..hi {
+                    sin_sum[i] += s;
+                    cos_sum[i] += c;
+                }
+            }
+        } else {
+            let (mut s, mut c) = ([0.0; D], [0.0; D]);
+            for i in 0..D {
+                (s[i], c[i]) = (lane_sin[at + i * LANES], lane_cos[at + i * LANES]);
+            }
+            for _ in lo..hi {
+                for i in 0..D {
+                    sin[i] += s[i];
+                    cos[i] += c[i];
+                }
+            }
+        }
+        *run += 1;
+    }
+    if D > 0 {
+        let (sin_sum, cos_sum) = sums.split_at_mut(D);
+        sin_sum.copy_from_slice(&sin);
+        cos_sum.copy_from_slice(&cos);
+    }
+}
+
+/// The cell key and outer id one chunk of `rebuild`'s key pass derived
+/// last, with the point whose row they came from. That pass runs in
+/// point-index order, before there is a layout or a run table, and a point
+/// whose row repeats that row's bits takes them instead of deriving them
+/// again.
 struct KeyMemo {
     src: Option<usize>,
     key: [u64; MAX_DIM],
-    outer: u64,
+    outer: u32,
 }
 
 impl KeyMemo {
@@ -304,43 +406,15 @@ impl KeyMemo {
 
     /// Cell key and outer id of point `p_idx` of `coords` under `geo`.
     #[inline]
-    fn get(&mut self, geo: &GridGeometry, coords: &[f64], p_idx: usize) -> (&[u64], u64) {
+    fn get(&mut self, geo: &GridGeometry, coords: &[f64], p_idx: usize) -> (&[u64], u32) {
         let dim = geo.dim;
         let p = row(coords, dim, p_idx);
         if !self.src.is_some_and(|q| same_bits(row(coords, dim, q), p)) {
             geo.cell_coords_of(p, &mut self.key[..dim]);
-            self.outer = geo.outer_id_of_coords(&self.key[..dim]) as u64;
+            self.outer = geo.outer_id_of_coords(&self.key[..dim]) as u32;
             self.src = Some(p_idx);
         }
         (&self.key[..dim], self.outer)
-    }
-}
-
-/// The `sin`/`cos` one chunk of the lane writer computed last in each
-/// dimension, keyed on the coordinate's bits. It starts out holding those
-/// of `+0.0`, computed like any other.
-struct TrigMemo {
-    bits: [u64; MAX_DIM],
-    sin: [f64; MAX_DIM],
-    cos: [f64; MAX_DIM],
-}
-
-impl TrigMemo {
-    fn new() -> Self {
-        Self {
-            bits: [0.0f64.to_bits(); MAX_DIM],
-            sin: [0.0f64.sin(); MAX_DIM],
-            cos: [0.0f64.cos(); MAX_DIM],
-        }
-    }
-
-    /// `(sin x, cos x)` of coordinate `x` in dimension `i`.
-    #[inline]
-    fn get(&mut self, i: usize, x: f64) -> (f64, f64) {
-        if x.to_bits() != self.bits[i] {
-            (self.bits[i], self.sin[i], self.cos[i]) = (x.to_bits(), x.sin(), x.cos());
-        }
-        (self.sin[i], self.cos[i])
     }
 }
 
@@ -369,6 +443,7 @@ impl CellGrid {
             lane_phase: 0,
             cell_bounds: Vec::new(),
             outer_index: Vec::new(),
+            run_starts: Vec::new(),
             point_keys: Vec::new(),
             point_outer: Vec::new(),
             point_slot: Vec::new(),
@@ -443,27 +518,39 @@ impl CellGrid {
                 .sort_unstable_by(|&a, &b| grid_order(outer, keys, dim, a, b));
         }
 
-        // Pass 3 — walk the sorted order once to cut cell boundaries and
-        // outer ranges, and invert into the per-point cell index.
-        // No eager `reserve` here: pre-reserving the worst case (n cells)
-        // allocates n·dim u64 keys up front — a 160 MB spike at the paper
-        // envelope's 1M×20 — while the realistic cell count is far below
-        // n. Amortized growth reaches the actual size instead, and the
-        // capacity persists across iterations, so the steady state still
-        // allocates nothing.
+        // Pass 3 — walk the sorted order once to cut cell boundaries, runs
+        // and outer ranges, and invert into the per-point cell index.
+        // No eager `reserve` for the cells: pre-reserving the worst case (n
+        // cells) allocates n·dim u64 keys up front — a 160 MB spike at the
+        // paper envelope's 1M×20 — while the realistic cell count is far
+        // below n. Amortized growth reaches the actual size instead, and
+        // the capacity persists across iterations, so the steady state
+        // still allocates nothing. The cell and run starts reserve their
+        // worst case, one u32 per point: a later refresh grows the run
+        // table back from a few runs to n, and a re-binning refresh swaps
+        // the cell starts with its scratch of that capacity, so neither
+        // allocates then.
         self.cell_keys.clear();
         self.cell_starts.clear();
+        self.cell_starts.reserve(n + 1);
         self.outer_index.clear();
+        self.run_starts.clear();
+        self.run_starts.reserve(n + 1);
         self.point_cell.resize(n, 0);
         self.point_slot.resize(n, 0);
         self.cell_starts.push(0);
         for e in 0..n {
             let p = self.cell_points[e] as usize;
-            let new_cell = e == 0 || {
-                let prev = self.cell_points[e - 1] as usize;
+            let prev = e.checked_sub(1).map(|e| self.cell_points[e] as usize);
+            let new_cell = prev.is_none_or(|prev| {
                 self.point_keys[prev * dim..(prev + 1) * dim]
                     != self.point_keys[p * dim..(p + 1) * dim]
-            };
+            });
+            if new_cell
+                || prev.is_some_and(|prev| !same_bits(row(coords, dim, prev), row(coords, dim, p)))
+            {
+                self.run_starts.push(e as u32);
+            }
             if new_cell {
                 if e > 0 {
                     self.cell_starts.push(e as u32);
@@ -482,6 +569,7 @@ impl CellGrid {
         }
         if n > 0 {
             self.cell_starts.push(n as u32);
+            self.run_starts.push(n as u32);
         }
 
         // Pass 4 — lane rows, summaries and MBRs of the new layout.
@@ -501,7 +589,7 @@ impl CellGrid {
     /// The incremental path re-derives cell keys only for movers,
     /// partitions them into *stayers* (same cell key) and *changers*,
     /// splices the sorted changers back into the grid-sorted order with a
-    /// sequential merge, recomputes the lane rows of movers only, and
+    /// sequential merge, recomputes the lane rows of movers' runs only, and
     /// recomputes Σsin/Σcos summaries only for dirty cells — cells that
     /// gained or lost a member or contain a mover. Summaries of dirty
     /// cells are recomputed from the cell's full membership (never
@@ -513,10 +601,11 @@ impl CellGrid {
     /// pure function of the membership — never of worker count or of which
     /// iteration the points moved in.
     ///
-    /// The key pass walks the movers in the current slot order, where
-    /// coincident points sit together whatever their indices, and a mover
-    /// whose row repeats the bits of the last one its chunk derived takes
-    /// that one's cell key and outer id.
+    /// The key pass walks the current slot order, where coincident points
+    /// sit together whatever their indices, and cuts the run table as it
+    /// goes. A run's members share their head's row and cell, so its old
+    /// key, new key and changer verdict: the pass derives one key per run,
+    /// at its first mover.
     ///
     /// All scratch buffers are owned by the grid and sized once, so
     /// steady-state refreshes allocate nothing.
@@ -537,69 +626,113 @@ impl CellGrid {
                 rebinned_points: n as u64,
                 dirty_cells: self.num_cells() as u64,
                 full_rebuild: true,
+                runs: self.num_runs() as u64,
             };
         };
 
-        // Pass 1 — re-derive keys for movers only, in slot order, and flag
-        // cell changers, in parallel; stayers' rows are untouched.
+        // Pass 1 — in slot order and in parallel: cut the runs, re-derive
+        // the keys of movers once per run and flag cell changers; stayers'
+        // rows are untouched. Each chunk writes the run starts it finds to
+        // the front of its own slot range of `run_starts`, ended by
+        // `u32::MAX` (never a slot) when they do not fill it.
         self.is_changer.clear();
         self.is_changer.resize(n, false);
+        self.run_starts.resize(n + 1, 0);
+        let (moved_points, changed) = (AtomicU64::new(0), AtomicU64::new(0));
         {
-            let order = &self.cell_points;
+            let (order, point_cell) = (&self.cell_points, &self.point_cell);
+            let (cell_starts, cell_keys) = (&self.cell_starts, &self.cell_keys);
             let keys = ScatterWriter::new(&mut self.point_keys);
             let outer = ScatterWriter::new(&mut self.point_outer);
             let chg = ScatterWriter::new(&mut self.is_changer);
-            let (keys, outer, chg) = (&keys, &outer, &chg);
+            let heads = ScatterWriter::new(&mut self.run_starts);
+            let (keys, outer, chg, heads) = (&keys, &outer, &chg, &heads);
+            let (moved_points, changed) = (&moved_points, &changed);
             exec.map_ranges(n, POINT_CHUNK, |range| {
-                let mut memo = KeyMemo::new();
-                for slot in range {
-                    let p_idx = order[slot] as usize;
-                    if !moved[p_idx] {
-                        continue;
-                    }
-                    let (new_key, oid) = memo.get(&geometry, coords, p_idx);
-                    // `order` is a permutation, so each point index occurs
-                    // in exactly one chunk
-                    let old = unsafe { keys.row_mut(p_idx * dim, dim) };
-                    if old != new_key {
-                        old.copy_from_slice(new_key);
-                        unsafe {
-                            outer.row_mut(p_idx, 1)[0] = oid;
-                            chg.row_mut(p_idx, 1)[0] = true;
+                // each slot range occurs in exactly one chunk
+                let heads = unsafe { heads.row_mut(range.start, range.len()) };
+                let mut found = 0;
+                let (mut movers, mut changers) = (0u64, 0u64);
+                let mut key = [0u64; MAX_DIM];
+                let mut c = point_cell[order[range.start] as usize] as usize;
+                let mut slot = range.start;
+                // the chunk's part of each cell it meets, one after another
+                while slot < range.end {
+                    let end = (cell_starts[c + 1] as usize).min(range.end);
+                    // the row of the slot before, inside this cell
+                    let mut prev = (slot > cell_starts[c] as usize)
+                        .then(|| row(coords, dim, order[slot - 1] as usize));
+                    // the outer id and changer verdict of the current run's
+                    // key, once its first mover derived that into `key`
+                    let mut verdict = None;
+                    for slot in slot..end {
+                        let p_idx = order[slot] as usize;
+                        let p = row(coords, dim, p_idx);
+                        if !prev.is_some_and(|q| same_bits(q, p)) {
+                            heads[found] = slot as u32;
+                            found += 1;
+                            verdict = None;
+                        }
+                        prev = Some(p);
+                        if !moved[p_idx] {
+                            continue;
+                        }
+                        movers += 1;
+                        let (oid, changer) = *verdict.get_or_insert_with(|| {
+                            geometry.cell_coords_of(p, &mut key[..dim]);
+                            let oid = geometry.outer_id_of_coords(&key[..dim]) as u32;
+                            (oid, key[..dim] != cell_keys[c * dim..(c + 1) * dim])
+                        });
+                        if changer {
+                            changers += 1;
+                            // `order` is a permutation, so each point index
+                            // occurs in exactly one chunk
+                            unsafe {
+                                keys.row_mut(p_idx * dim, dim).copy_from_slice(&key[..dim]);
+                                outer.row_mut(p_idx, 1)[0] = oid;
+                                chg.row_mut(p_idx, 1)[0] = true;
+                            }
                         }
                     }
+                    (slot, c) = (end, c + 1);
                 }
+                if let Some(end) = heads.get_mut(found) {
+                    *end = u32::MAX;
+                }
+                moved_points.fetch_add(movers, Ordering::Relaxed);
+                changed.fetch_add(changers, Ordering::Relaxed);
             });
         }
+        let moved_points = moved_points.into_inner();
 
-        // Pass 2 — partition: collect the changer work-list (ascending
-        // point index), count movers and flag the cells they sit in.
+        // Pass 2 — partition: with no changer, gather the run table and
+        // flag the cells holding a mover, each found by a scan from the
+        // cell's first slot that stops at its first mover (one step in a
+        // collapsed cell); else collect the changer work-list.
         self.changers.clear();
         self.changers.reserve(n);
-        self.cell_dirty.clear();
-        self.cell_dirty.resize(self.num_cells(), false);
-        let (mut moved_points, mut mover_cells) = (0u64, 0u64);
-        for p in 0..n {
-            if moved[p] {
-                moved_points += 1;
-                if self.is_changer[p] {
-                    self.changers.push(p as u32);
-                }
-                let c = self.point_cell[p] as usize;
-                mover_cells += u64::from(!self.cell_dirty[c]);
-                self.cell_dirty[c] = true;
-            }
-        }
+        let (rows, dirty_cells) = if changed.into_inner() == 0 {
+            self.gather_runs(n);
+            let (order, cell_starts) = (&self.cell_points, &self.cell_starts);
+            self.cell_dirty.clear();
+            self.cell_dirty.extend(cell_starts.windows(2).map(|w| {
+                order[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .any(|&p| moved[p as usize])
+            }));
+            let mover_cells = self.cell_dirty.iter().filter(|&&d| d).count();
+            (Rows::InPlace(moved), mover_cells as u64)
+        } else {
+            let is_changer = &self.is_changer;
+            self.changers
+                .extend((0..n as u32).filter(|&p| is_changer[p as usize]));
+            (Rows::Rebinned(moved), self.rebin(coords, moved))
+        };
 
         // Pass 3 — the layout: kept in place when no cell key changed, its
         // dirty cells those holding a mover; else the changers spliced back
         // in. Then the lane rows of movers, the summaries of dirty cells
-        // and every MBR.
-        let (rows, dirty_cells) = if self.changers.is_empty() {
-            (Rows::InPlace(moved), mover_cells)
-        } else {
-            (Rows::Rebinned(moved), self.rebin(moved))
-        };
+        // and every MBR, each pass once per run.
         self.write_lanes(exec, coords, rows);
         self.write_sums(exec, rows);
         self.rebuild_cell_bounds(exec, coords);
@@ -608,13 +741,51 @@ impl CellGrid {
             rebinned_points: self.changers.len() as u64,
             dirty_cells,
             full_rebuild: false,
+            runs: self.num_runs() as u64,
         }
     }
 
+    /// Pack the run starts the key pass's chunks wrote to the fronts of
+    /// their slot ranges into one table, in slot order, then end it with
+    /// `n`. The chunks are the key pass's: [`POINT_CHUNK`] slots each. A
+    /// chunk's starts move down, never past an entry not yet read.
+    fn gather_runs(&mut self, n: usize) {
+        let starts = &mut self.run_starts;
+        let mut len = 0;
+        for lo in (0..n).step_by(POINT_CHUNK) {
+            for at in lo..(lo + POINT_CHUNK).min(n) {
+                let slot = starts[at];
+                if slot == u32::MAX {
+                    break;
+                }
+                starts[len] = slot;
+                len += 1;
+            }
+        }
+        starts.truncate(len);
+        if n > 0 {
+            starts.push(n as u32);
+        }
+    }
+
+    /// Runs in the run table.
+    fn num_runs(&self) -> usize {
+        self.run_starts.len().saturating_sub(1)
+    }
+
+    /// The runs that meet grid-sorted slot range `slots`, clipped to it, in
+    /// slot order: the maximal slot ranges inside one cell whose rows hold
+    /// the same bits, each split where `slots` cuts it. Every member of a
+    /// run computes what its first one does.
+    pub(crate) fn runs(&self, slots: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        runs_in(&self.run_starts, slots)
+    }
+
     /// The layout with changers: splice the re-binned points back into the
-    /// grid-sorted order and classify the new cells dirty or clean,
-    /// replacing the mover-cell flags. Returns the dirty count.
-    fn rebin(&mut self, moved: &[bool]) -> u64 {
+    /// grid-sorted order, cut its cells and runs from `coords`, and
+    /// classify the new cells dirty or clean, replacing the mover-cell
+    /// flags. Returns the dirty count.
+    fn rebin(&mut self, coords: &[f64], moved: &[bool]) -> u64 {
         let dim = self.geometry.dim;
         let n = moved.len();
 
@@ -656,6 +827,7 @@ impl CellGrid {
         // only `rebuild`'s n·dim key reserve was a real memory spike.
         self.cell_keys.clear();
         self.outer_index.clear();
+        self.run_starts.clear();
         self.starts_scratch.clear();
         self.starts_scratch.reserve(n + 1);
         self.cell_dirty.clear();
@@ -694,11 +866,17 @@ impl CellGrid {
             };
             for e in 0..n {
                 let p = order[e] as usize;
-                let new_cell = e == 0 || {
-                    let prev = order[e - 1] as usize;
+                let prev = e.checked_sub(1).map(|e| order[e] as usize);
+                let new_cell = prev.is_none_or(|prev| {
                     self.point_keys[prev * dim..(prev + 1) * dim]
                         != self.point_keys[p * dim..(p + 1) * dim]
-                };
+                });
+                if new_cell
+                    || prev
+                        .is_some_and(|prev| !same_bits(row(coords, dim, prev), row(coords, dim, p)))
+                {
+                    self.run_starts.push(e as u32);
+                }
                 if new_cell {
                     if e > 0 {
                         dirty_cells += close_cell(
@@ -736,6 +914,7 @@ impl CellGrid {
                     cur_dirty,
                 );
                 self.starts_scratch.push(n as u32);
+                self.run_starts.push(n as u32);
             }
         }
 
@@ -755,19 +934,22 @@ impl CellGrid {
     /// `lane_phase + s`), each block by exactly one chunk, so the tables
     /// are the same for any worker count.
     ///
-    /// A computed row takes `sin`/`cos` of the point's raw coordinates.
-    /// Each chunk keeps the last value it computed per dimension, keyed on
-    /// the coordinate's bits, and a coordinate that repeats it takes the
-    /// kept value: `sin` and `cos` are pure functions of the bits, so the
-    /// tables are those of one evaluation per point, and a collapsed
-    /// cluster, whose points share their bits, costs one evaluation per
-    /// chunk instead of one per point. A stayer of the re-binning refresh
-    /// copies them from its old lane in the previous tables, swapped into
-    /// `lane_sin_prev`/`lane_cos_prev`: its coordinates did not change, so
-    /// neither did their values. The
-    /// full build and the re-binning refresh start from zeroed tables, so
-    /// the `lane_phase` leading pad lanes and those past the last point
-    /// stay zero; the in-place refresh moves no slot and keeps them.
+    /// The lane writer works once per run. The first member of a run (or
+    /// of its part in a chunk) supplies the run's `sin`/`cos`: computed
+    /// from its raw coordinates when it moved, or on the full build; for a
+    /// stayer of the re-binning refresh, copied from its old lane in the
+    /// previous tables, swapped into `lane_sin_prev`/`lane_cos_prev`; for
+    /// a point the in-place refresh did not move, read from its own lane.
+    /// Every member gets them: `sin` and `cos` are pure functions of the
+    /// bits, and the members' rows hold the first one's bits, so the tables
+    /// are those of one evaluation per point, and a collapsed cluster costs
+    /// one evaluation per run. The in-place refresh writes only movers'
+    /// rows when the first member did not move; else it writes every
+    /// member's, which for a point that did not move rewrites the bits its
+    /// lane holds. The full build and the re-binning refresh start from
+    /// zeroed tables, so the `lane_phase` leading pad lanes and those past
+    /// the last point stay zero; the in-place refresh moves no slot and
+    /// keeps them.
     fn write_lanes(&mut self, exec: &Executor, coords: &[f64], rows: Rows) {
         let (dim, phase) = (self.geometry.dim, self.lane_phase);
         let n = self.cell_points.len();
@@ -787,47 +969,84 @@ impl CellGrid {
                 table.resize(n_blocks * bs, 0.0);
             }
         }
-        let (order, old_slot) = (&self.cell_points, &self.point_slot_scratch);
+        let (order, old_slot, starts) = (
+            &self.cell_points,
+            &self.point_slot_scratch,
+            &self.run_starts,
+        );
         let (sin_prev, cos_prev) = (&self.lane_sin_prev, &self.lane_cos_prev);
         let sin_w = ScatterWriter::new(&mut self.lane_sin);
         let cos_w = ScatterWriter::new(&mut self.lane_cos);
         let xyz_w = ScatterWriter::new(&mut self.lane_coords);
         let (sin_w, cos_w, xyz_w) = (&sin_w, &cos_w, &xyz_w);
-        exec.map_ranges(n_blocks, CELL_CHUNK, |range| {
-            let mut trig = TrigMemo::new();
-            for b in range {
-                // each block occurs in exactly one chunk
-                let (sins, coss, xyzs) = unsafe {
-                    (
-                        sin_w.row_mut(b * bs, bs),
-                        cos_w.row_mut(b * bs, bs),
-                        xyz_w.row_mut(b * bs, bs),
-                    )
+        exec.map_ranges(n_blocks, CELL_CHUNK, |blocks| {
+            // each block occurs in exactly one chunk
+            let (base, len) = (blocks.start * bs, blocks.len() * bs);
+            let (sins, coss, xyzs) = unsafe {
+                (
+                    sin_w.row_mut(base, len),
+                    cos_w.row_mut(base, len),
+                    xyz_w.row_mut(base, len),
+                )
+            };
+            // the chunk's slots: its lanes less the leading pad lanes
+            let slots = (blocks.start * LANES).saturating_sub(phase)
+                ..(blocks.end * LANES).saturating_sub(phase).min(n);
+            let (mut sin, mut cos) = ([0.0; MAX_DIM], [0.0; MAX_DIM]);
+            for run in runs_in(starts, slots) {
+                let first = order[run.start] as usize;
+                let p = row(coords, dim, first);
+                let at = lane_index(phase, dim, run.start) - base;
+                let computed = match rows {
+                    Rows::All => true,
+                    Rows::InPlace(moved) | Rows::Rebinned(moved) => moved[first],
                 };
-                for j in 0..LANES {
-                    let Some(slot) = (b * LANES + j).checked_sub(phase).filter(|&s| s < n) else {
-                        continue; // a pad lane
+                for i in 0..dim {
+                    (sin[i], cos[i]) = match rows {
+                        _ if computed => (p[i].sin(), p[i].cos()),
+                        Rows::Rebinned(_) => {
+                            let old = lane_index(phase, dim, old_slot[first] as usize) + i * LANES;
+                            (sin_prev[old], cos_prev[old])
+                        }
+                        _ => (sins[at + i * LANES], coss[at + i * LANES]),
                     };
-                    let p_idx = order[slot] as usize;
-                    let p = row(coords, dim, p_idx);
-                    match rows {
-                        Rows::InPlace(moved) if !moved[p_idx] => continue,
-                        Rows::Rebinned(moved) if !moved[p_idx] => {
-                            let at = lane_index(phase, dim, old_slot[p_idx] as usize);
-                            for i in 0..dim {
-                                sins[i * LANES + j] = sin_prev[at + i * LANES];
-                                coss[i * LANES + j] = cos_prev[at + i * LANES];
-                            }
+                }
+                debug_assert!(
+                    run.clone()
+                        .all(|s| same_bits(row(coords, dim, order[s] as usize), p)),
+                    "a run's rows hold its first one's bits"
+                );
+                let (lo, hi) = (phase + run.start, phase + run.end);
+                let mut lane = lo;
+                while lane < hi {
+                    // the run's lanes in block `lane / LANES`: `j0..j1`
+                    let b = lane / LANES;
+                    let (j0, j1) = (lane % LANES, (hi - b * LANES).min(LANES));
+                    let at = b * bs - base;
+                    let every = computed || !matches!(rows, Rows::InPlace(_));
+                    if every && j1 - j0 == LANES {
+                        // the whole block: one fixed-width store per row
+                        for i in 0..dim {
+                            let r = at + i * LANES..at + (i + 1) * LANES;
+                            sins[r.clone()].copy_from_slice(&[sin[i]; LANES]);
+                            coss[r.clone()].copy_from_slice(&[cos[i]; LANES]);
+                            xyzs[r].copy_from_slice(&[p[i]; LANES]);
                         }
-                        _ => {
+                    } else {
+                        for j in j0..j1 {
+                            if let Rows::InPlace(moved) = rows {
+                                if !every && !moved[order[b * LANES + j - phase] as usize] {
+                                    continue;
+                                }
+                            }
                             for i in 0..dim {
-                                (sins[i * LANES + j], coss[i * LANES + j]) = trig.get(i, p[i]);
+                                sins[at + i * LANES + j] = sin[i];
+                                coss[at + i * LANES + j] = cos[i];
+                                xyzs[at + i * LANES + j] = p[i];
                             }
                         }
                     }
-                    for i in 0..dim {
-                        xyzs[i * LANES + j] = p[i];
-                    }
+                    lane = (b + 1) * LANES;
                 }
             }
         });
@@ -848,10 +1067,11 @@ impl CellGrid {
             self.trig_sums.clear();
             self.trig_sums.resize(self.num_cells() * w, 0.0);
         }
-        let (cell_starts, dirty, clean_src) =
-            (&self.cell_starts, &self.cell_dirty, &self.clean_src);
+        let (cell_starts, starts) = (&self.cell_starts, &self.run_starts);
+        let (dirty, clean_src) = (&self.cell_dirty, &self.clean_src);
         let (lane_sin, lane_cos, old_sums) = (&self.lane_sin, &self.lane_cos, &self.sums_scratch);
         exec.map_chunks_mut(&mut self.trig_sums, CELL_CHUNK * w, |offset, chunk| {
+            let mut run = 0;
             for (r, sums) in chunk.chunks_exact_mut(w).enumerate() {
                 let c = offset / w + r;
                 match rows {
@@ -863,16 +1083,22 @@ impl CellGrid {
                     _ => {
                         // each slot's values added one slot after another:
                         // every element's addition chain is the fresh
-                        // build's, so the sums are bitwise reproducible
-                        sums.fill(0.0);
-                        let (sin_sum, cos_sum) = sums.split_at_mut(dim);
-                        for slot in cell_starts[c] as usize..cell_starts[c + 1] as usize {
-                            let at = lane_index(phase, dim, slot);
-                            for i in 0..dim {
-                                sin_sum[i] += lane_sin[at + i * LANES];
-                                cos_sum[i] += lane_cos[at + i * LANES];
-                            }
+                        // build's, so the sums are bitwise reproducible. A
+                        // run's members hold its first slot's lane values,
+                        // so each adds those once more (`k · value` would
+                        // round differently)
+                        run = run_at(starts, run, cell_starts[c] as usize);
+                        let end = cell_starts[c + 1];
+                        let tables = (lane_sin.as_slice(), lane_cos.as_slice());
+                        macro_rules! by_dim {
+                            ($($d:literal)*) => {
+                                match dim {
+                                    $($d => sum_cell::<$d>(sums, dim, tables, phase, starts, &mut run, end),)*
+                                    _ => sum_cell::<0>(sums, dim, tables, phase, starts, &mut run, end),
+                                }
+                            };
                         }
+                        by_dim!(1 2 3 4 5 6 7 8);
                     }
                 }
             }
@@ -880,26 +1106,27 @@ impl CellGrid {
     }
 
     /// Recompute the per-cell point MBRs from the final grid-sorted order
-    /// — an O(n·d) pass, within the same per-iteration envelope as the
-    /// lane writer that precedes it. Each cell scans its own
-    /// contiguous slot range once, sequentially, into its lane of its
-    /// block, so the table is a pure function of the CSR layout and the
-    /// coordinates: bitwise identical for any worker count and for either
-    /// maintenance path. Chunks hold [`CELL_CHUNK`] cells, as every other
-    /// per-cell pass.
+    /// and the run table, one step per run: a run's members hold its first
+    /// slot's bits, and `min`/`max` with a value it has already taken give
+    /// back the same bits. Each cell scans its own contiguous slot range
+    /// once, sequentially, into its lane of its block, so the table is a
+    /// pure function of the CSR layout and the coordinates: bitwise
+    /// identical for any worker count and for either maintenance path.
+    /// Chunks hold [`CELL_CHUNK`] cells, as every other per-cell pass.
     fn rebuild_cell_bounds(&mut self, exec: &Executor, coords: &[f64]) {
         let dim = self.geometry.dim;
         let num_cells = self.num_cells();
         let bs = 2 * dim * LANES;
         self.cell_bounds.clear();
         self.cell_bounds.resize(num_cells.div_ceil(LANES) * bs, 0.0);
-        let cell_starts = &self.cell_starts;
+        let (cell_starts, starts) = (&self.cell_starts, &self.run_starts);
         let order = &self.cell_points;
         exec.map_chunks_mut(
             &mut self.cell_bounds,
             CELL_CHUNK / LANES * bs,
             |offset, chunk| {
                 let first = offset / bs;
+                let mut run = 0;
                 for (r, block) in chunk.chunks_exact_mut(bs).enumerate() {
                     let (b_lo, b_hi) = block.split_at_mut(dim * LANES);
                     for j in 0..LANES {
@@ -907,20 +1134,21 @@ impl CellGrid {
                         if c >= num_cells {
                             break;
                         }
-                        let lo = cell_starts[c] as usize;
-                        let hi = cell_starts[c + 1] as usize;
-                        let q = row(coords, dim, order[lo] as usize);
+                        run = run_at(starts, run, cell_starts[c] as usize);
+                        let q = row(coords, dim, order[starts[run] as usize] as usize);
                         for i in 0..dim {
                             b_lo[i * LANES + j] = q[i];
                             b_hi[i * LANES + j] = q[i];
                         }
-                        for slot in lo + 1..hi {
-                            let q = row(coords, dim, order[slot] as usize);
+                        run += 1;
+                        while starts[run] < cell_starts[c + 1] {
+                            let q = row(coords, dim, order[starts[run] as usize] as usize);
                             for i in 0..dim {
                                 let (l, h) = (&mut b_lo[i * LANES + j], &mut b_hi[i * LANES + j]);
                                 *l = l.min(q[i]);
                                 *h = h.max(q[i]);
                             }
+                            run += 1;
                         }
                     }
                 }
@@ -1224,7 +1452,7 @@ impl CellGrid {
             return;
         }
         geo.for_each_surrounding_outer(oid, |o| {
-            let o = o as u64;
+            let o = o as u32;
             if let Ok(e) = self.outer_index.binary_search_by_key(&o, |&(id, _, _)| id) {
                 let (_, lo, hi) = self.outer_index[e];
                 f(lo, hi);
@@ -1244,9 +1472,10 @@ impl CellGrid {
             + self.lane_cos.len() * 8
             + self.lane_coords.len() * 8
             + self.cell_bounds.len() * 8
-            + self.outer_index.len() * 16
+            + self.outer_index.len() * 12
+            + self.run_starts.len() * 4
             + self.point_keys.len() * 8
-            + self.point_outer.len() * 8
+            + self.point_outer.len() * 4
             + self.point_slot.len() * 4
             + self.changers.len() * 4
             + self.is_changer.len()
@@ -2283,23 +2512,180 @@ mod tests {
                     stats.moved_points,
                     moved.iter().filter(|&&m| m).count() as u64
                 );
-                let fresh = CellGrid::build(&Executor::sequential(), g, &coords);
                 let tag = format!("workers {workers} round {round}");
                 assert_coincident_layout(&grid, round + 1, &tag);
-                assert_eq!(grid.cell_keys, fresh.cell_keys, "{tag}");
-                assert_eq!(grid.cell_starts, fresh.cell_starts, "{tag}");
-                assert_eq!(grid.cell_points, fresh.cell_points, "{tag}");
-                assert_eq!(grid.point_cell, fresh.point_cell, "{tag}");
-                assert_eq!(grid.point_slot, fresh.point_slot, "{tag}");
-                assert_eq!(grid.outer_index, fresh.outer_index, "{tag}");
-                assert_eq!(grid.point_keys, fresh.point_keys, "{tag}");
-                assert_eq!(grid.point_outer, fresh.point_outer, "{tag}");
-                // summaries and lane tables bitwise, not merely close
-                assert_eq!(bits(&grid.trig_sums), bits(&fresh.trig_sums), "{tag}");
-                assert_eq!(bits(&grid.lane_sin), bits(&fresh.lane_sin), "{tag}");
-                assert_eq!(bits(&grid.lane_cos), bits(&fresh.lane_cos), "{tag}");
-                assert_eq!(bits(&grid.lane_coords), bits(&fresh.lane_coords), "{tag}");
-                assert_eq!(bits(&grid.cell_bounds), bits(&fresh.cell_bounds), "{tag}");
+                assert_same_as_fresh_build(&grid, &coords, &tag);
+            }
+        }
+    }
+
+    /// Every array of `grid` equals that of a fresh sequential build on
+    /// `coords`, the floating-point ones bitwise, and its run table is the
+    /// brute-force cut.
+    fn assert_same_as_fresh_build(grid: &CellGrid, coords: &[f64], tag: &str) {
+        let fresh = CellGrid::build(&Executor::sequential(), *grid.geometry(), coords);
+        assert_eq!(grid.cell_keys, fresh.cell_keys, "{tag}");
+        assert_eq!(grid.cell_starts, fresh.cell_starts, "{tag}");
+        assert_eq!(grid.cell_points, fresh.cell_points, "{tag}");
+        assert_eq!(grid.point_cell, fresh.point_cell, "{tag}");
+        assert_eq!(grid.point_slot, fresh.point_slot, "{tag}");
+        assert_eq!(grid.outer_index, fresh.outer_index, "{tag}");
+        assert_eq!(grid.point_keys, fresh.point_keys, "{tag}");
+        assert_eq!(grid.point_outer, fresh.point_outer, "{tag}");
+        assert_eq!(grid.run_starts, brute_force_runs(grid, coords), "{tag}");
+        assert_eq!(grid.run_starts, fresh.run_starts, "{tag}");
+        // summaries and lane tables bitwise, not merely close
+        assert_eq!(bits(&grid.trig_sums), bits(&fresh.trig_sums), "{tag}");
+        assert_eq!(bits(&grid.lane_sin), bits(&fresh.lane_sin), "{tag}");
+        assert_eq!(bits(&grid.lane_cos), bits(&fresh.lane_cos), "{tag}");
+        assert_eq!(bits(&grid.lane_coords), bits(&fresh.lane_coords), "{tag}");
+        assert_eq!(bits(&grid.cell_bounds), bits(&fresh.cell_bounds), "{tag}");
+    }
+
+    /// The run table of `grid` cut by brute force: a run starts at slot 0,
+    /// wherever a slot's cell differs from its predecessor's, and wherever
+    /// its row's bits do; then the sentinel `n`.
+    fn brute_force_runs(grid: &CellGrid, coords: &[f64]) -> Vec<u32> {
+        let (dim, order) = (grid.geometry().dim, grid.point_order());
+        let at = |s: usize| order[s] as usize;
+        let mut starts: Vec<u32> = (0..order.len())
+            .filter(|&s| {
+                s == 0
+                    || grid.point_cell()[at(s)] != grid.point_cell()[at(s - 1)]
+                    || (0..dim).any(|i| {
+                        coords[at(s) * dim + i].to_bits() != coords[at(s - 1) * dim + i].to_bits()
+                    })
+            })
+            .map(|s| s as u32)
+            .collect();
+        if !order.is_empty() {
+            starts.push(order.len() as u32);
+        }
+        starts
+    }
+
+    /// The run table on inputs made of runs: a long run across slot
+    /// [`POINT_CHUNK`], where the key pass's chunks and the lane writer's
+    /// ([`CELL_CHUNK`] blocks) both end; two positions alternating by index
+    /// inside one cell (rows that repeat, in runs of one); `±0.0` twins;
+    /// two rows on either side of a cell start, one of which a move puts on
+    /// the other's bits; and a run that loses one member to a move its
+    /// run-mates do not get, then regains it. After every refresh, at 1 and
+    /// 3 workers, the table is the brute-force cut, the refresh reports its
+    /// length, and every array equals a fresh build's.
+    #[test]
+    fn run_table_is_the_brute_force_cut_on_every_path() {
+        let dim = 3;
+        let g = GridGeometry::new(dim, 0.12, 1600, GridVariant::Auto);
+        let w = g.cell_width;
+        // the center of cell `k` along every axis, plus `off` cell widths
+        let at = |k: f64, off: f64| vec![(k + 0.5 + off) * w; dim];
+        let mut coords = pseudo_cloud(800, dim);
+        let long = coords.len() / dim;
+        coords.extend(at(14.0, 0.0).repeat(600));
+        let alternating = coords.len() / dim;
+        for k in 0..8 {
+            coords.extend(at(3.0, [-0.2, 0.2][k % 2]));
+        }
+        for k in 0..4 {
+            let mut twin = at(24.0, 0.0);
+            twin[0] = [0.0, -0.0][k % 2];
+            coords.extend(twin);
+        }
+        // on either side of the border between two cells of the last axis
+        let border = coords.len() / dim;
+        let mut left = at(26.0, 0.0);
+        left[dim - 1] = 27.0 * w - w / 16.0;
+        let mut right = left.clone();
+        right[dim - 1] = 27.0 * w + w / 16.0;
+        coords.extend(left.iter().chain(&right));
+        let n = coords.len() / dim;
+
+        for workers in [1usize, 3] {
+            let exec = Executor::new(Some(workers));
+            let mut coords = coords.clone();
+            let mut grid = CellGrid::new(g);
+            let refresh =
+                |grid: &mut CellGrid, coords: &[f64], moved: Option<&[bool]>, tag: &str| {
+                    let stats = grid.refresh(&exec, coords, moved);
+                    assert_eq!(stats.runs as usize, grid.num_runs(), "{tag}");
+                    assert_same_as_fresh_build(grid, coords, tag);
+                    stats
+                };
+            refresh(&mut grid, &coords, None, "build");
+            // the scenario: the long run crosses the chunk border, the
+            // alternating rows share one cell in runs of one, the twins
+            // take consecutive slots, the border rows too
+            let runs: Vec<_> = grid.runs(0..n).collect();
+            let slot = |grid: &CellGrid, p: usize| grid.point_slot[p] as usize;
+            let slot_of = |p| slot(&grid, p);
+            assert!(runs
+                .iter()
+                .any(|r| r.start < POINT_CHUNK && r.end > POINT_CHUNK));
+            assert!(runs
+                .iter()
+                .any(|r| r.contains(&slot_of(long)) && r.len() == 600));
+            let cell = grid.point_cell()[alternating];
+            assert!((alternating..alternating + 8).all(|p| grid.point_cell()[p] == cell));
+            let single = |p| runs.contains(&(slot_of(p)..slot_of(p) + 1));
+            assert!((alternating..alternating + 8).all(single));
+            assert!((n - 6..n - 2).all(single));
+            assert_eq!(slot_of(border) + 1, slot_of(border + 1));
+            assert_ne!(grid.point_cell()[border], grid.point_cell()[border + 1]);
+
+            // in place: one member of the long run moves within its cell,
+            // and splits the run in three
+            let mut moved = vec![false; n];
+            coords[(long + 300) * dim] += w / 8.0;
+            moved[long + 300] = true;
+            let stats = refresh(&mut grid, &coords, Some(&moved), "split");
+            assert_eq!(stats.rebinned_points, 0);
+            let cell = |r: &Range<usize>| grid.point_cell()[grid.point_order()[r.start] as usize];
+            let long_cell = grid.point_cell()[long];
+            assert_eq!(grid.runs(0..n).filter(|r| cell(r) == long_cell).count(), 3);
+
+            // re-binning: the right border row moves onto the left one's
+            // bits, where it was the next slot in the other cell; the
+            // split member rejoins its run
+            moved.fill(false);
+            coords.copy_within(border * dim..(border + 1) * dim, (border + 1) * dim);
+            coords[(long + 300) * dim] -= w / 8.0;
+            (moved[border + 1], moved[long + 300]) = (true, true);
+            let stats = refresh(&mut grid, &coords, Some(&moved), "merge");
+            assert_eq!(stats.rebinned_points, 1);
+            assert_eq!(grid.point_cell()[border], grid.point_cell()[border + 1]);
+            let at_border = slot(&grid, border);
+            assert!(grid.runs(0..n).any(|r| r == (at_border..at_border + 2)));
+            let at_long = slot(&grid, long);
+            assert!(grid
+                .runs(0..n)
+                .any(|r| r.contains(&at_long) && r.len() == 600));
+
+            // then rounds of re-binning moves over the cloud, each followed
+            // by an in-place flip of the twins' zeros and a swap of the
+            // alternating rows
+            for round in 0..3 {
+                let tag = format!("workers {workers} round {round}");
+                let old = coords.clone();
+                perturb(&mut coords[..800 * dim], dim, round);
+                let moved: Vec<bool> = old
+                    .chunks_exact(dim)
+                    .zip(coords.chunks_exact(dim))
+                    .map(|(a, b)| !same_bits(a, b))
+                    .collect();
+                assert!(refresh(&mut grid, &coords, Some(&moved), &tag).rebinned_points > 0);
+                let mut moved = vec![false; n];
+                for p in n - 6..n - 2 {
+                    coords[p * dim] = -coords[p * dim];
+                    moved[p] = true;
+                }
+                for p in alternating..alternating + 8 {
+                    coords[p * dim] =
+                        at(3.0, [0.2, -0.2][(p - alternating + round as usize) % 2])[0];
+                    moved[p] = true;
+                }
+                let stats = refresh(&mut grid, &coords, Some(&moved), &tag);
+                assert_eq!(stats.rebinned_points, 0, "{tag}");
             }
         }
     }
@@ -2367,6 +2753,7 @@ mod tests {
                 rebinned_points: 0,
                 dirty_cells: 0,
                 full_rebuild: false,
+                runs: 300,
             }
         );
     }

@@ -113,8 +113,8 @@ impl StageTimings {
 /// per-point trig tables) eliminated from the innermost loop.
 ///
 /// The update counts are those of a per-point walk. The host engine walks
-/// a point whose row repeats the bits of the last point its chunk walked
-/// only once, and the repeat adds the counter deltas of that walk: a
+/// each run of points whose rows hold the same bits only once, and the
+/// run adds `k ×` the counter deltas of that walk for its `k` points: a
 /// coincident point still counts the cells, pairs and lanes of its own
 /// walk. So the counters are equal on both backends, for any worker,
 /// chunk or shard count, and no field counts the reuse itself.

@@ -134,6 +134,25 @@ fn steady_state_iterations_do_not_allocate() {
     }
 }
 
+/// A Skin-like input that collapses: two tight clumps of [`N`] / 2
+/// points each, 0.08 apart, and a bridge of 15 points between them, which
+/// sees both and keeps the run going. Each clump falls onto one position
+/// within a few iterations, so the grid's run table shrinks from `N` runs
+/// to three, and the clumps later cross cell borders together.
+fn collapsing() -> Vec<f64> {
+    let noise = cloud(2 * N, 1);
+    let mut coords = Vec::with_capacity(N * DIM);
+    for p in 0..N {
+        let x = if p < 15 { 0.5 } else { [0.46, 0.54][p % 2] };
+        coords.extend([x, 0.5]);
+    }
+    // each coordinate up to ±0.003 off its clump's center
+    for (x, u) in coords.iter_mut().zip(noise) {
+        *x += 0.006 * (u - 0.5);
+    }
+    coords
+}
+
 fn incremental_steady_state_does_not_allocate() {
     // same contract for the incremental pipeline: grid refresh driven by
     // the mover flags, skip-aware update, confinement-narrowed second term
@@ -163,6 +182,31 @@ fn incremental_steady_state_does_not_allocate() {
     assert_eq!(
         allocated, 0,
         "incremental steady-state iterations must not touch the heap"
+    );
+
+    // the collapsing input, from after its first re-binning refresh: the
+    // run table shrinks from thousands of runs to three, is cut again by
+    // re-binning refreshes and grows back to `N` slots inside every
+    // in-place refresh's key pass, all within the capacity of the first
+    // build
+    let geometry = GridGeometry::new(DIM, EPS, N, GridVariant::Auto);
+    let options = UpdateOptions::default();
+    let mut engine = HostEngine::new(geometry, EPS, options, &collapsing());
+    let rebins = (0..2).filter(|_| iterate_rebins(&mut engine)).count();
+    assert!(rebins > 0, "the warm-up must run a re-binning refresh");
+    let (mut runs, mut rebins) = (Vec::new(), 0);
+    runs.reserve(40);
+    let allocated = allocations(|| {
+        for _ in 0..40 {
+            rebins += usize::from(iterate_rebins(&mut engine));
+            runs.push(engine.last_refresh().runs);
+        }
+    });
+    assert!(runs[0] > 1000 && runs.contains(&3), "runs {runs:?}");
+    assert!(rebins > 0, "the window must run a re-binning refresh");
+    assert_eq!(
+        allocated, 0,
+        "iterations over a collapsing input must not touch the heap"
     );
 }
 
@@ -234,5 +278,16 @@ fn sharded_steady_state_does_not_allocate() {
         steady_allocations(&mut engine, &exec, 0, 5),
         0,
         "sharded steady-state iterations must not touch the heap"
+    );
+
+    // the collapsing input on four shards, over the iterations in which
+    // its clumps fall onto three positions (the host check above counts
+    // the runs): each shard grid's run table shrinks in place
+    let plan = ShardPlan::new(&geometry, 4);
+    let mut engine = ShardedEngine::new(geometry, plan, EPS, options, &collapsing());
+    assert_eq!(
+        steady_allocations(&mut engine, &exec, 3, 20),
+        0,
+        "sharded iterations over a collapsing input must not touch the heap"
     );
 }

@@ -2,6 +2,7 @@
 //! inputs, boundary geometry, extreme parameters.
 
 use egg_sync::core::grid::{GridGeometry, GridVariant};
+use egg_sync::core::instrument::Stage;
 use egg_sync::prelude::*;
 
 fn all_algorithms(eps: f64) -> Vec<Box<dyn ClusterAlgorithm>> {
@@ -186,10 +187,18 @@ fn max_iterations_zero_returns_unconverged_input() {
     let mut sharded = EggSync::host(0.05, Some(2));
     sharded.options.num_shards = 3;
     for mut egg in [EggSync::new(0.05), EggSync::host(0.05, Some(2)), sharded] {
+        // the trace of a capped run reports what an uncapped one does: its
+        // engine's threads, and the grid build as building structure
+        let uncapped = egg.cluster(&data).trace.engine_threads;
         egg.max_iterations = 0;
         let result = egg.cluster(&data);
         assert!(!result.converged);
         assert_eq!(result.iterations, 0);
+        assert!(uncapped.is_some(), "{:?}", egg.backend);
+        assert_eq!(result.trace.engine_threads, uncapped, "{:?}", egg.backend);
+        let build = result.trace.stages.get(Stage::BuildStructure);
+        assert!(build > 0.0, "{:?}", egg.backend);
+        assert_eq!(result.trace.total_seconds, build, "{:?}", egg.backend);
         assert_eq!(result.labels.len(), data.len(), "one label per point");
         for p in 0..data.len() {
             for q in 0..data.len() {

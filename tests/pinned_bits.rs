@@ -13,7 +13,10 @@
 //! suite only runs on x86-64 Linux, where they were recorded.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use egg_sync::core::instrument::{KernelSummary, RunTrace, Stage, UpdateCounters};
+use egg_sync::core::egg::algorithm::{Engine, HostEngine};
+use egg_sync::core::exec::Executor;
+use egg_sync::core::grid::GridGeometry;
+use egg_sync::core::instrument::{KernelSummary, RunTrace, Stage, StageTimings, UpdateCounters};
 use egg_sync::core::Backend;
 use egg_sync::prelude::*;
 use rand::rngs::StdRng;
@@ -166,18 +169,29 @@ fn assert_trace_digest(name: &str, run: &Clustering, want: u64) {
 /// more than one chunk issues one parallel dispatch fewer, so
 /// `exec_dispatches` fell from 34 to 27. With `exec_dispatches` left out,
 /// the digest is `0xf953_033b_9d75_4f6f` before and after.
+///
+/// The host trace digests below were re-pinned when the host grid gained
+/// its run table and narrowed its outer ids to `u32`: only the structure
+/// peaks moved. Here 318 756 → 317 416 bytes (was `0x43ec_a9f0_7c70_1fe7`);
+/// 8-d blobs 602 456 → 601 700 (`0x7041_fbe8_8813_2da3`); the Skin bridge
+/// 145 221 → 143 780 (`0xa301_1b38_1a94_1208`), on 3 shards 290 446 →
+/// 287 564 with a shard peak of 145 221 → 143 780
+/// (`0xbc0e_42bf_d0f6_7892`); the coincident Skin bridge 164 060 →
+/// 162 030 (`0x8758_88ba_071f_445c`), on 3 shards 328 149 → 324 097 with a
+/// shard peak of 164 060 → 162 030 (`0x6888_a039_a922_3301`). With the old
+/// peaks in place of the new, every new trace hashes to its old digest.
 #[test]
 fn blobs_2d_bits_are_pinned() {
     let run = engine(0.05, Backend::Host, 2, 1).cluster(&blobs(2_000, 2, 1));
     assert_digest("2-d blobs", &run, 0x649c_32e6_ea62_c5f4);
-    assert_trace_digest("2-d blobs", &run, 0x43ec_a9f0_7c70_1fe7);
+    assert_trace_digest("2-d blobs", &run, 0xf29b_2db7_a87e_4867);
 }
 
 #[test]
 fn blobs_8d_bits_are_pinned() {
     let run = engine(0.2, Backend::Host, 2, 1).cluster(&blobs(1_000, 8, 1));
     assert_digest("8-d blobs", &run, 0xf938_3194_41a8_33a9);
-    assert_trace_digest("8-d blobs", &run, 0x7041_fbe8_8813_2da3);
+    assert_trace_digest("8-d blobs", &run, 0x3e5c_daaf_3c1a_7a83);
 }
 
 /// A Skin-like bridge in three dimensions: two σ = 0.003 blobs joined by
@@ -210,7 +224,7 @@ fn skin_bridge_bits_are_pinned() {
     let data = skin_bridge(800, 1);
     let single = engine(0.05, Backend::Host, 2, 1).cluster(&data);
     assert_digest("3-d Skin bridge", &single, 0xd92f_8a34_2361_6037);
-    assert_trace_digest("3-d Skin bridge", &single, 0xa301_1b38_1a94_1208);
+    assert_trace_digest("3-d Skin bridge", &single, 0x200c_e3f9_7b0d_a458);
     let sharded = engine(0.05, Backend::Host, 2, 3).cluster(&data);
     assert_digest(
         "3-d Skin bridge on 3 shards",
@@ -220,7 +234,37 @@ fn skin_bridge_bits_are_pinned() {
     assert_trace_digest(
         "3-d Skin bridge on 3 shards",
         &sharded,
-        0xbc0e_42bf_d0f6_7892,
+        0xbd1c_0fb7_dfc4_c15c,
+    );
+}
+
+/// The Skin bridge collapses: SynC drives each cluster onto one position,
+/// bit for bit, so the host grid's run table, whose runs are the maximal
+/// slot ranges of one cell with equal rows, comes down to one run per
+/// cell before the run ends.
+#[test]
+fn skin_bridge_reaches_one_run_per_cell() {
+    let data = skin_bridge(800, 1);
+    let algo = engine(0.05, Backend::Host, 2, 1);
+    let geometry = GridGeometry::new(3, algo.epsilon, data.len(), algo.variant);
+    let mut host = HostEngine::new(geometry, algo.epsilon, algo.options, data.coords());
+    let exec = Executor::new(algo.threads);
+    let mut collapsed = Vec::new();
+    for iteration in 0.. {
+        let done = host.iterate(&exec, &mut StageTimings::default()).done;
+        let cells = host.gather().iter().max().map_or(0, |&c| c as u64 + 1);
+        let refresh = host.last_refresh();
+        assert!(cells <= refresh.runs, "iteration {iteration}");
+        if refresh.runs == cells {
+            collapsed.push(iteration);
+        }
+        if done {
+            break;
+        }
+    }
+    assert!(
+        !collapsed.is_empty(),
+        "the run table never reached one run per cell"
     );
 }
 
@@ -265,7 +309,7 @@ fn coincident_points_bits_are_pinned() {
     let data = Dataset::from_coords(coords, 3);
     let single = engine(0.05, Backend::Host, 2, 1).cluster(&data);
     assert_digest("coincident Skin bridge", &single, 0x623a_ae16_e81f_9da2);
-    assert_trace_digest("coincident Skin bridge", &single, 0x8758_88ba_071f_445c);
+    assert_trace_digest("coincident Skin bridge", &single, 0xa99c_7cb5_7653_5fcc);
     let sharded = engine(0.05, Backend::Host, 2, 3).cluster(&data);
     assert_digest(
         "coincident Skin bridge on 3 shards",
@@ -275,6 +319,6 @@ fn coincident_points_bits_are_pinned() {
     assert_trace_digest(
         "coincident Skin bridge on 3 shards",
         &sharded,
-        0x6888_a039_a922_3301,
+        0xa334_5b48_3e08_7f97,
     );
 }
