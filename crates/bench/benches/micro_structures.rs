@@ -134,10 +134,7 @@ fn bench_structures(c: &mut Criterion) {
 
     // the same moves on the device grid, on one simulator thread
     group.bench_function("grid_refresh_in_place_10k", |b| {
-        let device = Device::new(DeviceConfig {
-            host_threads: Some(1),
-            ..DeviceConfig::default()
-        });
+        let device = Device::new(DeviceConfig::default());
         let mut ws = GridWorkspace::new(&device, geo, n);
         let to = device.alloc_from_slice(&nudged);
         let moved = device.alloc_from_slice(&vec![1u64; n]);

@@ -12,10 +12,12 @@
 //!
 //! All runtime measurements include host↔device transfer, as in the paper.
 
+use std::sync::Arc;
+
 use egg_data::Dataset;
 use egg_gpu_sim::{grid_for, Device, DeviceConfig};
 
-use crate::exec::threads_default;
+use crate::exec::Executor;
 use crate::instrument::{timed, IterationRecord, RunTrace, Stage};
 use crate::model::SyncParams;
 use crate::result::{ClusterAlgorithm, Clustering};
@@ -31,9 +33,9 @@ pub(crate) const MAX_DIM: usize = 64;
 pub struct GpuSync {
     /// Hyper-parameters (ε, λ, γ, iteration cap).
     pub params: SyncParams,
-    /// Simulated-device configuration. With `host_threads` unset, the
-    /// simulator runs the `EGG_THREADS` override's thread count when it is
-    /// set, else the host's available parallelism.
+    /// Simulated-device configuration. The device runs its launches on an
+    /// [`Executor`] of the `EGG_THREADS` override's width when it is set,
+    /// else of the host's available parallelism.
     pub device_config: DeviceConfig,
 }
 
@@ -72,12 +74,8 @@ impl ClusterAlgorithm for GpuSync {
             return Clustering::from_labels(Vec::new(), 0, true, data.clone(), trace);
         }
         let eps_sq = self.params.epsilon * self.params.epsilon;
-        let device = Device::new(DeviceConfig {
-            // with neither, `Device::new` takes the host's available
-            // parallelism
-            host_threads: self.device_config.host_threads.or_else(threads_default),
-            ..self.device_config.clone()
-        });
+        let runner = Arc::new(Executor::new(None));
+        let device = Device::with_runner(self.device_config.clone(), runner);
 
         // --- allocate & upload -------------------------------------------
         let ((coords, next, rc_buf, sin_t, cos_t), alloc_secs) = timed(|| {

@@ -18,10 +18,12 @@
 //! There is **no λ parameter**: termination is exact, which is the paper's
 //! headline correctness contribution.
 
+use std::sync::Arc;
+
 use egg_data::Dataset;
 use egg_gpu_sim::{Device, DeviceBuffer, DeviceConfig};
 
-use crate::exec::{threads_default, Executor};
+use crate::exec::Executor;
 use crate::grid::{
     CellGrid, DeviceGrid, GridGeometry, GridRefreshStats, GridVariant, GridWorkspace, ShardPlan,
 };
@@ -69,11 +71,11 @@ pub struct EggSync {
     pub device_config: DeviceConfig,
     /// Where the pipeline executes.
     pub backend: Backend,
-    /// Worker threads for the execution engine (`None` = the
+    /// Worker threads of the run's one [`Executor`] (`None` = the
     /// `EGG_THREADS` override when set, else the host's available
-    /// parallelism). On the [`Backend::SimulatedGpu`] backend it sizes the
-    /// simulator: it overrides [`DeviceConfig::host_threads`] when set, and
-    /// `EGG_THREADS` applies only when neither is set.
+    /// parallelism). The host engines fan their passes over it, and on the
+    /// [`Backend::SimulatedGpu`] backend the device runs every launch's
+    /// blocks on it.
     pub threads: Option<usize>,
 }
 
@@ -292,7 +294,9 @@ impl Engine for HostEngine {
 
 /// The simulated-GPU engine: the paper's kernels on a [`Device`], every
 /// array allocated once, each stage's cost-model seconds beside its
-/// wall-clock ones. It ignores the executor it is handed.
+/// wall-clock ones. Its launches run on the device's own runner, not on
+/// the executor `iterate` is handed; [`EggSync`] builds the device on a
+/// clone of that executor, so both are one pool.
 pub struct DeviceEngine {
     device: Device,
     epsilon: f64,
@@ -452,24 +456,10 @@ impl ClusterAlgorithm for EggSync {
 
     fn cluster(&self, data: &Dataset) -> Clustering {
         let (dim, n, coords) = (data.dim(), data.len(), data.coords());
-        let host = self.backend == Backend::Host;
-        // the device ignores its executor: one worker starts no pool and
-        // counts no dispatch
-        let exec = Executor::new(if host { self.threads } else { Some(1) });
-        let device = (!host).then(|| {
-            Device::new(DeviceConfig {
-                // with none of the three, `Device::new` takes the host's
-                // available parallelism
-                host_threads: self
-                    .threads
-                    .or(self.device_config.host_threads)
-                    .or_else(threads_default),
-                ..self.device_config.clone()
-            })
-        });
+        let exec = Executor::new(self.threads);
         // every run reports the threads its engine runs on, however short
         let trace = RunTrace {
-            engine_threads: Some(device.as_ref().map_or(exec.workers(), Device::workers)),
+            engine_threads: Some(exec.workers()),
             ..RunTrace::default()
         };
         if n == 0 {
@@ -487,7 +477,9 @@ impl ClusterAlgorithm for EggSync {
             let labels = grid.point_cell().to_vec();
             return Clustering::from_labels(labels, 0, false, data.clone(), trace);
         }
-        if let Some(device) = device {
+        if self.backend == Backend::SimulatedGpu {
+            let runner = Arc::new(exec.clone());
+            let device = Device::with_runner(self.device_config.clone(), runner);
             return self.drive(&exec, trace, dim, || {
                 DeviceEngine::new(&device, geometry, eps, options, coords)
             });
@@ -512,6 +504,7 @@ impl ClusterAlgorithm for EggSync {
 mod tests {
     use super::*;
     use crate::egg::reference::ExactSync;
+    use crate::exec::threads_default;
     use egg_data::generator::{bridged_clusters, GaussianSpec};
     use egg_data::metrics::{purity, same_partition};
 
@@ -610,7 +603,9 @@ mod tests {
     /// the device only.
     #[test]
     fn every_engine_fills_the_trace_contract() {
-        let (data, _) = blobs(120, 2, 1);
+        // 1 000 points: 8 blocks per per-point kernel, so the device's
+        // launches span several of the executor's block claims
+        let (data, _) = blobs(1_000, 2, 1);
         let host = |shards| EggSync {
             options: UpdateOptions {
                 num_shards: shards,
@@ -618,10 +613,15 @@ mod tests {
             },
             ..EggSync::host(0.05, Some(3))
         };
+        let device = |threads| EggSync {
+            threads: Some(threads),
+            ..EggSync::new(0.05)
+        };
         for (name, algo) in [
             ("host S=1", host(1)),
             ("host S=2", host(2)),
-            ("device", EggSync::new(0.05)),
+            ("device 3", device(3)),
+            ("device 1", device(1)),
         ] {
             let run = algo.cluster(&data);
             let trace = &run.trace;
@@ -638,8 +638,7 @@ mod tests {
             assert!(trace.stages.get(Stage::Update) > 0.0, "{name}");
             assert!(trace.peak_structure_bytes > 0, "{name}");
             let device = algo.backend == Backend::SimulatedGpu;
-            assert!(trace.engine_threads.is_some(), "{name}");
-            assert!(device || trace.engine_threads == Some(3), "{name}");
+            assert_eq!(trace.engine_threads, algo.threads, "{name}");
             assert_eq!(trace.sim_stages.is_some(), device, "{name}");
             assert_eq!(trace.total_sim_seconds.is_some(), device, "{name}");
             assert_eq!(trace.kernel_summary.is_some(), device, "{name}");
@@ -663,9 +662,12 @@ mod tests {
                     // the grid's maintenance, charged to BuildStructure
                     let sim = trace.sim_stages.unwrap();
                     assert_eq!(sim.get(Stage::Clustering), 0.0);
-                    // no worker pool, and no dispatch to charge
-                    assert_eq!(trace.stages.get(Stage::ExecDispatch), 0.0);
-                    assert_eq!(trace.update_counters.exec_dispatches, 0);
+                    // the launches run on the run's executor: dispatched
+                    // and charged on 3 workers, inline on 1
+                    let dispatched = trace.update_counters.exec_dispatches > 0;
+                    let charged = trace.stages.get(Stage::ExecDispatch) > 0.0;
+                    let pooled = name == "device 3";
+                    assert_eq!((dispatched, charged), (pooled, pooled), "{name}");
                 }
             }
         }

@@ -1455,10 +1455,7 @@ mod tests {
         // --- device engine on the single-threaded simulator, same passes —
         // the counters (cells_skipped, dirty_cells, simd lanes, summary
         // cells, ...) must match the host engine exactly
-        let device = Device::new(DeviceConfig {
-            host_threads: Some(1),
-            ..DeviceConfig::default()
-        });
+        let device = Device::new(DeviceConfig::default());
         let mut dev = DeviceEngine::new(&device, geo, eps, UpdateOptions::default(), &coords);
         for _ in 0..passes {
             dev.iterate(&Executor::sequential(), &mut StageTimings::default());

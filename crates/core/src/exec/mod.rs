@@ -1,9 +1,10 @@
 //! Host-parallel execution engine shared by every CPU-threaded stage.
 //!
 //! One [`Executor`] drives grid construction, the per-point update and the
-//! exact-termination check of the host EGG-SynC backend, as well as the
-//! MP-SynC baseline. Work is split into **fixed-size chunks** pulled from
-//! a shared claim counter by the executor's workers.
+//! exact-termination check of the host EGG-SynC backend, the MP-SynC
+//! baseline, and the kernel launches of the simulated GPU, whose blocks it
+//! runs as gpu-sim's [`BlockRunner`]. Work is split into **fixed-size
+//! chunks** pulled from a shared claim counter by the executor's workers.
 //!
 //! ## Dispatch
 //!
@@ -45,6 +46,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
+
+use egg_gpu_sim::BlockRunner;
 
 /// A shared view over a mutable slice that lets parallel chunk closures
 /// scatter-write to caller-proven **disjoint** index ranges.
@@ -127,9 +130,9 @@ pub(crate) fn env_count(var: &str) -> Option<usize> {
 }
 
 /// Process-wide `EGG_THREADS` override consumed by `Executor::new(None)`
-/// and by the simulated GPU's thread count (paralleling `EGG_NUM_SHARDS`):
-/// pins the default worker count without touching call sites. Explicit
-/// `Some(n)` requests always win.
+/// (paralleling `EGG_NUM_SHARDS`): pins the default worker count, for the
+/// host engines and the simulated GPU's launches alike, without touching
+/// call sites. Explicit `Some(n)` requests always win.
 pub(crate) fn threads_default() -> Option<usize> {
     static N: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
     *N.get_or_init(|| env_count("EGG_THREADS"))
@@ -569,6 +572,25 @@ impl Executor {
     }
 }
 
+/// Blocks per claim when an executor runs a simulated-GPU launch: a few
+/// 128-thread blocks amortize the claim and the chunk's counter flush,
+/// and a 4 000-point kernel (32 blocks) still splits into 8 claims. On
+/// two workers, claims of 1, 2, 4 and 8 blocks solved 4 000 and 25 000
+/// 2-d blobs alike.
+const BLOCK_CHUNK: usize = 4;
+
+/// The simulated GPU runs its launches on the executor's workers: the
+/// launch's blocks in `BLOCK_CHUNK`-sized claims of
+/// [`Executor::map_ranges_into`], inline with one worker or one claim.
+/// Its result slots are `()`, and a `Vec` of zero-sized slots never
+/// allocates, so a launch allocates nothing.
+impl BlockRunner for Executor {
+    fn run(&self, tasks: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
+        let mut claims = vec![(); tasks.div_ceil(BLOCK_CHUNK)];
+        self.map_ranges_into(tasks, BLOCK_CHUNK, &mut claims, body);
+    }
+}
+
 /// Reinterpret a fully initialized `Vec<MaybeUninit<R>>` as `Vec<R>`.
 ///
 /// # Safety
@@ -581,6 +603,7 @@ unsafe fn assume_init_vec<R>(v: Vec<MaybeUninit<R>>) -> Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egg_gpu_sim::{Device, DeviceConfig, KernelStats};
 
     #[test]
     fn map_ranges_covers_everything_in_order() {
@@ -782,5 +805,65 @@ mod tests {
         // the pool must still dispatch correctly afterwards
         let sums = exec.map_ranges(100, 7, |r| r.sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
+    }
+
+    /// A simulated GPU that runs its launches on `exec`.
+    fn device_on(exec: &Executor) -> Device {
+        Device::with_runner(DeviceConfig::default(), Arc::new(exec.clone()))
+    }
+
+    /// `(name, threads, reads, writes, atomics)` of every kernel in the log.
+    fn kernel_counts(device: &Device) -> Vec<(&'static str, u64, u64, u64, u64)> {
+        let kernels = device.report().kernels;
+        let counts = |k: &KernelStats| (k.name, k.threads, k.reads, k.writes, k.atomics);
+        kernels.iter().map(counts).collect()
+    }
+
+    #[test]
+    fn a_launch_from_inside_a_kernel_runs_inline() {
+        // block 0 of a pooled launch on `a` launches on `b`, which runs on
+        // the same, busy pool: the nested launch must run its blocks on
+        // the launching thread instead of dispatching into the pool
+        let exec = Executor::new(Some(2));
+        let (a, b) = (device_on(&exec), device_on(&exec));
+        let (on_a, on_b) = (a.alloc::<u64>(1024), b.alloc::<u64>(1024));
+        a.launch("outer", 8, 128, |t| {
+            on_a.atomic_inc(t.global_id());
+            if t.global_id() == 0 {
+                b.launch("inner", 8, 128, |u| {
+                    on_b.atomic_inc(u.global_id());
+                });
+            }
+        });
+        assert_eq!(exec.dispatch_count(), 1, "only the outer launch dispatches");
+        let hits = [on_a.to_vec(), on_b.to_vec()].concat();
+        assert!(hits.iter().all(|&h| h == 1), "every thread ran once");
+        assert_eq!(kernel_counts(&a), [("outer", 1024, 0, 0, 1024)]);
+        assert_eq!(kernel_counts(&b), [("inner", 1024, 0, 0, 1024)]);
+    }
+
+    #[test]
+    fn a_panicking_kernel_propagates_and_later_launches_count_exactly() {
+        let exec = Executor::new(Some(2));
+        let device = device_on(&exec);
+        let buf = device.alloc::<u64>(1024);
+        let faulted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            device.launch("faults", 8, 128, |t| {
+                buf.store(t.global_id(), 1);
+                assert!(t.global_id() != 700, "simulated kernel fault");
+            });
+        }));
+        assert!(faulted.is_err(), "the kernel's panic must reach the launch");
+        assert_eq!(kernel_counts(&device), [], "a faulted launch is not logged");
+        device.reset();
+        device.launch("after", 8, 128, |t| {
+            let i = t.global_id();
+            buf.store(i, buf.load(i) + 1);
+            buf.atomic_inc(0);
+        });
+        assert_eq!(kernel_counts(&device), [("after", 1024, 1024, 1024, 1024)]);
+        // both launches dispatched: the unwind closed the calling thread's
+        // counter batch, so the second launch did not run inline
+        assert_eq!(exec.dispatch_count(), 2);
     }
 }

@@ -1038,15 +1038,6 @@ mod tests {
         assert_eq!(grid.num_inner, 0);
     }
 
-    /// Single-threaded simulator: f64 atomic accumulation is sequential,
-    /// so refresh-vs-construct equality can be asserted bitwise.
-    fn single_threaded() -> DeviceConfig {
-        DeviceConfig {
-            host_threads: Some(1),
-            ..DeviceConfig::default()
-        }
-    }
-
     fn bits(v: Vec<f64>) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1100,7 +1091,7 @@ mod tests {
     ) {
         let dim = geo.dim;
         let n = coords.len() / dim;
-        let device = Device::new(single_threaded());
+        let device = Device::new(DeviceConfig::default());
         let mut ws = GridWorkspace::new(&device, geo, n);
         let buf = device.alloc_from_slice(coords);
         let fresh = ws.construct(&buf);
@@ -1199,7 +1190,7 @@ mod tests {
     fn refresh_fast_path_is_bitwise_identical_to_construct() {
         let (n, dim, eps) = (300, 2, 0.07);
         let mut coords = cloud(n, dim);
-        let device = Device::new(single_threaded());
+        let device = Device::new(DeviceConfig::default());
         let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
         let mut ws = GridWorkspace::new(&device, geo, n);
         let buf = device.alloc_from_slice(&coords);
@@ -1271,7 +1262,7 @@ mod tests {
     fn alternating_in_place_and_rebinning_refreshes_match_construct() {
         let (n, dim, eps) = (240, 3, 0.12);
         let mut coords = cloud(n, dim);
-        let device = Device::new(single_threaded());
+        let device = Device::new(DeviceConfig::default());
         let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
         let mut ws = GridWorkspace::new(&device, geo, n);
         let buf = device.alloc_from_slice(&coords);
@@ -1295,7 +1286,7 @@ mod tests {
     fn refresh_after_rebinning_is_bitwise_identical_to_construct() {
         let (n, dim, eps) = (250, 2, 0.08);
         let mut coords = cloud(n, dim);
-        let device = Device::new(single_threaded());
+        let device = Device::new(DeviceConfig::default());
         let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
         let mut ws = GridWorkspace::new(&device, geo, n);
         let buf = device.alloc_from_slice(&coords);

@@ -8,7 +8,8 @@
 //! in its own integration-test target to leave every other test unaffected.
 //! Most checks drive the sequential executor, which isolates the
 //! engine's own buffers; the host engine's check also runs over four pool
-//! workers, whose dispatch allocates nothing either.
+//! workers and the device engine's over three, whose dispatch allocates
+//! nothing either.
 //!
 //! The counter is process-wide, so the binary holds a single libtest test
 //! that runs every check in turn. libtest's main thread allocates whenever
@@ -22,6 +23,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use egg_gpu_sim::{Device, DeviceConfig};
 use egg_sync_core::egg::algorithm::{DeviceEngine, Engine, HostEngine};
@@ -213,27 +215,28 @@ fn incremental_steady_state_does_not_allocate() {
 fn device_steady_state_does_not_allocate() {
     // same contract for the simulated-GPU engine: the per-cell table
     // writer must reuse the workspace's lane and summary buffers rather
-    // than staging through fresh allocations. The device runs
-    // single-threaded (the bitwise-deterministic simulator config), so no
-    // `thread::scope` spawns dilute the measurement, and the kernel log is
+    // than staging through fresh allocations. The device runs its
+    // launches on the executor, inline on one worker and through the pool
+    // on three, where a launch must start no thread; the kernel log is
     // reserved ahead of the measured window.
     let n = 2000;
-    let device = Device::new(DeviceConfig {
-        host_threads: Some(1),
-        ..DeviceConfig::default()
-    });
     let geometry = GridGeometry::new(DIM, EPS, n, GridVariant::Auto);
     let options = UpdateOptions {
         use_incremental: false,
         ..UpdateOptions::default()
     };
-    let mut engine = DeviceEngine::new(&device, geometry, EPS, options, &cloud(n, DIM));
-    device.reserve_kernel_log(4096);
-    assert_eq!(
-        steady_allocations(&mut engine, &Executor::sequential(), 2, 5),
-        0,
-        "device steady-state iterations must not touch the heap"
-    );
+    for workers in [1, 3] {
+        let exec = Executor::new(Some(workers));
+        let device = Device::with_runner(DeviceConfig::default(), Arc::new(exec.clone()));
+        let mut engine = DeviceEngine::new(&device, geometry, EPS, options, &cloud(n, DIM));
+        device.reserve_kernel_log(4096);
+        assert_eq!(
+            steady_allocations(&mut engine, &exec, 2, 5),
+            0,
+            "device steady-state iterations on {workers} workers must not touch the heap"
+        );
+        assert_eq!(exec.dispatch_count() > 0, workers > 1, "{workers} workers");
+    }
 }
 
 fn pooled_dispatch_does_not_allocate() {

@@ -80,6 +80,12 @@ thread_local! {
     };
 }
 
+/// Whether this thread has a batch open, which it has exactly while it runs
+/// a launch's blocks.
+pub(crate) fn batch_open() -> bool {
+    BATCH.with(|batch| !batch.owner.get().is_null())
+}
+
 /// Open batch of one host thread for one device; dropping it flushes the
 /// batch into the device's [`GlobalCounters`] and reinstates whatever batch
 /// it displaced (a launch started from inside a kernel).

@@ -1,5 +1,6 @@
 //! The simulated device: allocation, kernel launch, performance log.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -42,8 +43,9 @@ pub struct DeviceConfig {
     pub memory_bytes: u64,
     /// Maximum threads per block accepted by `launch`.
     pub max_threads_per_block: usize,
-    /// Host worker threads used to execute blocks. `None` uses the host's
-    /// available parallelism.
+    /// Ignored: a device runs its blocks on the [`BlockRunner`] it was built
+    /// with. Stays only because `perfbench/src/traced.rs` writes it.
+    #[doc(hidden)]
     pub host_threads: Option<usize>,
 }
 
@@ -97,13 +99,29 @@ impl std::fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
+/// Runs the blocks of a kernel launch on host threads, for example on a
+/// pool of workers that outlives the launch.
+///
+/// `run(tasks, body)` calls `body` on disjoint ranges that together cover
+/// `0..tasks` once each, from any of its threads, and returns after every
+/// call returned. A panic in `body` reaches the caller of `run`. A device
+/// never calls `run` from a thread that is running a launch's blocks: a
+/// launch issued from inside a kernel runs its blocks on the launching
+/// thread, so a runner need not be re-entrant.
+pub trait BlockRunner: Send + Sync {
+    /// Call `body` on ranges covering `0..tasks`; see the trait docs.
+    fn run(&self, tasks: usize, body: &(dyn Fn(Range<usize>) + Sync));
+}
+
 struct DeviceInner {
     config: DeviceConfig,
     cost: CostModel,
     counters: Arc<GlobalCounters>,
     mem_used: Arc<AtomicU64>,
     kernel_log: Mutex<Vec<KernelStats>>,
-    workers: usize,
+    /// Runs each launch's blocks; `None` runs them in order on the
+    /// launching thread.
+    runner: Option<Arc<dyn BlockRunner>>,
 }
 
 /// The simulated GPU. Cheaply cloneable handle; clones share memory
@@ -114,11 +132,18 @@ pub struct Device {
 }
 
 impl Device {
-    /// Create a device with the given hardware parameters.
+    /// Create a device with the given hardware parameters that runs each
+    /// launch's blocks in order on the launching thread.
     pub fn new(config: DeviceConfig) -> Self {
-        let workers = config
-            .host_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Self::build(config, None)
+    }
+
+    /// Create a device that runs each launch's blocks through `runner`.
+    pub fn with_runner(config: DeviceConfig, runner: Arc<dyn BlockRunner>) -> Self {
+        Self::build(config, Some(runner))
+    }
+
+    fn build(config: DeviceConfig, runner: Option<Arc<dyn BlockRunner>>) -> Self {
         let cost = CostModel::from_config(&config);
         Self {
             inner: Arc::new(DeviceInner {
@@ -127,7 +152,7 @@ impl Device {
                 counters: Arc::new(GlobalCounters::default()),
                 mem_used: Arc::new(AtomicU64::new(0)),
                 kernel_log: Mutex::new(Vec::new()),
-                workers: workers.max(1),
+                runner,
             }),
         }
     }
@@ -182,13 +207,9 @@ impl Device {
         self.inner.mem_used.load(Ordering::Relaxed)
     }
 
-    /// Number of host worker threads the device uses to execute blocks.
-    pub fn workers(&self) -> usize {
-        self.inner.workers
-    }
-
     /// Launch a thread-granular kernel: `f` runs once per thread over
-    /// `grid_dim × block_dim` threads, blocks distributed over host workers.
+    /// `grid_dim × block_dim` threads, blocks distributed by the device's
+    /// [`BlockRunner`].
     ///
     /// This is the analogue of `kernel<<<grid_dim, block_dim>>>(…)`. The
     /// closure must bounds-check its global id against the problem size, as
@@ -240,38 +261,26 @@ impl Device {
         );
     }
 
-    /// Execute `per_block` for every block index, fanned out over host
-    /// worker threads when more than one is available. Each executing
-    /// thread counts its memory traffic in its own batch, flushed into the
-    /// device counters before this returns (or unwinds).
+    /// Execute `per_block` for every block index through the device's
+    /// runner, or in order on this thread when it has none or when this
+    /// thread is already running a launch's blocks (a launch from inside a
+    /// kernel, whose runner may be busy with the outer launch). Each range
+    /// of blocks counts its memory traffic in one batch on the thread that
+    /// runs it, flushed into the device counters before this returns (or
+    /// unwinds).
     fn run_blocks<G>(&self, grid_dim: usize, per_block: G)
     where
         G: Fn(usize) + Sync,
     {
         let counters = &*self.inner.counters;
-        let workers = self.inner.workers.min(grid_dim.max(1));
-        if workers <= 1 {
+        let blocks = |range: Range<usize>| {
             let _batch = counters.open_batch();
-            for b in 0..grid_dim {
-                per_block(b);
-            }
-            return;
+            range.for_each(&per_block);
+        };
+        match &self.inner.runner {
+            Some(runner) if !crate::counters::batch_open() => runner.run(grid_dim, &blocks),
+            _ => blocks(0..grid_dim),
         }
-        let next = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let _batch = counters.open_batch();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if b >= grid_dim {
-                            break;
-                        }
-                        per_block(b);
-                    }
-                });
-            }
-        });
     }
 
     fn timed(&self, name: &'static str, grid_dim: usize, block_dim: usize, body: impl FnOnce()) {
@@ -377,7 +386,7 @@ impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Device")
             .field("name", &self.inner.config.name)
-            .field("workers", &self.inner.workers)
+            .field("runner", &self.inner.runner.is_some())
             .field("memory_used", &self.memory_used())
             .finish()
     }
@@ -386,6 +395,7 @@ impl std::fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scoped_runner::ScopedRunner;
 
     fn dev() -> Device {
         Device::new(DeviceConfig::default())
@@ -423,11 +433,14 @@ mod tests {
         assert!(k.sim_nanos > 0);
     }
 
-    fn with_threads(host_threads: usize) -> Device {
-        Device::new(DeviceConfig {
-            host_threads: Some(host_threads),
-            ..DeviceConfig::default()
-        })
+    /// A device that runs its blocks on `threads` scoped threads per
+    /// launch, or on the launching thread when `threads` is 1.
+    fn with_threads(threads: usize) -> Device {
+        let config = DeviceConfig::default();
+        match threads {
+            1 => Device::new(config),
+            _ => Device::with_runner(config, Arc::new(ScopedRunner(threads))),
+        }
     }
 
     /// `(name, threads, reads, writes, coalesced_reads, coalesced_writes,
@@ -453,8 +466,8 @@ mod tests {
     #[test]
     fn coalesced_accesses_feed_both_channels() {
         let mut reference_sim_nanos = None;
-        for host_threads in [1, 2, 3, 8] {
-            let d = with_threads(host_threads);
+        for threads in [1, 2, 3, 8] {
+            let d = with_threads(threads);
             let buf = d.alloc::<f64>(256);
             let acc = d.alloc::<u64>(5);
             acc.store(2, u64::MAX);
@@ -489,7 +502,7 @@ mod tests {
                     ("atomics", 256, 0, 0, 0, 0, 5 * 256),
                     ("two-phase", 256, 256, 260, 256, 4, 0),
                 ],
-                "host_threads {host_threads}"
+                "threads {threads}"
             );
             let r = d.report();
             assert_eq!(r.total_reads, 768);
@@ -503,7 +516,7 @@ mod tests {
             assert_eq!(
                 &sim_nanos,
                 reference_sim_nanos.get_or_insert_with(|| sim_nanos.clone()),
-                "host_threads {host_threads}"
+                "threads {threads}"
             );
             assert_eq!(acc.to_vec()[..3], [256, 255, 0]);
             assert_eq!(buf.load(64), (0..64).sum::<usize>() as f64);
@@ -512,9 +525,9 @@ mod tests {
 
     #[test]
     fn kernel_counts_only_its_own_device() {
-        for host_threads in [1, 2] {
-            let a = with_threads(host_threads);
-            let b = with_threads(host_threads);
+        for threads in [1, 2] {
+            let a = with_threads(threads);
+            let b = with_threads(threads);
             let on_a = a.alloc::<u64>(256);
             let on_b = b.alloc::<u64>(256);
             let b_before = b.inner.counters.snapshot();
@@ -527,7 +540,7 @@ mod tests {
             assert_eq!(
                 kernel_counts(&a),
                 vec![("cross-device", 256, 0, 256, 0, 256, 0)],
-                "host_threads {host_threads}"
+                "threads {threads}"
             );
             // device B's traffic went straight to B's own counters
             let b_after = b.inner.counters.snapshot();
@@ -541,9 +554,9 @@ mod tests {
 
     #[test]
     fn panicking_kernel_leaves_later_counts_exact() {
-        for host_threads in [1, 2] {
-            let a = with_threads(host_threads);
-            let b = with_threads(host_threads);
+        for threads in [1, 2] {
+            let a = with_threads(threads);
+            let b = with_threads(threads);
             let on_a = a.alloc::<u64>(256);
             let on_b = b.alloc::<u64>(256);
             let faulted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -569,12 +582,12 @@ mod tests {
             assert_eq!(
                 kernel_counts(&a),
                 vec![("after-a", 256, 256, 256, 0, 0, 256)],
-                "host_threads {host_threads}"
+                "threads {threads}"
             );
             assert_eq!(
                 kernel_counts(&b),
                 vec![("after-b", 256, 256, 256, 0, 0, 256)],
-                "host_threads {host_threads}"
+                "threads {threads}"
             );
         }
     }

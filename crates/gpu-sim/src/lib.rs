@@ -30,9 +30,11 @@
 //!   into *simulated GPU time*, which the benchmark harnesses report next
 //!   to host wall-clock time.
 //!
-//! Blocks are distributed over scoped host worker threads; on a
-//! single-core host execution degenerates to sequential, but the kernel
-//! structure — and therefore the simulated timing — is unchanged.
+//! A device runs each launch's blocks through the [`BlockRunner`] it was
+//! built with ([`Device::with_runner`]), such as a pool of host workers that
+//! outlives the launch, or in order on the launching thread
+//! ([`Device::new`]). The crate starts no thread of its own. Either way the
+//! kernel structure — and therefore the simulated timing — is the same.
 //!
 //! ```
 //! use egg_gpu_sim::{Device, DeviceConfig};
@@ -57,12 +59,15 @@ mod counters;
 mod device;
 mod launch;
 pub mod primitives;
+#[cfg(test)]
+#[path = "../tests/support/scoped_runner.rs"]
+mod scoped_runner;
 mod word;
 
 pub use buffer::{DeviceBuffer, WordArith};
 pub use cost::{CostModel, SimulatedTime};
 pub use counters::{KernelStats, PerfReport};
-pub use device::{Device, DeviceConfig, DeviceError};
+pub use device::{BlockRunner, Device, DeviceConfig, DeviceError};
 pub use launch::{BlockCtx, Dim, ThreadCtx, WARP_SIZE};
 pub use word::DeviceWord;
 

@@ -1,8 +1,15 @@
 //! Property-based tests of the simulated device's primitives and memory
 //! model.
 
-use egg_gpu_sim::{grid_for, primitives, Device, DeviceConfig};
+use std::sync::Arc;
+
+// `BlockRunner` is the trait the shared fake implements as `crate::BlockRunner`
+use egg_gpu_sim::{grid_for, primitives, BlockRunner, Device, DeviceConfig};
 use proptest::prelude::*;
+
+#[path = "support/scoped_runner.rs"]
+mod scoped_runner;
+use scoped_runner::ScopedRunner;
 
 fn device() -> Device {
     Device::new(DeviceConfig::default())
@@ -88,10 +95,7 @@ proptest! {
 fn parallel_atomic_adds_are_exact_for_integers() {
     // with real host threads driving the blocks, the CAS-loop atomics must
     // still account for every increment
-    let d = Device::new(DeviceConfig {
-        host_threads: Some(4),
-        ..DeviceConfig::default()
-    });
+    let d = Device::with_runner(DeviceConfig::default(), Arc::new(ScopedRunner(4)));
     let counter = d.alloc::<u64>(1);
     let n = 100_000;
     d.launch("hammer", grid_for(n, 128), 128, |t| {
